@@ -7,14 +7,14 @@ scoring, the densely propagated encoder and interaction stacks, and a span
 pointer with its training loop.
 """
 
-from .answer import PointerLayer, decode_span, pointer_forward, span_loss
-from .bac import BAC, FMKernel, affinity, align, bac_forward, bac_one_sided, fm
+from .answer import PointerLayer, decode_span, span_loss
+from .bac import BAC, FMKernel, affinity, attend
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import TokenizedExample, load_jsonl, load_squad, tokenize
-from .decacore import DecaCore, GatedAttention, gated_biattention, gated_selfattention
-from .decaenc import DecaEnc, DecaEncOutput, decaenc_forward, encoder_output_width
-from .encoder import (Featurizer, InputEncoder, Vocab, binary_match, build_input,
-                      load_glove, norm_frequency, random_embeddings)
+from .decacore import DecaCore, GatedAttention
+from .decaenc import DecaEnc, DecaEncOutput, encoder_output_width
+from .encoder import (Featurizer, InputEncoder, Vocab, binary_match, load_glove,
+                      norm_frequency, random_embeddings)
 from .errors import (ConfigError, ContractError, DataError, DecapropError,
                      IntegrityError)
 from .gradcheck import SCENARIOS, run_gradcheck, threshold_for
@@ -36,14 +36,11 @@ __all__ = [
     "IntegrityError", "LSTMCell", "ModelConfig", "ParamStore", "PointerLayer",
     "SCENARIOS", "SyntheticTaskSpec", "Tape", "Tensor", "TokenizedExample",
     "TrainConfig", "TrainResult", "VARIANTS", "Vocab", "adadelta_step",
-    "adam_step", "affinity", "align", "apply_variant", "backward", "bac_forward",
-    "bac_one_sided", "binary_match", "build_input", "build_model",
-    "clip_gradients", "collate", "decaenc_forward", "decode_span", "em_f1",
-    "encoder_output_width", "evaluate", "fm", "gated_biattention",
-    "gated_selfattention", "gen_synthetic", "grad_check", "load_checkpoint",
-    "load_glove", "load_jsonl", "load_squad", "lr_schedule", "norm_frequency",
-    "normalize_answer", "pointer_forward", "random_embeddings", "run_ablation",
+    "adam_step", "affinity", "apply_variant", "attend", "backward",
+    "binary_match", "build_model", "clip_gradients", "collate", "decode_span",
+    "em_f1", "encoder_output_width", "evaluate", "gen_synthetic", "grad_check",
+    "load_checkpoint", "load_glove", "load_jsonl", "load_squad", "lr_schedule",
+    "norm_frequency", "normalize_answer", "random_embeddings", "run_ablation",
     "run_gradcheck", "save_checkpoint", "span_loss", "threshold_for",
-    "tokenize", "train_model",
-    "variational_dropout",
+    "tokenize", "train_model", "variational_dropout",
 ]

@@ -9,8 +9,8 @@ import numpy as np
 
 from .errors import ContractError, DataError
 from .numerics import (
-    NEG_INF, ParamStore, Tensor, add, glorot, log_softmax, matmul, mean_, mul,
-    neg, pick, reshape, softmax,
+    NEG_INF, ParamStore, Tensor, add, glorot, log_softmax, matmul, mean_, neg,
+    pick, reshape,
 )
 from .recurrent import BiRNN, variational_dropout
 
@@ -29,12 +29,8 @@ class PointerLayer:
     def __call__(self, m: Tensor, p_mask: np.ndarray | None = None,
                  training: bool = False, rng: np.random.Generator | None = None
                  ) -> tuple[Tensor, Tensor]:
-        """Returns (start_logits, end_logits); padded positions are pushed to -inf."""
-        single = m.ndim == 2
-        if single:
-            m = reshape(m, (1,) + m.shape)
-            if p_mask is not None:
-                p_mask = np.asarray(p_mask, dtype=np.float64).reshape(1, -1)
+        """(batch, len, width) -> (start_logits, end_logits), each (batch, len);
+        padded positions are pushed to -inf."""
         if p_mask is not None and not np.all(p_mask.sum(axis=-1) > 0):
             raise ContractError("pointer layer: some row has every position masked")
         h1 = self.rnn_start(variational_dropout(m, self.dropout, rng, training), p_mask)
@@ -45,26 +41,15 @@ class PointerLayer:
             penalty = Tensor((1.0 - p_mask) * NEG_INF)
             s1 = add(s1, penalty)
             s2 = add(s2, penalty)
-        if single:
-            s1 = reshape(s1, (s1.shape[-1],))
-            s2 = reshape(s2, (s2.shape[-1],))
         return s1, s2
-
-
-def pointer_forward(layer: PointerLayer, m: Tensor, p_mask: np.ndarray | None = None,
-                    **kwargs) -> tuple[Tensor, Tensor]:
-    """Start/end probability distributions over positions."""
-    s1, s2 = layer(m, p_mask, **kwargs)
-    return softmax(s1, -1), softmax(s2, -1)
 
 
 def span_loss(start_logits: Tensor, end_logits: Tensor, y1, y2,
               lengths: np.ndarray | None = None) -> Tensor:
-    """Mean over the batch of -(log p1[y1] + log p2[y2]), in log space."""
-    single = start_logits.ndim == 1
-    if single:
-        start_logits = reshape(start_logits, (1, -1))
-        end_logits = reshape(end_logits, (1, -1))
+    """Mean over the batch of -(log p1[y1] + log p2[y2]), in log space.
+    Logits are (batch, len)."""
+    if start_logits.ndim != 2:
+        raise ContractError(f"span loss expects (batch, len) logits, got shape {start_logits.shape}")
     if start_logits.shape != end_logits.shape:
         raise ContractError(
             f"start/end logits differ in shape: {start_logits.shape} vs {end_logits.shape}")

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .numerics import (
     Dense, ParamStore, Tensor, add, concat, glorot, masked_softmax, matmul,
-    mul, reshape, sub, sum_, transpose_last,
+    mul, sub, sum_, transpose_last,
 )
 
 
@@ -46,16 +46,6 @@ class FMKernel:
         return add(add(self.w0, linear), mul(pair, 0.5))
 
 
-class LinearScorer:
-    """Ablation stand-in for the FM kernel: a single affine map to one scalar."""
-
-    def __init__(self, store: ParamStore, name: str, input_dim: int, rng: np.random.Generator):
-        self.dense = Dense(store, name, input_dim, 1, "none", rng)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.dense(x)
-
-
 class MLPScorer:
     """Ablation stand-in: width-preserving ReLU layer followed by a scalar map."""
 
@@ -67,54 +57,29 @@ class MLPScorer:
         return self.out(self.hidden(x))
 
 
-_SCORERS = {"fm": None, "linear": LinearScorer, "nonlinear": MLPScorer}
-
-
 def make_scorer(store: ParamStore, name: str, input_dim: int, kind: str, factors: int,
                 rng: np.random.Generator):
-    if kind not in _SCORERS:
-        raise ConfigError(f"unknown connector scorer {kind!r}; pick one of {sorted(_SCORERS)}")
+    """FM kernel, or one of its ablation stand-ins: a single affine map to one
+    scalar (``linear``) or a ReLU layer followed by one (``nonlinear``)."""
     if kind == "fm":
         return FMKernel(store, name, input_dim, factors, rng)
-    return _SCORERS[kind](store, name, input_dim, rng)
+    if kind == "linear":
+        return Dense(store, name, input_dim, 1, "none", rng)
+    if kind == "nonlinear":
+        return MLPScorer(store, name, input_dim, rng)
+    raise ConfigError(f"unknown connector scorer {kind!r}; pick one of ['fm', 'linear', 'nonlinear']")
 
 
-def fm(x: Tensor, kernel: FMKernel) -> Tensor:
-    """Score a single feature vector; returns a 0-d tensor."""
-    if x.ndim != 1:
-        raise ContractError(f"fm expects a vector, got shape {x.shape}")
-    return reshape(kernel(reshape(x, (1, -1))), ())
+def affinity(fp: Tensor, fq: Tensor) -> Tensor:
+    """Scaled dot product of every pair of already-projected rows: (..., lp, lq)."""
+    return mul(matmul(fp, transpose_last(fq)), 1.0 / np.sqrt(fp.shape[-1]))
 
 
-def affinity(p: Tensor, q: Tensor, proj=None) -> Tensor:
-    """Scaled dot-product affinity between every pair of rows.
-
-    ``proj`` (identity when None) is applied to both sides; scaling is
-    1/sqrt(width of the projected rows).
-    """
-    if p.shape[-1] != q.shape[-1]:
-        raise ContractError(f"affinity needs equal widths, got {p.shape} vs {q.shape}")
-    fp = proj(p) if proj is not None else p
-    fq = proj(q) if proj is not None else q
-    scale = 1.0 / np.sqrt(fp.shape[-1])
-    return mul(matmul(fp, transpose_last(fq)), scale)
-
-
-def align(e: Tensor, p: Tensor, q: Tensor,
-          p_mask: np.ndarray | None = None, q_mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Soft alignments from an affinity matrix e of shape (..., lp, lq).
-
-    Returns (a, b): a aligns passage rows to each question position
-    (softmax over lp), b aligns question rows to each passage position
-    (softmax over lq).
-    """
-    if e.shape[-2] != p.shape[-2] or e.shape[-1] != q.shape[-2]:
-        raise ContractError(f"affinity shape {e.shape} does not match rows {p.shape} x {q.shape}")
-    pm = None if p_mask is None else np.asarray(p_mask, dtype=np.float64)[..., None, :]
-    qm = None if q_mask is None else np.asarray(q_mask, dtype=np.float64)[..., None, :]
-    a = matmul(masked_softmax(transpose_last(e), pm, axis=-1), p)
-    b = matmul(masked_softmax(e, qm, axis=-1), q)
-    return a, b
+def attend(e: Tensor, values: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Masked softmax of ``e`` over its last axis, then the weighted sum of
+    ``values`` rows; ``mask`` (..., lk) zeroes the weight of padded keys."""
+    m = None if mask is None else np.asarray(mask, dtype=np.float64)[..., None, :]
+    return matmul(masked_softmax(e, m, axis=-1), values)
 
 
 class BAC:
@@ -128,7 +93,6 @@ class BAC:
     def __init__(self, store: ParamStore, name: str, dim: int, factors: int,
                  rng: np.random.Generator, scorer: str = "fm", shared_projection: bool = True,
                  double: bool = False):
-        self.dim = dim
         self.double = double
         self.proj_p = Dense(store, f"{name}.proj", dim, dim, "relu", rng)
         self.proj_q = self.proj_p if shared_projection else Dense(store, f"{name}.proj_q", dim, dim, "relu", rng)
@@ -153,38 +117,18 @@ class BAC:
             cols += [self.g_cat2(both), self.g_sub2(diff), self.g_mul2(prod)]
         return concat(cols, -1)
 
-    def _affinity(self, p: Tensor, q: Tensor) -> Tensor:
-        if p.shape[-1] != self.dim or q.shape[-1] != self.dim:
-            raise ContractError(f"connector built for width {self.dim}, got {p.shape} vs {q.shape}")
-        fp = self.proj_p(p)
-        fq = self.proj_q(q)
-        return mul(matmul(fp, transpose_last(fq)), 1.0 / np.sqrt(self.dim))
-
     def __call__(self, p: Tensor, q: Tensor,
                  p_mask: np.ndarray | None = None,
                  q_mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
         """Compress both directions: returns (g_p, g_q), 3 scalars per position."""
-        e = self._affinity(p, q)
-        a, b = align(e, p, q, p_mask, q_mask)
+        e = affinity(self.proj_p(p), self.proj_q(q))
+        a = attend(transpose_last(e), p, p_mask)
+        b = attend(e, q, q_mask)
         return self._compress(b, p), self._compress(a, q)
 
     def one_sided(self, p: Tensor, q: Tensor,
                   p_mask: np.ndarray | None = None,
                   q_mask: np.ndarray | None = None) -> Tensor:
         """Left-side compression only; skips the question-side alignment work."""
-        e = self._affinity(p, q)
-        qm = None if q_mask is None else np.asarray(q_mask, dtype=np.float64)[..., None, :]
-        b = matmul(masked_softmax(e, qm, axis=-1), q)
+        b = attend(affinity(self.proj_p(p), self.proj_q(q)), q, q_mask)
         return self._compress(b, p)
-
-
-def bac_forward(p: Tensor, q: Tensor, params: BAC,
-                p_mask: np.ndarray | None = None,
-                q_mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    return params(p, q, p_mask, q_mask)
-
-
-def bac_one_sided(p: Tensor, q: Tensor, params: BAC,
-                  p_mask: np.ndarray | None = None,
-                  q_mask: np.ndarray | None = None) -> Tensor:
-    return params.one_sided(p, q, p_mask, q_mask)

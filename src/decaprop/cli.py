@@ -16,9 +16,9 @@ import os
 import sys
 from dataclasses import fields
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint
 from .data import load_jsonl, load_squad
-from .encoder import Featurizer, Vocab
+from .encoder import Featurizer
 from .errors import ConfigError, DecapropError
 from .gradcheck import run_gradcheck, threshold_for
 from .model import VARIANTS, DecaProp, ModelConfig, apply_variant, build_model
@@ -101,26 +101,20 @@ def _load_dataset(path: str, fmt: str):
     raise ConfigError(f"unknown data format {fmt!r}; pick 'jsonl' or 'squad'")
 
 
-def _restore_model(checkpoint_path: str) -> tuple[DecaProp, Featurizer]:
-    ck = load_checkpoint(checkpoint_path)
-    extra = ck["extra"]
-    if "featurizer" not in extra:
+def _checkpoint_featurizer(ck: dict, checkpoint_path: str) -> Featurizer:
+    if "featurizer" not in ck["extra"]:
         raise ConfigError(f"{checkpoint_path}: checkpoint has no featurizer state; "
                           "was it written by 'decaprop train'?")
-    fz = extra["featurizer"]
-    featurizer = Featurizer(Vocab(fz["tokens"]), Vocab(fz["char_tokens"]),
-                            fz["max_word_len"])
+    return Featurizer.from_state(ck["extra"]["featurizer"])
+
+
+def _restore_model(checkpoint_path: str) -> tuple[DecaProp, Featurizer]:
+    ck = load_checkpoint(checkpoint_path)
+    featurizer = _checkpoint_featurizer(ck, checkpoint_path)
     model_cfg = ModelConfig.from_dict(ck["model_config"])
-    model = build_model(model_cfg, featurizer, seed=int(extra.get("seed", 0)))
+    model = build_model(model_cfg, featurizer, seed=int(ck["extra"].get("seed", 0)))
     model.store.load_values(ck["params"])
     return model, featurizer
-
-
-def _featurizer_extra(featurizer: Featurizer, seed: int) -> dict:
-    return {"featurizer": {"tokens": featurizer.vocab.tokens[2:],
-                           "char_tokens": featurizer.char_vocab.tokens[2:],
-                           "max_word_len": featurizer.max_word_len},
-            "seed": seed}
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -147,9 +141,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise ConfigError("--resume needs --checkpoint")
         resume = load_checkpoint(args.checkpoint)
         model_cfg = ModelConfig.from_dict(resume["model_config"])
-        fz = resume["extra"]["featurizer"]
-        featurizer = Featurizer(Vocab(fz["tokens"]), Vocab(fz["char_tokens"]),
-                                fz["max_word_len"])
+        featurizer = _checkpoint_featurizer(resume, args.checkpoint)
     else:
         featurizer = Featurizer.build(train_ex + (dev_ex or []), model_cfg.max_word_len)
 
@@ -158,12 +150,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         model, featurizer, train_ex, dev_ex, train_cfg,
         csv_path=args.out, checkpoint_path=args.checkpoint, resume=resume,
         log=log.info)
-    if args.checkpoint:
-        # persist the featurizer next to the final weights for eval/predict
-        ck = load_checkpoint(args.checkpoint)
-        save_checkpoint(args.checkpoint, model.store, model_cfg.to_dict(),
-                        ck["optimizer"], ck["rng_state"], ck["train_state"],
-                        extra=_featurizer_extra(featurizer, train_cfg.seed))
     log.info("finished: %d steps, best dev em %.2f", result.steps, result.best_em)
     return 0
 

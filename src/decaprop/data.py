@@ -42,40 +42,51 @@ def tokenize(text: str) -> tuple[list[str], list[tuple[int, int]]]:
     return tokens, offsets
 
 
+def _read_text(path: str) -> str:
+    """Whole file with newlines normalized, as iterating the open file would."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read data file {path}: {exc}") from exc
+
+
 def load_jsonl(path: str) -> list[TokenizedExample]:
     """One example per line: id, passage, question, answer_start, answer_end,
     answers.  Passage and question may be strings (tokenized here) or lists.
     """
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid json ({exc})") from exc
-            missing = {"passage", "question", "answer_start", "answer_end"} - set(obj)
-            if missing:
-                raise DataError(f"{path}:{lineno}: missing fields {sorted(missing)}")
-            passage = obj["passage"]
-            question = obj["question"]
-            p_tokens = passage if isinstance(passage, list) else tokenize(passage)[0]
-            q_tokens = question if isinstance(question, list) else tokenize(question)[0]
-            start, end = obj["answer_start"], obj["answer_end"]
-            if not isinstance(start, int) or not isinstance(end, int):
-                raise DataError(f"{path}:{lineno}: answer_start/answer_end must be ints")
-            answers = obj.get("answers") or [" ".join(p_tokens[start:end + 1])]
-            ex = TokenizedExample(
-                id=str(obj.get("id", f"line-{lineno}")),
-                passage_tokens=p_tokens, question_tokens=q_tokens,
-                answer_start=start, answer_end=end, answer_texts=list(answers))
-            try:
-                ex.validate()
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            examples.append(ex)
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: invalid json ({exc})") from exc
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}:{lineno}: expected a json object, "
+                            f"got {type(obj).__name__}")
+        missing = {"passage", "question", "answer_start", "answer_end"} - set(obj)
+        if missing:
+            raise DataError(f"{path}:{lineno}: missing fields {sorted(missing)}")
+        passage = obj["passage"]
+        question = obj["question"]
+        p_tokens = passage if isinstance(passage, list) else tokenize(passage)[0]
+        q_tokens = question if isinstance(question, list) else tokenize(question)[0]
+        start, end = obj["answer_start"], obj["answer_end"]
+        if not isinstance(start, int) or not isinstance(end, int):
+            raise DataError(f"{path}:{lineno}: answer_start/answer_end must be ints")
+        answers = obj.get("answers") or [" ".join(p_tokens[start:end + 1])]
+        ex = TokenizedExample(
+            id=str(obj.get("id", f"line-{lineno}")),
+            passage_tokens=p_tokens, question_tokens=q_tokens,
+            answer_start=start, answer_end=end, answer_texts=list(answers))
+        try:
+            ex.validate()
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        examples.append(ex)
     if not examples:
         raise DataError(f"{path}: no examples found")
     return examples
@@ -102,12 +113,11 @@ def load_squad(path: str, max_passage_len: int | None = None,
     token span (surviving any passage cap) becomes the target.  Returns the
     examples and the count of dropped questions.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid json ({exc})") from exc
-    if "data" not in payload:
+    try:
+        payload = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid json ({exc})") from exc
+    if not isinstance(payload, dict) or "data" not in payload:
         raise DataError(f"{path}: missing top-level 'data' field")
 
     examples = []

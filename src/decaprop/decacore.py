@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bac import BAC
+from .bac import BAC, affinity, attend
 from .errors import ConfigError, ContractError
-from .numerics import (
-    Dense, ParamStore, Tensor, concat, masked_softmax, matmul, mul, transpose_last,
-)
+from .numerics import Dense, ParamStore, Tensor, concat, mul
 from .recurrent import BiRNN, variational_dropout
 
 
@@ -27,7 +25,6 @@ class GatedAttention:
     def __init__(self, store: ParamStore, name: str, dim: int, hidden: int,
                  rng: np.random.Generator, *, cell: str = "gru", dropout: float = 0.0,
                  gated: bool = True, shared_projection: bool = True):
-        self.dim = dim
         self.gated = gated
         self.dropout = dropout
         if gated:
@@ -38,20 +35,16 @@ class GatedAttention:
         self.rnn = BiRNN(store, f"{name}.rnn", dim, hidden, cell, rng)
 
     def alignment(self, p: Tensor, q: Tensor, q_mask: np.ndarray | None = None) -> Tensor:
-        """Row-stochastic attention of each p position over q positions."""
+        """The q rows each p position attends to: (..., lp, width)."""
         if not self.gated:
             raise ContractError("alignment is undefined for an ungated block")
-        if p.shape[-1] != self.dim or q.shape[-1] != self.dim:
-            raise ContractError(f"gated attention built for width {self.dim}, got {p.shape} vs {q.shape}")
-        scores = mul(matmul(self.proj_p(p), transpose_last(self.proj_q(q))), 1.0 / np.sqrt(self.dim))
-        qm = None if q_mask is None else np.asarray(q_mask, dtype=np.float64)[..., None, :]
-        return masked_softmax(scores, qm, axis=-1)
+        return attend(affinity(self.proj_p(p), self.proj_q(q)), q, q_mask)
 
     def __call__(self, p: Tensor, q: Tensor,
                  p_mask: np.ndarray | None = None, q_mask: np.ndarray | None = None,
                  training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         if self.gated:
-            attended = matmul(self.alignment(p, q, q_mask), q)
+            attended = self.alignment(p, q, q_mask)
             gate = self.gate(concat([p, attended], -1))
             p = mul(gate, p)
         p = variational_dropout(p, self.dropout, rng, training)
@@ -111,11 +104,3 @@ class DecaCore:
                     counter[0] += 1
                 blocks.append(self.bank[(k, j)].one_sided(u, question_states[k], p_mask, q_mask))
         return concat(blocks, -1), u1, u2
-
-
-def gated_biattention(block: GatedAttention, p: Tensor, q: Tensor, **kwargs) -> Tensor:
-    return block(p, q, **kwargs)
-
-
-def gated_selfattention(block: GatedAttention, p: Tensor, **kwargs) -> Tensor:
-    return block(p, p, **kwargs)

@@ -141,7 +141,3 @@ class DecaEnc:
         p_enc = concat(p_states + z_p, -1)
         q_enc = concat(q_states + z_q, -1)
         return DecaEncOutput(p_enc, q_enc, p_states, q_states)
-
-
-def decaenc_forward(enc: DecaEnc, p0: Tensor, q0: Tensor, **kwargs) -> DecaEncOutput:
-    return enc(p0, q0, **kwargs)

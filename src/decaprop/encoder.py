@@ -142,6 +142,15 @@ class Featurizer:
         }
         return feat
 
+    def state(self) -> dict:
+        """JSON-ready vocabularies, the form checkpoints store them in."""
+        return {"tokens": self.vocab.tokens[2:], "char_tokens": self.char_vocab.tokens[2:],
+                "max_word_len": self.max_word_len}
+
+    @classmethod
+    def from_state(cls, state: dict) -> "Featurizer":
+        return cls(Vocab(state["tokens"]), Vocab(state["char_tokens"]), state["max_word_len"])
+
     @classmethod
     def build(cls, examples, max_word_len: int = 16) -> "Featurizer":
         token_lists = [ex.passage_tokens for ex in examples] + [ex.question_tokens for ex in examples]
@@ -185,12 +194,6 @@ class InputEncoder:
             return mul(pooled, Tensor(alive))
         return self.char_rnn.final_states(emb, mask)
 
-    def encode_chars(self, token: str, featurizer: Featurizer) -> Tensor:
-        """Character encoding of one token; the empty token maps to zeros."""
-        ids, mask = featurizer.char_ids(token)
-        out = self._encode_char_block(ids.reshape(1, -1), mask.reshape(1, -1))
-        return reshape(out, (self.char_hidden,))
-
     def __call__(self, batch: dict) -> tuple[Tensor, Tensor]:
         """Embed both sides of a collated batch -> (passage, question) tensors."""
         bsz, lp = batch["p_word"].shape
@@ -216,13 +219,3 @@ class InputEncoder:
             x = mul(x, Tensor(batch[f"{prefix}_mask"][..., None]))
             sides.append(x)
         return sides[0], sides[1]
-
-
-def build_input(encoder: InputEncoder, featurizer: Featurizer, example) -> tuple[Tensor, Tensor]:
-    """Single-example convenience wrapper: returns 2-d (len, width) tensors."""
-    from .training import collate  # local import: training owns batching
-
-    feat = featurizer.example(example)
-    batch = collate([feat])
-    p, q = encoder(batch)
-    return reshape(p, p.shape[1:]), reshape(q, q.shape[1:])

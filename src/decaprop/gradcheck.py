@@ -15,6 +15,7 @@ import numpy as np
 from .answer import PointerLayer, span_loss
 from .bac import BAC, FMKernel
 from .decacore import GatedAttention
+from .errors import ConfigError
 from .model import ModelConfig, build_model
 from .numerics import Dense, ParamStore, Tensor, grad_check, masked_softmax, mul, sum_
 from .recurrent import BiRNN, GRUCell, LSTMCell
@@ -197,8 +198,8 @@ def run_gradcheck(names: list[str] | None = None, seed: int = 0,
     results: dict[str, float] = {}
     for name in picked:
         if name not in SCENARIOS:
-            raise KeyError(f"unknown gradcheck scenario {name!r}; "
-                           f"pick from {sorted(SCENARIOS)}")
+            raise ConfigError(f"unknown gradcheck scenario {name!r}; "
+                              f"pick from {sorted(SCENARIOS)}")
         store, forward = SCENARIOS[name](seed)
         err = grad_check(forward, store, eps=eps)
         results[name] = err

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .numerics import (
-    ParamStore, Tensor, add, amax, concat, glorot, matmul, mul, reshape,
+    ParamStore, Tensor, add, amax, concat, glorot, matmul, mul,
     sigmoid, stack, sub, tanh, unstack,
 )
 
@@ -77,22 +77,6 @@ class LSTMCell:
         return h_new, c_new
 
 
-def gru_cell(x: Tensor, h_prev: Tensor, cell: GRUCell) -> Tensor:
-    """Single GRU step on a state vector or a batch of state rows."""
-    if x.ndim == 1:
-        out = cell.step(reshape(x, (1, -1)), reshape(h_prev, (1, -1)))
-        return reshape(out, (-1,))
-    return cell.step(x, h_prev)
-
-
-def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, cell: LSTMCell) -> tuple[Tensor, Tensor]:
-    """Single LSTM step; returns (h, c)."""
-    if x.ndim == 1:
-        h, c = cell.step(reshape(x, (1, -1)), (reshape(h_prev, (1, -1)), reshape(c_prev, (1, -1))))
-        return reshape(h, (-1,)), reshape(c, (-1,))
-    return cell.step(x, (h_prev, c_prev))
-
-
 _CELLS = {"gru": GRUCell, "lstm": LSTMCell}
 
 
@@ -137,55 +121,38 @@ class BiRNN:
             states[t] = state[0] if isinstance(state, tuple) else state
         return [states[t] for t in range(len(xs))]
 
-    def _final(self, cell, xs: list[Tensor], mask: np.ndarray | None, order) -> Tensor:
-        return self._sweep(cell, xs, mask, order)[order[-1]]
-
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        """Map (batch, len, d_in) -> (batch, len, d_out); 2-d input is one sequence."""
-        single = x.ndim == 2
-        if single:
-            x = reshape(x, (1,) + x.shape)
-            if mask is not None:
-                mask = np.asarray(mask, dtype=np.float64).reshape(1, -1)
+    def _steps(self, x: Tensor) -> list[Tensor]:
+        """Validate a (batch, len, d_in) input and split it into time steps."""
         if x.ndim != 3:
-            raise ContractError(f"birnn expects a 2-d or 3-d input, got shape {x.shape}")
+            raise ContractError(f"birnn expects a 3-d (batch, len, width) input, got shape {x.shape}")
         if x.shape[1] == 0:
             raise ContractError("birnn on an empty sequence")
         if x.shape[-1] != self.input_dim:
             raise ContractError(f"birnn expects input width {self.input_dim}, got shape {x.shape}")
-        xs = unstack(x, axis=1)
+        return unstack(x, axis=1)
+
+    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """Map (batch, len, d_in) -> (batch, len, d_out); ``mask`` is (batch, len)."""
+        xs = self._steps(x)
         length = len(xs)
         fwd = self._sweep(self.fwd, xs, mask, range(length))
         bwd = self._sweep(self.bwd, xs, mask, range(length - 1, -1, -1))
-        out = concat([stack(fwd, axis=1), stack(bwd, axis=1)], -1)
-        return reshape(out, out.shape[1:]) if single else out
+        return concat([stack(fwd, axis=1), stack(bwd, axis=1)], -1)
 
     def final_states(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """Concat of the forward state at the last real step and the backward
         state at the first step: (batch, d_out).  An all-masked row yields zeros."""
-        single = x.ndim == 2
-        if single:
-            x = reshape(x, (1,) + x.shape)
-            if mask is not None:
-                mask = np.asarray(mask, dtype=np.float64).reshape(1, -1)
-        if x.shape[1] == 0:
-            raise ContractError("birnn on an empty sequence")
-        xs = unstack(x, axis=1)
+        xs = self._steps(x)
         length = len(xs)
-        h_fwd = self._final(self.fwd, xs, mask, list(range(length)))
-        h_bwd = self._final(self.bwd, xs, mask, list(range(length - 1, -1, -1)))
-        out = concat([h_fwd, h_bwd], -1)
-        return reshape(out, (self.output_dim,)) if single else out
+        h_fwd = self._sweep(self.fwd, xs, mask, range(length))[length - 1]
+        h_bwd = self._sweep(self.bwd, xs, mask, range(length - 1, -1, -1))[0]
+        return concat([h_fwd, h_bwd], -1)
 
     def pooled_states(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """Max over time of the per-position states (alternative pooling)."""
         seq = self(x, mask)
         if mask is not None:
-            m = np.asarray(mask, dtype=np.float64)
-            if seq.ndim == 2:
-                gate = (m.reshape(-1, 1) - 1.0) * 1e30
-            else:
-                gate = (m[..., None] - 1.0) * 1e30
+            gate = (np.asarray(mask, dtype=np.float64)[..., None] - 1.0) * 1e30
             seq = add(seq, Tensor(gate))
         return amax(seq, axis=-2)
 
@@ -198,15 +165,11 @@ def variational_dropout(seq: Tensor, rate: float, rng: np.random.Generator | Non
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    if seq.ndim != 3:
+        raise ContractError(f"variational dropout expects a 3-d sequence, got shape {seq.shape}")
     if rate == 0.0 or not training:
         return seq
     if rng is None:
         raise ContractError("variational dropout in training mode needs an rng")
-    if seq.ndim == 2:
-        shape = (1, seq.shape[-1])
-    elif seq.ndim == 3:
-        shape = (seq.shape[0], 1, seq.shape[-1])
-    else:
-        raise ContractError(f"variational dropout expects a 2-d or 3-d sequence, got shape {seq.shape}")
-    keep = (rng.random(shape) >= rate).astype(np.float64)
+    keep = (rng.random((seq.shape[0], 1, seq.shape[-1])) >= rate).astype(np.float64)
     return mul(seq, Tensor(keep / (1.0 - rate)))

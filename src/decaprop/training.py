@@ -381,8 +381,10 @@ def train_model(model: DecaProp, featurizer: Featurizer,
     """Run the optimization loop; emits one train and one dev CSV row per epoch.
 
     Train rows carry the mean batch loss (EM/F1 left blank); dev rows carry
-    loss, EM, and F1.  With ``checkpoint_path`` the full state is saved after
-    every epoch; ``resume`` (a loaded checkpoint dict) continues seamlessly.
+    loss, EM, and F1.  With ``checkpoint_path`` the full state, featurizer
+    included, is saved after every epoch, so any of those checkpoints can be
+    evaluated or resumed; ``resume`` (a loaded checkpoint dict) continues
+    seamlessly.
     """
     from .checkpoint import save_checkpoint  # cycle: checkpoint knows configs
 
@@ -471,7 +473,8 @@ def train_model(model: DecaProp, featurizer: Featurizer,
                 save_checkpoint(
                     checkpoint_path, model.store, model.config.to_dict(), opt_state,
                     rng.bit_generator.state,
-                    {"epoch": epoch, "step": step, "lr": lr, "history": history})
+                    {"epoch": epoch, "step": step, "lr": lr, "history": history},
+                    extra={"featurizer": featurizer.state(), "seed": tcfg.seed})
             if stop:
                 break
     finally:

@@ -4,9 +4,9 @@ losses, and the running-max decoder against exhaustive search."""
 import numpy as np
 import pytest
 
-from decaprop.answer import PointerLayer, decode_span, pointer_forward, span_loss
+from decaprop.answer import PointerLayer, decode_span, span_loss
 from decaprop.errors import ContractError, DataError
-from decaprop.numerics import ParamStore, Tensor, grad_check
+from decaprop.numerics import ParamStore, Tensor, grad_check, softmax
 
 
 def exhaustive_decode(p1: np.ndarray, p2: np.ndarray,
@@ -21,6 +21,12 @@ def exhaustive_decode(p1: np.ndarray, p2: np.ndarray,
             if score > best:
                 best, best_pair = score, (k, l)
     return best_pair
+
+
+def distributions(layer, m, p_mask=None):
+    """Start/end probability distributions over positions."""
+    s1, s2 = layer(m, p_mask)
+    return softmax(s1, -1), softmax(s2, -1)
 
 
 def build_layer(input_dim=6, hidden=4, seed=0):
@@ -38,7 +44,7 @@ def test_pointer_distributions_normalized(rng):
     layer, _ = build_layer()
     m = Tensor(rng.normal(size=(2, 5, 6)))
     mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=np.float64)
-    p1, p2 = pointer_forward(layer, m, mask)
+    p1, p2 = distributions(layer, m, mask)
     assert p1.shape == (2, 5)
     np.testing.assert_allclose(p1.data.sum(axis=-1), np.ones(2), atol=1e-9)
     np.testing.assert_allclose(p2.data.sum(axis=-1), np.ones(2), atol=1e-9)
@@ -49,7 +55,7 @@ def test_pointer_zero_weights_uniform(rng):
     layer.w_start.data[:] = 0.0
     layer.w_end.data[:] = 0.0
     m = Tensor(rng.normal(size=(1, 4, 6)))
-    p1, p2 = pointer_forward(layer, m)
+    p1, p2 = distributions(layer, m)
     np.testing.assert_allclose(p1.data, np.full((1, 4), 0.25), atol=1e-12)
     np.testing.assert_allclose(p2.data, np.full((1, 4), 0.25), atol=1e-12)
 
@@ -58,7 +64,7 @@ def test_pointer_masks_padding(rng):
     layer, _ = build_layer()
     m = Tensor(rng.normal(size=(1, 5, 6)))
     mask = np.array([[1, 1, 1, 0, 0]], dtype=np.float64)
-    p1, p2 = pointer_forward(layer, m, mask)
+    p1, p2 = distributions(layer, m, mask)
     assert np.all(p1.data[0, 3:] < 1e-12)
     assert np.all(p2.data[0, 3:] < 1e-12)
 
@@ -72,9 +78,11 @@ def test_pointer_rejects_fully_masked_row(rng):
 
 def test_pointer_single_sequence_input(rng):
     layer, _ = build_layer()
-    s, e = layer(Tensor(rng.normal(size=(4, 6))))
-    assert s.shape == (4,)
-    assert e.shape == (4,)
+    s, e = layer(Tensor(rng.normal(size=(1, 4, 6))))
+    assert s.shape == (1, 4)
+    assert e.shape == (1, 4)
+    with pytest.raises(ContractError):
+        layer(Tensor(rng.normal(size=(4, 6))))
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +113,9 @@ def test_span_loss_batch_mean(rng):
     a = span_loss(Tensor(s.data[:1]), Tensor(e.data[:1]), y1[:1], y2[:1]).data
     b = span_loss(Tensor(s.data[1:]), Tensor(e.data[1:]), y1[1:], y2[1:]).data
     np.testing.assert_allclose(both, (a + b) / 2.0, atol=1e-12)
+    # one example is a batch of one; bare 1-d logits are rejected
+    with pytest.raises(ContractError):
+        span_loss(Tensor(s.data[0]), Tensor(e.data[0]), y1[:1], y2[:1])
 
 
 def test_span_loss_finite_for_extreme_logits():

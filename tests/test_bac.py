@@ -1,13 +1,14 @@
 """Attention connectors: the factorization-machine fast path against a naive
-double loop, affinity/alignment analytic cases, and compression contracts."""
+double loop, the attention primitive against a plain numpy oracle and on
+analytic cases, and compression contracts."""
 
 import numpy as np
 import pytest
 
-from decaprop.bac import (BAC, FMKernel, LinearScorer, MLPScorer, affinity, align,
-                          bac_forward, bac_one_sided, fm, make_scorer)
+from decaprop.bac import BAC, FMKernel, MLPScorer, affinity, attend, make_scorer
+from decaprop.decacore import GatedAttention
 from decaprop.errors import ConfigError, ContractError
-from decaprop.numerics import ParamStore, Tensor, grad_check, sum_
+from decaprop.numerics import Dense, ParamStore, Tensor, grad_check, sum_, transpose_last
 
 
 def naive_fm(x: np.ndarray, w0: float, w: np.ndarray, v: np.ndarray) -> float:
@@ -29,8 +30,8 @@ def test_fm_zero_kernel_scores_zero(rng):
     kernel = FMKernel(store, "k", 4, 2, rng)
     for _, p in store.items():
         p.data[:] = 0.0
-    out = fm(Tensor(rng.normal(size=4)), kernel)
-    assert out.shape == ()
+    out = kernel(Tensor(rng.normal(size=4)[None]))
+    assert out.shape == (1, 1)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-15)
 
 
@@ -41,7 +42,7 @@ def test_fm_hand_value(rng):
     kernel.w0.data[:] = 1.0
     kernel.w.data[:] = 1.0
     kernel.v.data[:] = 1.0
-    out = fm(Tensor(np.array([1.0, 2.0])), kernel)
+    out = kernel(Tensor(np.array([[1.0, 2.0]])))
     np.testing.assert_allclose(out.data, 6.0, atol=1e-12)
 
 
@@ -53,7 +54,7 @@ def test_fm_fast_path_matches_naive(rng):
         x = rng.normal(size=10)
         expect = naive_fm(x, float(kernel.w0.data[0]),
                           kernel.w.data[:, 0], kernel.v.data)
-        got = fm(Tensor(x), kernel)
+        got = kernel(Tensor(x[None]))
         np.testing.assert_allclose(got.data, expect, atol=1e-10)
 
 
@@ -69,7 +70,7 @@ def test_fm_width_contract(rng):
     with pytest.raises(ContractError):
         kernel(Tensor(np.zeros((2, 5))))
     with pytest.raises(ContractError):
-        fm(Tensor(np.zeros((2, 6))), kernel)  # not a vector
+        kernel(Tensor(np.zeros(6)))  # a bare vector, not a row
 
 
 def test_fm_needs_a_factor(rng):
@@ -80,16 +81,17 @@ def test_fm_needs_a_factor(rng):
 def test_scorer_variants(rng):
     store = ParamStore()
     x = Tensor(rng.normal(size=(4, 5)))
-    for kind, cls in (("linear", LinearScorer), ("nonlinear", MLPScorer)):
+    for kind, cls in (("linear", Dense), ("nonlinear", MLPScorer)):
         scorer = make_scorer(store, kind, 5, kind, 3, rng)
         assert isinstance(scorer, cls)
         assert scorer(x).shape == (4, 1)
+    assert [n for n in store.names() if n.startswith("linear.")] == ["linear.w", "linear.b"]
     with pytest.raises(ConfigError):
         make_scorer(store, "s", 5, "quadratic", 3, rng)
 
 
 # ---------------------------------------------------------------------------
-# affinity and alignment
+# attention primitive
 
 
 def test_affinity_unit_vectors():
@@ -112,11 +114,60 @@ def test_affinity_width_mismatch(rng):
         affinity(Tensor(rng.normal(size=(5, 8))), Tensor(rng.normal(size=(7, 9))))
 
 
+def relu_proj(layer: Dense, x: np.ndarray) -> np.ndarray:
+    return np.maximum(x @ layer.w.data + layer.b.data, 0.0)
+
+
+def oracle_attend(fp: np.ndarray, fq: np.ndarray, values: np.ndarray,
+                  mask: np.ndarray) -> np.ndarray:
+    """softmax(mask(fp . fq^T / sqrt(d))) . values in plain numpy."""
+    e = fp @ np.swapaxes(fq, -1, -2) / np.sqrt(fp.shape[-1])
+    e = np.where(mask[:, None, :] > 0, e, -np.inf)
+    w = np.exp(e - e.max(axis=-1, keepdims=True))
+    return (w / w.sum(axis=-1, keepdims=True)) @ values
+
+
+P_MASK = np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=np.float64)
+Q_MASK = np.array([[1, 1, 1], [1, 0, 0]], dtype=np.float64)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_attention_matches_numpy_oracle(rng, shared):
+    bac = BAC(ParamStore(), "c", 5, 2, rng, shared_projection=shared)
+    p = rng.normal(size=(2, 4, 5))
+    q = rng.normal(size=(2, 3, 5))
+    fp, fq = relu_proj(bac.proj_p, p), relu_proj(bac.proj_q, q)
+    aligned_q = oracle_attend(fp, fq, q, Q_MASK)  # question rows per passage position
+    aligned_p = oracle_attend(fq, fp, p, P_MASK)  # passage rows per question position
+
+    got = attend(affinity(Tensor(fp), Tensor(fq)), Tensor(q), Q_MASK)
+    np.testing.assert_allclose(got.data, aligned_q, rtol=0, atol=1e-12)
+
+    g_p, g_q = bac(Tensor(p), Tensor(q), P_MASK, Q_MASK)
+    want_p = bac._compress(Tensor(aligned_q), Tensor(p)).data
+    want_q = bac._compress(Tensor(aligned_p), Tensor(q)).data
+    np.testing.assert_allclose(g_p.data, want_p, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(g_q.data, want_q, rtol=0, atol=1e-12)
+    solo = bac.one_sided(Tensor(p), Tensor(q), P_MASK, Q_MASK)
+    np.testing.assert_allclose(solo.data, want_p, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_gated_attended_values_match_numpy_oracle(rng, shared):
+    block = GatedAttention(ParamStore(), "attn", 6, 4, rng, shared_projection=shared)
+    p = rng.normal(size=(2, 5, 6))
+    q = rng.normal(size=(2, 3, 6))
+    q_mask = np.array([[1, 1, 1], [1, 1, 0]], dtype=np.float64)
+    want = oracle_attend(relu_proj(block.proj_p, p), relu_proj(block.proj_q, q), q, q_mask)
+    got = block.alignment(Tensor(p), Tensor(q), q_mask)
+    np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+
+
 def test_align_uniform_row_gives_column_mean(rng):
     p = Tensor(rng.normal(size=(4, 3)))
     q = Tensor(rng.normal(size=(5, 3)))
     e = Tensor(np.zeros((4, 5)))
-    a, b = align(e, p, q)
+    a, b = attend(transpose_last(e), p), attend(e, q)
     np.testing.assert_allclose(b.data, np.tile(q.data.mean(axis=0), (4, 1)), atol=1e-12)
     np.testing.assert_allclose(a.data, np.tile(p.data.mean(axis=0), (5, 1)), atol=1e-12)
 
@@ -128,14 +179,14 @@ def test_align_hard_attention_selects_row(rng):
     e[0, 1] = 1e3
     e[1, 0] = 1e3
     e[2, 1] = 1e3
-    _, b = align(Tensor(e), p, q)
+    b = attend(Tensor(e), q)
     np.testing.assert_allclose(b.data[0], q.data[1], atol=1e-9)
     np.testing.assert_allclose(b.data[1], q.data[0], atol=1e-9)
 
 
 def test_align_shape_contract(rng):
     with pytest.raises(ContractError):
-        align(Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 5))), Tensor(np.zeros((2, 5))))
+        attend(transpose_last(Tensor(np.zeros((3, 2)))), Tensor(np.zeros((4, 5))))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +196,7 @@ def test_align_shape_contract(rng):
 def test_bac_output_shapes(rng):
     store = ParamStore()
     bac = BAC(store, "c", 8, 3, rng)
-    g_p, g_q = bac_forward(Tensor(rng.normal(size=(5, 8))), Tensor(rng.normal(size=(7, 8))), bac)
+    g_p, g_q = bac(Tensor(rng.normal(size=(5, 8))), Tensor(rng.normal(size=(7, 8))))
     assert g_p.shape == (5, 3)
     assert g_q.shape == (7, 3)
 
@@ -202,7 +253,7 @@ def test_bac_one_sided_matches_left_output(rng):
     q = Tensor(rng.normal(size=(2, 3, 6)))
     q_mask = np.array([[1, 1, 1], [1, 1, 0]], dtype=np.float64)
     g_p, _ = bac(p, q, q_mask=q_mask)
-    solo = bac_one_sided(p, q, bac, q_mask=q_mask)
+    solo = bac.one_sided(p, q, q_mask=q_mask)
     np.testing.assert_allclose(solo.data, g_p.data, atol=1e-15)
 
 

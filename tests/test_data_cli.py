@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from decaprop import cli
 from decaprop.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from decaprop.data import (TokenizedExample, _char_to_token_span, load_jsonl,
                            load_squad, tokenize)
+from decaprop.encoder import Featurizer
 from decaprop.errors import DataError, IntegrityError
+from decaprop.model import build_model
 from decaprop.numerics import ParamStore
-from decaprop.training import init_optimizer_state
+from decaprop.training import gen_synthetic, init_optimizer_state, train_model
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +58,11 @@ def test_load_jsonl_round_trip(tmp_path):
 
 def test_load_jsonl_invalid_json_names_line(tmp_path):
     path = tmp_path / "d.jsonl"
-    write_lines(path, ['{"passage": "a", "question": "b", "answer_start": 0, "answer_end": 0}',
-                       "{not json"])
-    with pytest.raises(DataError, match=r":2: invalid json"):
-        load_jsonl(str(path))
+    for bad, message in (("{not json", "invalid json"), ("5", "expected a json object")):
+        write_lines(path, ['{"passage": "a", "question": "b", "answer_start": 0, "answer_end": 0}',
+                           bad])
+        with pytest.raises(DataError, match=rf":2: {message}"):
+            load_jsonl(str(path))
 
 
 def test_load_jsonl_missing_fields(tmp_path):
@@ -81,6 +85,8 @@ def test_load_jsonl_empty_file(tmp_path):
     path.write_text("\n\n", encoding="utf-8")
     with pytest.raises(DataError, match="no examples"):
         load_jsonl(str(path))
+    with pytest.raises(DataError, match="cannot read data file"):
+        load_jsonl(str(tmp_path / "missing.jsonl"))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +150,8 @@ def test_load_squad_requires_data_field(tmp_path):
     path.write_text("{}", encoding="utf-8")
     with pytest.raises(DataError, match="missing top-level 'data'"):
         load_squad(str(path))
+    with pytest.raises(DataError, match="cannot read data file"):
+        load_squad(str(tmp_path / "missing.json"))
 
 
 def test_example_validate():
@@ -339,6 +347,30 @@ def test_cli_train_eval_predict_resume(tmp_path, tiny_config, capsys, monkeypatc
     assert rows[3].startswith("2,train")
 
 
+def test_cli_resume_and_eval_from_a_per_epoch_checkpoint(tmp_path, tiny_config, capsys,
+                                                         monkeypatch):
+    """A checkpoint written by the training loop itself, as an interrupted run
+    leaves it, serves both --resume and eval."""
+    model_cfg, train_cfg, task = cli.load_configs(tiny_config)
+    train_ex, dev_ex = gen_synthetic(task, "train"), gen_synthetic(task, "dev")
+    featurizer = Featurizer.build(train_ex + dev_ex, model_cfg.max_word_len)
+    model = build_model(model_cfg, featurizer, seed=train_cfg.seed)
+    ckpt = tmp_path / "model.ckpt"
+    train_model(model, featurizer, train_ex, dev_ex, replace(train_cfg, max_epochs=1),
+                checkpoint_path=str(ckpt))
+
+    data = tmp_path / "dev.jsonl"
+    assert cli.main(["synth", "--config", tiny_config, "--split", "dev",
+                     "--out", str(data)]) == 0
+    assert cli.main(["eval", "--config", tiny_config, "--checkpoint", str(ckpt),
+                     "--data", str(data)]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 6
+    monkeypatch.setenv("DECAPROP_TRAIN_MAX_EPOCHS", "2")
+    assert cli.main(["train", "--config", tiny_config, "--checkpoint", str(ckpt),
+                     "--resume"]) == 0
+    assert load_checkpoint(str(ckpt))["train_state"]["epoch"] == 2
+
+
 def test_cli_train_variant(tmp_path, tiny_config):
     rc = cli.main(["train", "--config", tiny_config, "--variant", "remove_all"])
     assert rc == 0
@@ -355,6 +387,12 @@ def test_cli_gradcheck_single_scenario(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "dense_relu: max rel err" in out and "[ok]" in out
+
+
+def test_cli_gradcheck_unknown_scenario(capsys):
+    rc = cli.main(["gradcheck", "--scenario", "bogus"])
+    assert rc == 1
+    assert "error:config: unknown gradcheck scenario 'bogus'" in capsys.readouterr().err
 
 
 def test_cli_gradcheck_threshold_failure(capsys):

@@ -4,7 +4,8 @@ equivariance, connector bank accounting, and fused output widths."""
 import numpy as np
 import pytest
 
-from decaprop.decacore import DecaCore, GatedAttention, gated_biattention
+from decaprop.bac import affinity, attend
+from decaprop.decacore import DecaCore, GatedAttention
 from decaprop.errors import ContractError
 from decaprop.numerics import ParamStore, Tensor, grad_check, sum_
 
@@ -14,6 +15,12 @@ def build_block(dim=6, hidden=4, seed=0, **kwargs):
     block = GatedAttention(store, "attn", dim, hidden,
                            np.random.default_rng(seed), **kwargs)
     return block, store
+
+
+def weights(block, p, q, q_mask=None):
+    """Attention weights of the block: its attention applied to identity values."""
+    eye = Tensor(np.broadcast_to(np.eye(q.shape[-2]), q.shape[:-2] + (q.shape[-2],) * 2))
+    return attend(affinity(block.proj_p(p), block.proj_q(q)), eye, q_mask)
 
 
 def build_core(input_dim=10, hidden=6, layers=2, seed=0, **kwargs):
@@ -31,7 +38,7 @@ def test_block_output_shape(rng):
     block, _ = build_block()
     p = Tensor(rng.normal(size=(2, 5, 6)))
     q = Tensor(rng.normal(size=(2, 3, 6)))
-    out = gated_biattention(block, p, q)
+    out = block(p, q)
     assert out.shape == (2, 5, 4)
 
 
@@ -40,7 +47,7 @@ def test_alignment_rows_sum_to_one(rng):
     p = Tensor(rng.normal(size=(2, 5, 6)))
     q = Tensor(rng.normal(size=(2, 3, 6)))
     q_mask = np.array([[1, 1, 1], [1, 1, 0]], dtype=np.float64)
-    a = block.alignment(p, q, q_mask)
+    a = weights(block, p, q, q_mask)
     np.testing.assert_allclose(a.data.sum(axis=-1), np.ones((2, 5)), atol=1e-9)
     np.testing.assert_allclose(a.data[1, :, 2], np.zeros(5), atol=1e-200)
 
@@ -49,7 +56,7 @@ def test_gate_values_strictly_inside_unit_interval(rng):
     block, _ = build_block()
     p = Tensor(rng.normal(size=(1, 4, 6)))
     q = Tensor(rng.normal(size=(1, 3, 6)))
-    attended = np.matmul(block.alignment(p, q).data, q.data)
+    attended = block.alignment(p, q).data
     gate = block.gate(Tensor(np.concatenate([p.data, attended], axis=-1)))
     assert np.all(gate.data > 0.0) and np.all(gate.data < 1.0)
 
@@ -89,7 +96,7 @@ def test_ungated_block_skips_attention(rng):
 def test_self_attention_single_position_weight_is_one(rng):
     block, _ = build_block()
     x = Tensor(rng.normal(size=(1, 1, 6)))
-    a = block.alignment(x, x)
+    a = weights(block, x, x)
     np.testing.assert_allclose(a.data, [[[1.0]]], atol=1e-12)
 
 
@@ -97,8 +104,8 @@ def test_self_attention_permutation_equivariance(rng):
     block, _ = build_block()
     x = rng.normal(size=(1, 4, 6))
     perm = np.array([2, 0, 3, 1])
-    a = block.alignment(Tensor(x), Tensor(x)).data[0]
-    a_perm = block.alignment(Tensor(x[:, perm]), Tensor(x[:, perm])).data[0]
+    a = weights(block, Tensor(x), Tensor(x)).data[0]
+    a_perm = weights(block, Tensor(x[:, perm]), Tensor(x[:, perm])).data[0]
     np.testing.assert_allclose(a_perm, a[perm][:, perm], atol=1e-12)
 
 

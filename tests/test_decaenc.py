@@ -4,7 +4,7 @@ widths, cross-hierarchy isolation, and padding invariance."""
 import numpy as np
 import pytest
 
-from decaprop.decaenc import DecaEnc, decaenc_forward, encoder_output_width
+from decaprop.decaenc import DecaEnc, encoder_output_width
 from decaprop.errors import ConfigError, ContractError
 from decaprop.numerics import ParamStore, Tensor, grad_check, sum_
 
@@ -176,7 +176,7 @@ def test_gradients_through_two_layers(rng):
     q = Tensor(rng.normal(0.0, 0.6, size=(1, 2, 4)))
 
     def forward():
-        out = decaenc_forward(enc, p, q)
+        out = enc(p, q)
         return sum_(out.passage) + sum_(out.question)
 
     assert grad_check(forward, store) < 1e-4

@@ -3,6 +3,7 @@ and the 10-seed sweep in the acceptance suite."""
 
 import pytest
 
+from decaprop.errors import ConfigError
 from decaprop.gradcheck import (DEFAULT_THRESHOLD, SCENARIOS, run_gradcheck,
                                 threshold_for)
 
@@ -15,7 +16,7 @@ def test_registry_covers_every_layer_type():
 
 
 def test_unknown_scenario_rejected():
-    with pytest.raises(KeyError, match="unknown gradcheck scenario"):
+    with pytest.raises(ConfigError, match="unknown gradcheck scenario"):
         run_gradcheck(["not_a_scenario"])
 
 

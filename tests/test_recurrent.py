@@ -6,8 +6,7 @@ import pytest
 
 from decaprop.errors import ConfigError, ContractError
 from decaprop.numerics import ParamStore, Tensor, grad_check, sum_
-from decaprop.recurrent import (BiRNN, GRUCell, LSTMCell, gru_cell, lstm_cell,
-                                variational_dropout)
+from decaprop.recurrent import BiRNN, GRUCell, LSTMCell, variational_dropout
 
 
 def _zeroed(store: ParamStore) -> None:
@@ -23,8 +22,8 @@ def test_gru_zero_params_halves_state(rng):
     store = ParamStore()
     cell = GRUCell(store, "g", 3, 2, rng)
     _zeroed(store)
-    h = gru_cell(Tensor(np.zeros(3)), Tensor(np.array([2.0, 4.0])), cell)
-    np.testing.assert_allclose(h.data, [1.0, 2.0], atol=1e-15)
+    h = cell.step(Tensor(np.zeros((1, 3))), Tensor(np.array([[2.0, 4.0]])))
+    np.testing.assert_allclose(h.data, [[1.0, 2.0]], atol=1e-15)
 
 
 def test_gru_closed_update_gate_keeps_state(rng):
@@ -64,9 +63,9 @@ def test_lstm_zero_params_hand_value(rng):
     store = ParamStore()
     cell = LSTMCell(store, "l", 3, 1, rng)
     _zeroed(store)
-    h, c = lstm_cell(Tensor(np.zeros(3)), Tensor(np.zeros(1)), Tensor(np.array([2.0])), cell)
-    np.testing.assert_allclose(c.data, [1.0], atol=1e-15)
-    np.testing.assert_allclose(h.data, [0.5 * np.tanh(1.0)], atol=1e-15)
+    h, c = cell.step(Tensor(np.zeros((1, 3))), (Tensor(np.zeros((1, 1))), Tensor(np.array([[2.0]]))))
+    np.testing.assert_allclose(c.data, [[1.0]], atol=1e-15)
+    np.testing.assert_allclose(h.data, [[0.5 * np.tanh(1.0)]], atol=1e-15)
 
 
 def test_lstm_memory_passthrough(rng):
@@ -100,10 +99,15 @@ def test_lstm_grad(rng):
 def test_birnn_shapes(rng):
     store = ParamStore()
     rnn = BiRNN(store, "r", 10, 32, "gru", rng)
-    out = rnn(Tensor(rng.normal(size=(5, 10))))
-    assert out.shape == (5, 32)
+    out = rnn(Tensor(rng.normal(size=(1, 5, 10))))
+    assert out.shape == (1, 5, 32)
     out = rnn(Tensor(rng.normal(size=(2, 5, 10))))
     assert out.shape == (2, 5, 32)
+    for bad in (np.zeros((5, 10)), np.zeros((1, 2, 5, 10))):
+        with pytest.raises(ContractError):
+            rnn(Tensor(bad))
+        with pytest.raises(ContractError):
+            rnn.final_states(Tensor(bad))
 
 
 def test_birnn_odd_width_splits_ceil_floor(rng):
@@ -111,8 +115,10 @@ def test_birnn_odd_width_splits_ceil_floor(rng):
     rnn = BiRNN(store, "r", 4, 75, "gru", rng)
     assert rnn.fwd.hidden_dim == 38
     assert rnn.bwd.hidden_dim == 37
-    out = rnn(Tensor(rng.normal(size=(3, 4))))
-    assert out.shape == (3, 75)
+    out = rnn(Tensor(rng.normal(size=(1, 3, 4))))
+    assert out.shape == (1, 3, 75)
+    with pytest.raises(ContractError):
+        rnn(Tensor(rng.normal(size=(3, 4))))
 
 
 def test_birnn_empty_sequence(rng):
@@ -130,11 +136,11 @@ def test_birnn_single_step_equals_cells(rng):
     store = ParamStore()
     rnn = BiRNN(store, "r", 4, 6, "gru", rng)
     x = Tensor(rng.normal(size=(1, 4)))
-    out = rnn(x)
+    out = rnn(Tensor(x.data[:, None]))
     h_f = rnn.fwd.step(x, rnn.fwd.initial_state(1))
     h_b = rnn.bwd.step(x, rnn.bwd.initial_state(1))
-    np.testing.assert_allclose(out.data[0, :3], h_f.data[0], atol=1e-15)
-    np.testing.assert_allclose(out.data[0, 3:], h_b.data[0], atol=1e-15)
+    np.testing.assert_allclose(out.data[0, 0, :3], h_f.data[0], atol=1e-15)
+    np.testing.assert_allclose(out.data[0, 0, 3:], h_b.data[0], atol=1e-15)
 
 
 def test_birnn_masked_matches_unpadded(rng):
@@ -150,8 +156,8 @@ def test_birnn_masked_matches_unpadded(rng):
         mask[i, :lengths[i]] = 1.0
     out = rnn(Tensor(padded), mask)
     for i, row in enumerate(rows):
-        solo = rnn(Tensor(row))
-        np.testing.assert_allclose(out.data[i, :lengths[i]], solo.data, atol=1e-12)
+        solo = rnn(Tensor(row[None]))
+        np.testing.assert_allclose(out.data[i, :lengths[i]], solo.data[0], atol=1e-12)
 
 
 def test_birnn_direction_symmetry(rng):
@@ -217,6 +223,10 @@ def test_dropout_identity_cases(rng):
     x = Tensor(rng.normal(size=(2, 5, 4)))
     assert variational_dropout(x, 0.0, rng, training=True) is x
     assert variational_dropout(x, 0.5, rng, training=False) is x
+    # only (batch, len, width) sequences, in eval mode too
+    for shape in ((2, 3), (2, 3, 4, 5)):
+        with pytest.raises(ContractError):
+            variational_dropout(Tensor(np.ones(shape)), 0.5, rng, training=False)
 
 
 def test_dropout_mask_shared_over_time():
@@ -241,6 +251,6 @@ def test_dropout_bad_rate(rng):
 
 
 def test_dropout_training_needs_rng():
-    x = Tensor(np.ones((2, 3)))
+    x = Tensor(np.ones((2, 3, 4)))
     with pytest.raises(ContractError):
         variational_dropout(x, 0.5, None, training=True)
