@@ -24,8 +24,8 @@ from .numerics import Dense, ParamStore, Tape, Tensor, backward, grad_check
 from .recurrent import BiRNN, GRUCell, LSTMCell, variational_dropout
 from .training import (SyntheticTaskSpec, TrainConfig, TrainResult, adadelta_step,
                        adam_step, clip_gradients, collate, em_f1, evaluate,
-                       gen_synthetic, lr_schedule, normalize_answer, run_ablation,
-                       train_model)
+                       gen_synthetic, lr_schedule, normalize_answer, predict_batches,
+                       run_ablation, train_model)
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,7 @@ __all__ = [
     "binary_match", "build_model", "clip_gradients", "collate", "decode_span",
     "em_f1", "encoder_output_width", "evaluate", "gen_synthetic", "grad_check",
     "load_checkpoint", "load_glove", "load_jsonl", "load_squad", "lr_schedule",
-    "norm_frequency", "normalize_answer", "random_embeddings", "run_ablation",
-    "run_gradcheck", "save_checkpoint", "span_loss", "threshold_for",
-    "tokenize", "train_model", "variational_dropout",
+    "norm_frequency", "normalize_answer", "predict_batches", "random_embeddings",
+    "run_ablation", "run_gradcheck", "save_checkpoint", "span_loss",
+    "threshold_for", "tokenize", "train_model", "variational_dropout",
 ]

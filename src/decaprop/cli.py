@@ -23,7 +23,7 @@ from .errors import ConfigError, DecapropError
 from .gradcheck import run_gradcheck, threshold_for
 from .model import VARIANTS, DecaProp, ModelConfig, apply_variant, build_model
 from .training import (SyntheticTaskSpec, TrainConfig, evaluate, gen_synthetic,
-                       run_ablation, train_model)
+                       predict_batches, run_ablation, span_text, train_model)
 
 log = logging.getLogger("decaprop")
 
@@ -154,6 +154,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_spans(fh, examples, spans) -> None:
+    """One ``{"id", "start", "end", "text"}`` JSON line per decoded span."""
+    for ex, span in zip(examples, spans):
+        fh.write(json.dumps({"id": ex.id, "start": span[0], "end": span[1],
+                             "text": span_text(ex, span)}) + "\n")
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     _, train_cfg, _ = load_configs(args.config)
     model, featurizer = _restore_model(args.checkpoint)
@@ -161,10 +168,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     loss, em, f1, spans = evaluate(model, featurizer, examples, train_cfg.batch_size)
     if args.predictions:
         with open(args.predictions, "w", encoding="utf-8") as fh:
-            for ex, (k, l) in zip(examples, spans):
-                text = " ".join(ex.passage_tokens[k:l + 1])
-                fh.write(json.dumps({"id": ex.id, "start": k, "end": l,
-                                     "text": text}) + "\n")
+            _write_spans(fh, examples, spans)
     print(json.dumps({"loss": loss, "em": em, "f1": f1, "n": len(examples)}))
     return 0
 
@@ -175,15 +179,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     examples = _load_dataset(args.data, args.format)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        from .training import collate
-        feats = [featurizer.example(ex) for ex in examples]
-        for lo in range(0, len(examples), train_cfg.batch_size):
-            batch = collate(feats[lo:lo + train_cfg.batch_size])
-            for i, (k, l) in enumerate(model.predict(batch)):
-                ex = examples[lo + i]
-                text = " ".join(ex.passage_tokens[k:l + 1])
-                out.write(json.dumps({"id": ex.id, "start": k, "end": l,
-                                      "text": text}) + "\n")
+        for chunk, _, spans in predict_batches(model, featurizer, examples,
+                                               train_cfg.batch_size):
+            _write_spans(out, chunk, spans)
     finally:
         if args.out:
             out.close()
@@ -302,11 +300,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """Reject an output file that cannot be written before any work starts."""
+    outputs = [getattr(args, "out", None), getattr(args, "predictions", None)]
+    if args.command == "train":
+        outputs.append(args.checkpoint)
+    for path in filter(None, outputs):
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise ConfigError(f"cannot write {path}: directory {parent} does not exist")
+        if not os.access(parent, os.W_OK):
+            raise ConfigError(f"cannot write {path}: directory {parent} is not writable")
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: it is a directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_paths(args)
         return args.fn(args)
     except DecapropError as exc:
         print(f"error:{exc.kind}: {exc}", file=sys.stderr)

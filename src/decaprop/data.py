@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .errors import DataError
 
@@ -16,18 +17,28 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
 @dataclass
 class TokenizedExample:
+    """One passage/question pair; the inclusive answer span is optional (an
+    unlabeled example can only be predicted), but its ends come together."""
+
     id: str
     passage_tokens: list[str]
     question_tokens: list[str]
-    answer_start: int
-    answer_end: int
+    answer_start: Optional[int] = None
+    answer_end: Optional[int] = None
     answer_texts: list[str] = field(default_factory=list)
+
+    @property
+    def labeled(self) -> bool:
+        return self.answer_start is not None
 
     def validate(self) -> None:
         n = len(self.passage_tokens)
         if not self.passage_tokens or not self.question_tokens:
             raise DataError(f"example {self.id}: empty passage or question")
-        if not 0 <= self.answer_start <= self.answer_end < n:
+        if (self.answer_start is None) != (self.answer_end is None):
+            raise DataError(f"example {self.id}: answer_start and answer_end "
+                            "must be given together")
+        if self.labeled and not 0 <= self.answer_start <= self.answer_end < n:
             raise DataError(
                 f"example {self.id}: span ({self.answer_start}, {self.answer_end}) "
                 f"outside passage of length {n}")
@@ -51,9 +62,20 @@ def _read_text(path: str) -> str:
         raise DataError(f"cannot read data file {path}: {exc}") from exc
 
 
+def _tokens(value, name: str, where: str) -> list[str]:
+    """A passage or question given as raw text (tokenized here) or as tokens."""
+    if isinstance(value, str):
+        return tokenize(value)[0]
+    if isinstance(value, list) and all(isinstance(t, str) for t in value):
+        return value
+    raise DataError(f"{where}: {name} must be a string or a list of strings, "
+                    f"got {type(value).__name__}")
+
+
 def load_jsonl(path: str) -> list[TokenizedExample]:
-    """One example per line: id, passage, question, answer_start, answer_end,
-    answers.  Passage and question may be strings (tokenized here) or lists.
+    """One example per line: id, passage, question and, for labeled data,
+    answer_start, answer_end and answers.  Passage and question may be strings
+    (tokenized here) or lists of tokens.
     """
     examples = []
     for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
@@ -67,25 +89,25 @@ def load_jsonl(path: str) -> list[TokenizedExample]:
         if not isinstance(obj, dict):
             raise DataError(f"{path}:{lineno}: expected a json object, "
                             f"got {type(obj).__name__}")
-        missing = {"passage", "question", "answer_start", "answer_end"} - set(obj)
+        where = f"{path}:{lineno}"
+        missing = {"passage", "question"} - set(obj)
         if missing:
-            raise DataError(f"{path}:{lineno}: missing fields {sorted(missing)}")
-        passage = obj["passage"]
-        question = obj["question"]
-        p_tokens = passage if isinstance(passage, list) else tokenize(passage)[0]
-        q_tokens = question if isinstance(question, list) else tokenize(question)[0]
-        start, end = obj["answer_start"], obj["answer_end"]
-        if not isinstance(start, int) or not isinstance(end, int):
-            raise DataError(f"{path}:{lineno}: answer_start/answer_end must be ints")
-        answers = obj.get("answers") or [" ".join(p_tokens[start:end + 1])]
+            raise DataError(f"{where}: missing fields {sorted(missing)}")
+        p_tokens = _tokens(obj["passage"], "passage", where)
+        q_tokens = _tokens(obj["question"], "question", where)
+        start, end = obj.get("answer_start"), obj.get("answer_end")
+        if any(v is not None and not isinstance(v, int) for v in (start, end)):
+            raise DataError(f"{where}: answer_start/answer_end must be ints")
         ex = TokenizedExample(
             id=str(obj.get("id", f"line-{lineno}")),
             passage_tokens=p_tokens, question_tokens=q_tokens,
-            answer_start=start, answer_end=end, answer_texts=list(answers))
+            answer_start=start, answer_end=end)
         try:
             ex.validate()
         except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
+            raise DataError(f"{where}: {exc}") from exc
+        default = [" ".join(p_tokens[start:end + 1])] if ex.labeled else []
+        ex.answer_texts = list(obj.get("answers") or default)
         examples.append(ex)
     if not examples:
         raise DataError(f"{path}: no examples found")

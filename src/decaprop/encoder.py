@@ -134,12 +134,14 @@ class Featurizer:
         }
 
     def example(self, ex) -> dict:
+        """Both sides' features, plus the span targets ``y1``/``y2`` when the
+        example is labeled."""
         feat = {
             "p": self.side(ex.passage_tokens, ex.question_tokens),
             "q": self.side(ex.question_tokens, ex.passage_tokens),
-            "y1": ex.answer_start,
-            "y2": ex.answer_end,
         }
+        if ex.labeled:
+            feat["y1"], feat["y2"] = ex.answer_start, ex.answer_end
         return feat
 
     def state(self) -> dict:

@@ -102,7 +102,7 @@ def apply_variant(config: ModelConfig, variant: str) -> ModelConfig:
 
 @dataclass
 class ForwardResult:
-    loss: Tensor
+    loss: Optional[Tensor]             # None when the batch carries no labels
     start_logits: Tensor
     end_logits: Tensor
     connector_calls: int = 0
@@ -153,18 +153,22 @@ class DecaProp:
                             batch["p_mask"], batch["q_mask"],
                             training=training, rng=rng, counter=counter)
         s1, s2 = self.pointer(m, batch["p_mask"], training=training, rng=rng)
-        loss = span_loss(s1, s2, batch["y1"], batch["y2"], batch["p_len"])
+        loss = None
+        if "y1" in batch:
+            loss = span_loss(s1, s2, batch["y1"], batch["y2"], batch["p_len"])
         return ForwardResult(loss, s1, s2, counter[0])
 
-    def predict(self, batch: dict) -> list[tuple[int, int]]:
-        """Decoded (start, end) per example, restricted to real positions."""
-        out = self.forward(batch, training=False)
+    def decode(self, out: ForwardResult, lengths) -> list[tuple[int, int]]:
+        """Decoded (start, end) per example, restricted to its ``lengths``
+        real positions."""
         p1 = softmax(out.start_logits, -1).data
         p2 = softmax(out.end_logits, -1).data
-        spans = []
-        for i, n in enumerate(batch["p_len"]):
-            spans.append(decode_span(p1[i, :n], p2[i, :n], self.config.max_span_len))
-        return spans
+        return [decode_span(p1[i, :n], p2[i, :n], self.config.max_span_len)
+                for i, n in enumerate(lengths)]
+
+    def predict(self, batch: dict) -> list[tuple[int, int]]:
+        """One forward, then decode."""
+        return self.decode(self.forward(batch, training=False), batch["p_len"])
 
 
 def build_model(config: ModelConfig, featurizer: Featurizer, seed: int = 0,

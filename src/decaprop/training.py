@@ -11,13 +11,13 @@ import string
 import time
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .data import TokenizedExample
 from .errors import ConfigError, ContractError, DataError
-from .model import VARIANTS, DecaProp, ModelConfig, apply_variant, build_model
+from .model import VARIANTS, DecaProp, ForwardResult, ModelConfig, apply_variant, build_model
 from .numerics import ParamStore, Tape, backward
 from .encoder import Featurizer, Vocab
 
@@ -241,7 +241,8 @@ def gen_synthetic(spec: SyntheticTaskSpec, split: str = "train") -> list[Tokeniz
 
 
 def collate(feats: list[dict]) -> dict:
-    """Pad a list of per-example feature dicts into one batch dict."""
+    """Pad a list of per-example feature dicts into one batch dict; the span
+    targets ``y1``/``y2`` come along only when every example has them."""
     if not feats:
         raise ContractError("collate of an empty batch")
     batch: dict = {}
@@ -269,8 +270,9 @@ def collate(feats: list[dict]) -> dict:
                       f"{prefix}_char_mask": cmask, f"{prefix}_match": match,
                       f"{prefix}_freq": freq, f"{prefix}_mask": mask,
                       f"{prefix}_len": lens})
-    batch["y1"] = np.array([f["y1"] for f in feats], dtype=np.int64)
-    batch["y2"] = np.array([f["y2"] for f in feats], dtype=np.int64)
+    if all("y1" in f for f in feats):
+        batch["y1"] = np.array([f["y1"] for f in feats], dtype=np.int64)
+        batch["y2"] = np.array([f["y2"] for f in feats], dtype=np.int64)
     return batch
 
 
@@ -344,27 +346,49 @@ class TrainResult:
     final_f1: float = 0.0
 
 
+def _require_labels(examples: list[TokenizedExample], use: str) -> None:
+    """Fail on the first example without an answer span."""
+    for ex in examples:
+        if not ex.labeled:
+            raise DataError(f"example {ex.id}: no answer_start/answer_end, "
+                            f"which {use} needs")
+
+
+def span_text(ex: TokenizedExample, span: tuple[int, int]) -> str:
+    """The passage tokens an inclusive (start, end) span covers, space-joined."""
+    k, l = span
+    return " ".join(ex.passage_tokens[k:l + 1])
+
+
+def predict_batches(model: DecaProp, featurizer: Featurizer,
+                    examples: list[TokenizedExample], batch_size: int = 32
+                    ) -> Iterator[tuple[list[TokenizedExample], ForwardResult,
+                                        list[tuple[int, int]]]]:
+    """Forward each batch of ``examples`` once; yields the batch's examples,
+    the forward result (its loss is None for unlabeled data) and the decoded
+    spans."""
+    feats = [featurizer.example(ex) for ex in examples]
+    for lo in range(0, len(examples), batch_size):
+        batch = collate(feats[lo:lo + batch_size])
+        out = model.forward(batch, training=False)
+        yield examples[lo:lo + batch_size], out, model.decode(out, batch["p_len"])
+
+
 def evaluate(model: DecaProp, featurizer: Featurizer, examples: list[TokenizedExample],
              batch_size: int = 32) -> tuple[float, float, float, list[tuple[int, int]]]:
     """Mean loss, EM, F1 (both percentages) and the decoded spans."""
     if not examples:
         raise DataError("evaluate on an empty dataset")
-    feats = [featurizer.example(ex) for ex in examples]
+    _require_labels(examples, "evaluation")
     total_loss = 0.0
     ems, f1s, spans = [], [], []
-    for lo in range(0, len(examples), batch_size):
-        chunk = feats[lo:lo + batch_size]
-        batch = collate(chunk)
-        out = model.forward(batch, training=False)
+    for chunk, out, chunk_spans in predict_batches(model, featurizer, examples, batch_size):
         total_loss += out.loss.item() * len(chunk)
-        for i, span in enumerate(model.predict(batch)):
-            ex = examples[lo + i]
-            k, l = span
-            text = " ".join(ex.passage_tokens[k:l + 1])
-            em, f1 = em_f1(text, ex.answer_texts)
+        for ex, span in zip(chunk, chunk_spans):
+            em, f1 = em_f1(span_text(ex, span), ex.answer_texts)
             ems.append(em)
             f1s.append(f1)
-            spans.append(span)
+        spans.extend(chunk_spans)
     return (total_loss / len(examples),
             100.0 * float(np.mean(ems)), 100.0 * float(np.mean(f1s)), spans)
 
@@ -391,6 +415,7 @@ def train_model(model: DecaProp, featurizer: Featurizer,
     tcfg.validate()
     if not train_examples:
         raise DataError("training on an empty dataset")
+    _require_labels(train_examples + (dev_examples or []), "training")
     feats = [featurizer.example(ex) for ex in train_examples]
 
     rng = np.random.default_rng((tcfg.seed, 0x10AD))

@@ -72,6 +72,36 @@ def test_load_jsonl_missing_fields(tmp_path):
         load_jsonl(str(path))
 
 
+def test_load_jsonl_unlabeled_lines(tmp_path):
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [json.dumps({"id": "u", "passage": "one two", "question": "q"}),
+                       json.dumps({"passage": ["x"], "question": ["q"],
+                                   "answer_start": 0, "answer_end": 0})])
+    unlabeled, labeled = load_jsonl(str(path))
+    assert not unlabeled.labeled and unlabeled.answer_start is None
+    assert unlabeled.answer_end is None and unlabeled.answer_texts == []
+    assert labeled.labeled and labeled.answer_texts == ["x"]
+
+
+@pytest.mark.parametrize("given", ["answer_start", "answer_end"])
+def test_load_jsonl_half_a_span(tmp_path, given):
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [json.dumps({"passage": "a b", "question": "q", given: 0})])
+    with pytest.raises(DataError, match=r":1: example .* must be given together"):
+        load_jsonl(str(path))
+
+
+@pytest.mark.parametrize("field", ["passage", "question"])
+@pytest.mark.parametrize("value", [5, None, {"a": 1}, ["a", 2]])
+def test_load_jsonl_bad_text_type(tmp_path, field, value):
+    path = tmp_path / "d.jsonl"
+    row = {"passage": "a b", "question": "q", field: value}
+    write_lines(path, [json.dumps({"passage": "a", "question": "q"}), json.dumps(row)])
+    with pytest.raises(DataError,
+                       match=rf":2: {field} must be a string or a list of strings"):
+        load_jsonl(str(path))
+
+
 def test_load_jsonl_span_outside_passage(tmp_path):
     path = tmp_path / "d.jsonl"
     write_lines(path, [json.dumps({"passage": "a b", "question": "q",
@@ -159,6 +189,9 @@ def test_example_validate():
         TokenizedExample("x", [], ["q"], 0, 0).validate()
     with pytest.raises(DataError, match="outside passage"):
         TokenizedExample("x", ["a"], ["q"], 0, 1).validate()
+    with pytest.raises(DataError, match="must be given together"):
+        TokenizedExample("x", ["a"], ["q"], 0).validate()
+    TokenizedExample("x", ["a"], ["q"]).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +402,54 @@ def test_cli_resume_and_eval_from_a_per_epoch_checkpoint(tmp_path, tiny_config, 
     assert cli.main(["train", "--config", tiny_config, "--checkpoint", str(ckpt),
                      "--resume"]) == 0
     assert load_checkpoint(str(ckpt))["train_state"]["epoch"] == 2
+
+
+def test_cli_predict_unlabeled_data(tmp_path, tiny_config, capsys):
+    """predict decodes data without answer spans; eval and train refuse it."""
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--config", tiny_config, "--checkpoint", str(ckpt)]) == 0
+    labeled = tmp_path / "dev.jsonl"
+    assert cli.main(["synth", "--config", tiny_config, "--split", "dev",
+                     "--out", str(labeled)]) == 0
+    data = tmp_path / "unlabeled.jsonl"
+    rows = [json.loads(l) for l in labeled.read_text().splitlines()]
+    write_lines(data, [json.dumps({k: r[k] for k in ("id", "passage", "question")})
+                       for r in rows])
+
+    out = tmp_path / "spans.jsonl"
+    assert cli.main(["predict", "--config", tiny_config, "--checkpoint", str(ckpt),
+                     "--data", str(data), "--out", str(out)]) == 0
+    spans = [json.loads(l) for l in out.read_text().splitlines()]
+    assert [s["id"] for s in spans] == [r["id"] for r in rows]
+    # the same spans as eval writes for the labeled copy of the data
+    preds = tmp_path / "preds.jsonl"
+    assert cli.main(["eval", "--config", tiny_config, "--checkpoint", str(ckpt),
+                     "--data", str(labeled), "--predictions", str(preds)]) == 0
+    assert [json.loads(l) for l in preds.read_text().splitlines()] == spans
+    capsys.readouterr()
+
+    for argv in (["eval", "--checkpoint", str(ckpt)], ["train"]):
+        assert cli.main(argv + ["--config", tiny_config, "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:data: example dev-0: no answer_start/answer_end")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--checkpoint", "missing.ckpt", "--data", "missing.jsonl",
+     "--predictions", "{out}"],
+    ["predict", "--checkpoint", "missing.ckpt", "--data", "missing.jsonl", "--out", "{out}"],
+    ["synth", "--out", "{out}"],
+    ["train", "--out", "{out}"],
+    ["train", "--checkpoint", "{out}"],
+    ["ablate", "--variant", "full", "--out", "{out}"],
+], ids=["eval", "predict", "synth", "train", "train-checkpoint", "ablate"])
+def test_cli_output_path_in_missing_directory(tmp_path, tiny_config, capsys, argv):
+    out = tmp_path / "no-such-dir" / "out"
+    argv = [a.replace("{out}", str(out)) for a in argv] + ["--config", tiny_config]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error:config: cannot write {out}: directory {out.parent} does not exist")
+    assert not out.parent.exists()
 
 
 def test_cli_train_variant(tmp_path, tiny_config):

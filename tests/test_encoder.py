@@ -114,6 +114,22 @@ def test_featurizer_example_targets():
     assert feat["q"]["word"].shape == (2,)
 
 
+def test_unlabeled_example_carries_no_targets():
+    fz = Featurizer.build([example()], max_word_len=4)
+    unlabeled = example()
+    unlabeled.answer_start = unlabeled.answer_end = None
+    feat = fz.example(unlabeled)
+    assert "y1" not in feat and "y2" not in feat
+    labeled = fz.example(example())
+    # a batch carries targets only when every example has them
+    for feats in ([feat], [labeled, feat], [feat, labeled]):
+        batch = collate(feats)
+        assert "y1" not in batch and "y2" not in batch
+    batch = collate([labeled, labeled])
+    np.testing.assert_array_equal(batch["y1"], [5, 5])
+    np.testing.assert_array_equal(batch["y2"], [5, 5])
+
+
 # ---------------------------------------------------------------------------
 # input encoder
 

@@ -77,6 +77,18 @@ def test_forward_contract(tiny_batch):
     assert np.isfinite(out.loss.data)
 
 
+def test_forward_without_labels_has_no_loss(tiny_batch):
+    featurizer, batch = tiny_batch
+    model = build_model(tiny_cfg(), featurizer, seed=0)
+    labeled = model.forward(batch)
+    unlabeled = model.forward({k: v for k, v in batch.items() if k not in ("y1", "y2")})
+    assert unlabeled.loss is None and labeled.loss is not None
+    np.testing.assert_array_equal(unlabeled.start_logits.data, labeled.start_logits.data)
+    np.testing.assert_array_equal(unlabeled.end_logits.data, labeled.end_logits.data)
+    assert unlabeled.connector_calls == labeled.connector_calls
+    assert model.decode(unlabeled, batch["p_len"]) == model.predict(batch)
+
+
 def test_connector_call_ledger(tiny_batch):
     featurizer, batch = tiny_batch
     # full model: n^2 encoder connectors plus 2n one-sided core connectors

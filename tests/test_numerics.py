@@ -244,6 +244,13 @@ def test_backward_requires_scalar():
         backward(tape, y)
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1), (1, 1, 1)])
+def test_item_of_any_single_element_tensor(shape):
+    assert Tensor(np.full(shape, 2.5)).item() == 2.5
+    with pytest.raises(ContractError, match="single-element"):
+        Tensor(np.ones((1, 2))).item()
+
+
 def test_grad_accumulates_across_reuse():
     x = Tensor(np.array([2.0]), requires_grad=True)
     with Tape() as tape:

@@ -3,18 +3,19 @@ metrics, synthetic task construction, batching, and the training loop."""
 
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from decaprop.errors import ConfigError, ContractError, DataError
-from decaprop.model import ModelConfig, build_model
+from decaprop.model import DecaProp, ModelConfig, build_model
 from decaprop.numerics import ParamStore
 from decaprop.encoder import Featurizer
 from decaprop.training import (SyntheticTaskSpec, TrainConfig, adadelta_step,
                                adam_step, clip_gradients, collate, em_f1, evaluate,
                                gen_synthetic, init_optimizer_state, lr_schedule,
-                               normalize_answer, train_model)
+                               normalize_answer, predict_batches, train_model)
 
 
 def scalar_store(value=0.0, grad=1.0):
@@ -325,6 +326,55 @@ def test_evaluate_returns_percentages():
     assert len(spans) == len(dev)
     assert all(k <= l for k, l in spans)
     assert np.isfinite(loss)
+
+
+def count_forwards(monkeypatch) -> list[int]:
+    """Batch size of every DecaProp.forward call from now on."""
+    calls = []
+    original = DecaProp.forward
+
+    def counted(self, batch, *args, **kwargs):
+        calls.append(len(batch["p_len"]))
+        return original(self, batch, *args, **kwargs)
+
+    monkeypatch.setattr(DecaProp, "forward", counted)
+    return calls
+
+
+def test_evaluate_forwards_once_per_batch(monkeypatch):
+    model, fz, _, dev = tiny_setup()
+    calls = count_forwards(monkeypatch)
+    evaluate(model, fz, dev, batch_size=4)
+    assert calls == [4, 2]
+
+
+def test_evaluate_matches_forward_and_predict():
+    model, fz, _, dev = tiny_setup()
+    loss, _, _, spans = evaluate(model, fz, dev, batch_size=4)
+    batches = [collate([fz.example(ex) for ex in part]) for part in (dev[:4], dev[4:])]
+    assert spans == model.predict(batches[0]) + model.predict(batches[1])
+    losses = [model.forward(b).loss.item() for b in batches]
+    assert loss == (losses[0] * 4 + losses[1] * 2) / 6
+    # the unlabeled copies decode to the same spans, with no loss
+    unlabeled = [replace(ex, answer_start=None, answer_end=None) for ex in dev]
+    parts = list(predict_batches(model, fz, unlabeled, batch_size=4))
+    assert [chunk for chunk, _, _ in parts] == [unlabeled[:4], unlabeled[4:]]
+    assert all(out.loss is None for _, out, _ in parts)
+    assert [s for _, _, chunk_spans in parts for s in chunk_spans] == spans
+
+
+def test_unlabeled_examples_rejected_before_any_forward(monkeypatch):
+    model, fz, train, dev = tiny_setup()
+    unlabeled = replace(dev[3], answer_start=None, answer_end=None)
+    calls = count_forwards(monkeypatch)
+    tcfg = TrainConfig(max_epochs=1)
+    with pytest.raises(DataError, match="example dev-3: no answer_start/answer_end"):
+        evaluate(model, fz, dev[:3] + [unlabeled])
+    with pytest.raises(DataError, match="example dev-3: no answer_start/answer_end"):
+        train_model(model, fz, train + [unlabeled], None, tcfg)
+    with pytest.raises(DataError, match="example dev-3: no answer_start/answer_end"):
+        train_model(model, fz, train, [unlabeled], tcfg)
+    assert calls == []
 
 
 def test_train_config_validation():
