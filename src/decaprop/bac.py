@@ -87,8 +87,11 @@ class BAC:
 
     Both sequences must share a width; the projection is shared between them
     unless ``shared_projection`` is off.  The same three scorers compress
-    both directions.
+    both directions.  ``BAC.calls`` counts connector applications across all
+    instances; a caller reads the difference over the work it wants counted.
     """
+
+    calls = 0
 
     def __init__(self, store: ParamStore, name: str, dim: int, factors: int,
                  rng: np.random.Generator, scorer: str = "fm", shared_projection: bool = True,
@@ -121,6 +124,7 @@ class BAC:
                  p_mask: np.ndarray | None = None,
                  q_mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
         """Compress both directions: returns (g_p, g_q), 3 scalars per position."""
+        BAC.calls += 1
         e = affinity(self.proj_p(p), self.proj_q(q))
         a = attend(transpose_last(e), p, p_mask)
         b = attend(e, q, q_mask)
@@ -130,5 +134,6 @@ class BAC:
                   p_mask: np.ndarray | None = None,
                   q_mask: np.ndarray | None = None) -> Tensor:
         """Left-side compression only; skips the question-side alignment work."""
+        BAC.calls += 1
         b = attend(affinity(self.proj_p(p), self.proj_q(q)), q, q_mask)
         return self._compress(b, p)

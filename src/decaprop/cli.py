@@ -4,7 +4,8 @@ Subcommands: train, eval, predict, gradcheck, ablate, synth.  Configuration
 is a flat ``section.key = value`` file; any key can be overridden through the
 environment as ``DECAPROP_SECTION_KEY``.  Failures from this package exit
 with status 1 and a single machine-parseable ``error:<kind>: message`` line
-on stderr; argparse usage errors keep their conventional status 2.
+on stderr; argparse usage errors keep their conventional status 2.  A reader
+that closes stdout early ends the run with status 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -321,9 +322,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_output_paths(args)
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
     except DecapropError as exc:
         print(f"error:{exc.kind}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout early (``decaprop predict ... | head``).
+        # Python's flush at exit would raise again, so point stdout at devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

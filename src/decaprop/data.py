@@ -114,6 +114,16 @@ def load_jsonl(path: str) -> list[TokenizedExample]:
     return examples
 
 
+_KINDS = {list: "a list", dict: "an object", str: "a string", int: "an integer"}
+
+
+def _typed(value, kind: type, name: str, where: str):
+    """``value`` itself when it has the json type ``kind``; a bool is no integer."""
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise DataError(f"{where}: {name} must be {_KINDS[kind]}, got {type(value).__name__}")
+
+
 def _char_to_token_span(offsets: list[tuple[int, int]],
                         ans_start: int, ans_end: int) -> tuple[int, int] | None:
     """Token span covering [ans_start, ans_end); None when nothing overlaps."""
@@ -144,36 +154,43 @@ def load_squad(path: str, max_passage_len: int | None = None,
 
     examples = []
     dropped = 0
-    for article in payload["data"]:
-        for para in article.get("paragraphs", []):
-            context = para.get("context", "")
-            p_tokens, offsets = tokenize(context)
+    for i, article in enumerate(_typed(payload["data"], list, "data", path)):
+        article_at = f"{path}: data[{i}]"
+        article = _typed(article, dict, "article", article_at)
+        paragraphs = _typed(article.get("paragraphs", []), list, "paragraphs", article_at)
+        for j, para in enumerate(paragraphs):
+            para_at = f"{article_at}.paragraphs[{j}]"
+            para = _typed(para, dict, "paragraph", para_at)
+            p_tokens, offsets = tokenize(_typed(para.get("context", ""), str, "context", para_at))
+            qas = _typed(para.get("qas", []), list, "qas", para_at)
             if max_passage_len is not None:
                 p_tokens = p_tokens[:max_passage_len]
                 offsets = offsets[:max_passage_len]
             if not p_tokens:
-                dropped += len(para.get("qas", []))
+                dropped += len(qas)
                 continue
-            for qa in para.get("qas", []):
-                q_tokens, _ = tokenize(qa.get("question", ""))
+            for qa in qas:
+                qa = _typed(qa, dict, "qa", para_at)
+                qa_id = str(qa.get("id", f"qa-{len(examples)}"))
+                qa_at = f"{path}: qa {qa_id}"
+                q_tokens, _ = tokenize(_typed(qa.get("question", ""), str, "question", qa_at))
                 if max_question_len is not None:
                     q_tokens = q_tokens[:max_question_len]
-                answers = qa.get("answers", [])
-                texts = [a["text"] for a in answers if "text" in a]
+                texts = []
                 span = None
-                for a in answers:
-                    if "answer_start" not in a or "text" not in a:
+                for a in _typed(qa.get("answers", []), list, "answers", qa_at):
+                    a = _typed(a, dict, "answer", qa_at)
+                    if "text" not in a:
                         continue
-                    span = _char_to_token_span(
-                        offsets, a["answer_start"], a["answer_start"] + len(a["text"]))
-                    if span is not None:
-                        break
+                    texts.append(_typed(a["text"], str, "answer text", qa_at))
+                    if span is None and "answer_start" in a:
+                        start = _typed(a["answer_start"], int, "answer_start", qa_at)
+                        span = _char_to_token_span(offsets, start, start + len(texts[-1]))
                 if span is None or not q_tokens:
                     dropped += 1
                     continue
                 examples.append(TokenizedExample(
-                    id=str(qa.get("id", f"qa-{len(examples)}")),
-                    passage_tokens=p_tokens, question_tokens=q_tokens,
+                    id=qa_id, passage_tokens=p_tokens, question_tokens=q_tokens,
                     answer_start=span[0], answer_end=span[1], answer_texts=texts))
     if not examples:
         raise DataError(f"{path}: no usable examples (dropped {dropped})")

@@ -87,8 +87,8 @@ class DecaCore:
 
     def __call__(self, p_enc: Tensor, q_enc: Tensor, question_states: list[Tensor],
                  p_mask: np.ndarray | None = None, q_mask: np.ndarray | None = None,
-                 training: bool = False, rng: np.random.Generator | None = None,
-                 counter: list | None = None) -> tuple[Tensor, Tensor, Tensor]:
+                 training: bool = False,
+                 rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor, Tensor]:
         """Returns (m, u1, u2); m is what the answer layer consumes."""
         u1 = self.bi_attn(p_enc, q_enc, p_mask, q_mask, training, rng)
         u2 = self.self_attn(u1, u1, p_mask, p_mask, training, rng)
@@ -100,7 +100,5 @@ class DecaCore:
         blocks = [u2]
         for k in range(self.layers):
             for j, u in enumerate((u1, u2)):
-                if counter is not None:
-                    counter[0] += 1
                 blocks.append(self.bank[(k, j)].one_sided(u, question_states[k], p_mask, q_mask))
         return concat(blocks, -1), u1, u2

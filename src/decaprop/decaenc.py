@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bac import BAC
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .numerics import ParamStore, Tensor, concat
 from .recurrent import BiRNN, variational_dropout
 
@@ -77,40 +77,21 @@ class DecaEnc:
         return encoder_output_width(self.layers, self.hidden, self.connectors,
                                     self.cross_hierarchy, self.concat_layers)
 
-    def encode_layer(self, p_in: Tensor, q_in: Tensor, index: int,
-                     p_mask: np.ndarray | None = None, q_mask: np.ndarray | None = None,
-                     counter: list | None = None):
-        """Run one chain layer: states for both sides plus their connector outputs."""
-        if not 0 <= index < self.layers:
-            raise ContractError(f"layer index {index} out of range [0, {self.layers})")
-        rnn = self.rnns[index]
-        if p_in.shape[-1] != rnn.input_dim or q_in.shape[-1] != rnn.input_dim:
-            raise ContractError(
-                f"encoder layer {index} expects width {rnn.input_dim}, "
-                f"got {p_in.shape} / {q_in.shape}")
-        h_p = rnn(p_in, p_mask)
-        h_q = rnn(q_in, q_mask)
-        if not self.connectors:
-            return h_p, h_q, None, None
-        if counter is not None:
-            counter[0] += 1
-        g_p, g_q = self.chain[index](h_p, h_q, p_mask, q_mask)
-        return h_p, h_q, g_p, g_q
-
     def __call__(self, p0: Tensor, q0: Tensor,
                  p_mask: np.ndarray | None = None, q_mask: np.ndarray | None = None,
-                 training: bool = False, rng: np.random.Generator | None = None,
-                 counter: list | None = None) -> DecaEncOutput:
+                 training: bool = False, rng: np.random.Generator | None = None) -> DecaEncOutput:
         p_in, q_in = p0, q0
         p_states, q_states = [], []
         diag: list[tuple[Tensor, Tensor]] = []
-        for i in range(self.layers):
+        for i, rnn in enumerate(self.rnns):
             p_in = variational_dropout(p_in, self.dropout, rng, training)
             q_in = variational_dropout(q_in, self.dropout, rng, training)
-            h_p, h_q, g_p, g_q = self.encode_layer(p_in, q_in, i, p_mask, q_mask, counter)
+            h_p = rnn(p_in, p_mask)
+            h_q = rnn(q_in, q_mask)
             p_states.append(h_p)
             q_states.append(h_q)
             if self.connectors:
+                g_p, g_q = self.chain[i](h_p, h_q, p_mask, q_mask)
                 diag.append((g_p, g_q))
                 p_in = concat([h_p, g_p], -1)
                 q_in = concat([h_q, g_q], -1)
@@ -131,8 +112,6 @@ class DecaEnc:
                 if i == j:
                     g_p, g_q = diag[i]
                 elif self.cross_hierarchy:
-                    if counter is not None:
-                        counter[0] += 1
                     g_p, g_q = self.cross[(i, j)](p_states[i], q_states[j], p_mask, q_mask)
                 else:
                     continue

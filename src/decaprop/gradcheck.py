@@ -17,7 +17,7 @@ from .bac import BAC, FMKernel
 from .decacore import GatedAttention
 from .errors import ConfigError
 from .model import ModelConfig, build_model
-from .numerics import Dense, ParamStore, Tensor, grad_check, masked_softmax, mul, sum_
+from .numerics import Dense, ParamStore, Tensor, add, grad_check, masked_softmax, mul, sum_
 from .recurrent import BiRNN, GRUCell, LSTMCell
 from .training import SyntheticTaskSpec, collate, gen_synthetic
 from .encoder import Featurizer
@@ -110,7 +110,7 @@ def _bac_scenario(seed: int, tag: int, one_sided: bool):
         if one_sided:
             return sum_(bac.one_sided(p, q, p_mask, q_mask))
         g_p, g_q = bac(p, q, p_mask, q_mask)
-        return sum_(g_p) + sum_(g_q)
+        return add(sum_(g_p), sum_(g_q))
 
     return store, forward
 

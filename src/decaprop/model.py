@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .answer import PointerLayer, decode_span, span_loss
+from .bac import BAC
 from .decacore import DecaCore
 from .decaenc import DecaEnc
 from .encoder import Featurizer, InputEncoder, random_embeddings
@@ -105,7 +106,7 @@ class ForwardResult:
     loss: Optional[Tensor]             # None when the batch carries no labels
     start_logits: Tensor
     end_logits: Tensor
-    connector_calls: int = 0
+    connector_calls: int = 0           # connector applications in this forward
 
 
 class DecaProp:
@@ -145,18 +146,17 @@ class DecaProp:
 
     def forward(self, batch: dict, training: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardResult:
-        counter = [0]
+        calls = BAC.calls
         p0, q0 = self.input(batch)
         enc = self.encoder(p0, q0, batch["p_mask"], batch["q_mask"],
-                           training=training, rng=rng, counter=counter)
+                           training=training, rng=rng)
         m, _, _ = self.core(enc.passage, enc.question, enc.question_states,
-                            batch["p_mask"], batch["q_mask"],
-                            training=training, rng=rng, counter=counter)
+                            batch["p_mask"], batch["q_mask"], training=training, rng=rng)
         s1, s2 = self.pointer(m, batch["p_mask"], training=training, rng=rng)
         loss = None
         if "y1" in batch:
             loss = span_loss(s1, s2, batch["y1"], batch["y2"], batch["p_len"])
-        return ForwardResult(loss, s1, s2, counter[0])
+        return ForwardResult(loss, s1, s2, BAC.calls - calls)
 
     def decode(self, out: ForwardResult, lengths) -> list[tuple[int, int]]:
         """Decoded (start, end) per example, restricted to its ``lengths``
@@ -167,8 +167,9 @@ class DecaProp:
                 for i, n in enumerate(lengths)]
 
     def predict(self, batch: dict) -> list[tuple[int, int]]:
-        """One forward, then decode."""
-        return self.decode(self.forward(batch, training=False), batch["p_len"])
+        """One forward without the span targets, so no loss, then decode."""
+        inputs = {k: v for k, v in batch.items() if k not in ("y1", "y2")}
+        return self.decode(self.forward(inputs, training=False), batch["p_len"])
 
 
 def build_model(config: ModelConfig, featurizer: Featurizer, seed: int = 0,

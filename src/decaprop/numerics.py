@@ -53,35 +53,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ContractError("tensor/tensor division is not supported; divide by a scalar")
-        return mul(self, 1.0 / float(other))
-
 
 class Tape:
     """Execution record of one forward pass, replayed in reverse by backward()."""
@@ -254,29 +225,6 @@ def tanh(a) -> Tensor:
 
     def bw():
         _acc(a, out.grad * (1.0 - y * y))
-
-    _record((a,), (out,), bw)
-    return out
-
-
-def exp(a) -> Tensor:
-    a = _ensure(a)
-    y = np.exp(a.data)
-    out = Tensor(y)
-
-    def bw():
-        _acc(a, out.grad * y)
-
-    _record((a,), (out,), bw)
-    return out
-
-
-def log(a) -> Tensor:
-    a = _ensure(a)
-    out = Tensor(np.log(a.data))
-
-    def bw():
-        _acc(a, out.grad / a.data)
 
     _record((a,), (out,), bw)
     return out
@@ -551,9 +499,6 @@ class ParamStore:
     def zero_grads(self) -> None:
         for p in self._params.values():
             p.grad = np.zeros_like(p.data)
-
-    def n_entries(self) -> int:
-        return sum(p.size for p in self._params.values())
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         """Overwrite parameter data in place; names and shapes must match exactly."""

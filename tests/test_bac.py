@@ -8,7 +8,7 @@ import pytest
 from decaprop.bac import BAC, FMKernel, MLPScorer, affinity, attend, make_scorer
 from decaprop.decacore import GatedAttention
 from decaprop.errors import ConfigError, ContractError
-from decaprop.numerics import Dense, ParamStore, Tensor, grad_check, sum_, transpose_last
+from decaprop.numerics import Dense, ParamStore, Tensor, add, grad_check, sum_, transpose_last
 
 
 def naive_fm(x: np.ndarray, w0: float, w: np.ndarray, v: np.ndarray) -> float:
@@ -289,6 +289,6 @@ def test_bac_gradients(rng):
 
     def forward():
         g_p, g_q = bac(p, q)
-        return sum_(g_p) + sum_(g_q)
+        return add(sum_(g_p), sum_(g_q))
 
     assert grad_check(forward, store) < 1e-4

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +186,39 @@ def test_load_squad_requires_data_field(tmp_path):
         load_squad(str(path))
     with pytest.raises(DataError, match="cannot read data file"):
         load_squad(str(tmp_path / "missing.json"))
+
+
+QA = ("data", 0, "paragraphs", 0, "qas", 0)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("data",), {"title": "t"}, "s.json: data must be a list, got dict"),
+    (("data", 0), "article", r"s.json: data\[0\]: article must be an object, got str"),
+    (("data", 0, "paragraphs"), None, r"data\[0\]: paragraphs must be a list, got NoneType"),
+    (("data", 0, "paragraphs", 0), [], r"paragraphs\[0\]: paragraph must be an object"),
+    (("data", 0, "paragraphs", 0, "context"), 5, r"paragraphs\[0\]: context must be a string"),
+    (("data", 0, "paragraphs", 0, "qas"), {}, r"paragraphs\[0\]: qas must be a list"),
+    (QA, "q1", r"paragraphs\[0\]: qa must be an object, got str"),
+    (QA + ("question",), ["which"], "qa q1: question must be a string, got list"),
+    (QA + ("answers",), "four five", "qa q1: answers must be a list, got str"),
+    (QA + ("answers", 0), 14, "qa q1: answer must be an object, got int"),
+    (QA + ("answers", 0, "text"), 4.5, "qa q1: answer text must be a string, got float"),
+    (QA + ("answers", 0, "answer_start"), "14", "qa q1: answer_start must be an integer, got str"),
+    (QA + ("answers", 0, "answer_start"), True, "qa q1: answer_start must be an integer, got bool"),
+    (QA + ("answers", 0, "answer_start"), 14.0, "qa q1: answer_start must be an integer, got float"),
+], ids=["data", "article", "paragraphs", "paragraph", "context", "qas", "qa", "question",
+        "answers", "answer", "text", "answer_start-str", "answer_start-bool",
+        "answer_start-float"])
+def test_load_squad_field_types(tmp_path, path, value, message):
+    payload = squad_payload()
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    target = tmp_path / "s.json"
+    target.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        load_squad(str(target))
 
 
 def test_example_validate():
@@ -432,6 +469,44 @@ def test_cli_predict_unlabeled_data(tmp_path, tiny_config, capsys):
         assert cli.main(argv + ["--config", tiny_config, "--data", str(data)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:data: example dev-0: no answer_start/answer_end")
+
+
+def test_cli_predict_squad_with_bad_field_type(tmp_path, tiny_config, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--config", tiny_config, "--checkpoint", str(ckpt)]) == 0
+    payload = squad_payload()
+    payload["data"][0]["paragraphs"][0]["qas"][0]["answers"][0]["answer_start"] = "14"
+    data = tmp_path / "s.json"
+    data.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["predict", "--config", tiny_config, "--checkpoint", str(ckpt),
+                     "--data", str(data), "--format", "squad"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error:data: {data}: qa q1: answer_start must be an integer, got str")
+
+
+def test_cli_predict_into_a_closed_pipe(tmp_path, tiny_config):
+    """A reader that stops early, as in ``decaprop predict ... | head -1``,
+    ends the run with status 1 and nothing on stderr.  The output is far
+    larger than a pipe buffer, so the closed pipe is hit on every run."""
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--config", tiny_config, "--checkpoint", str(ckpt)]) == 0
+    rows = [{"id": f"{i}-" + "x" * 20000, "passage": "one two three four",
+             "question": "two"} for i in range(64)]
+    data = tmp_path / "many.jsonl"
+    write_lines(data, [json.dumps(r) for r in rows])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "decaprop.cli", "predict", "--config", tiny_config,
+         "--checkpoint", str(ckpt), "--data", str(data)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert json.loads(proc.stdout.readline())["id"] == rows[0]["id"]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,7 @@ equivariance, connector bank accounting, and fused output widths."""
 import numpy as np
 import pytest
 
-from decaprop.bac import affinity, attend
+from decaprop.bac import BAC, affinity, attend
 from decaprop.decacore import DecaCore, GatedAttention
 from decaprop.errors import ContractError
 from decaprop.numerics import ParamStore, Tensor, grad_check, sum_
@@ -119,9 +119,9 @@ def test_core_output_width_and_counts(rng):
     p = Tensor(rng.normal(size=(2, 5, 10)))
     q = Tensor(rng.normal(size=(2, 3, 10)))
     states = [Tensor(rng.normal(size=(2, 3, 6))) for _ in range(2)]
-    counter = [0]
-    m, u1, u2 = core(p, q, states, counter=counter)
-    assert counter[0] == 4  # 2n one-sided connectors
+    calls = BAC.calls
+    m, u1, u2 = core(p, q, states)
+    assert BAC.calls - calls == 4  # 2n one-sided connectors
     assert m.shape == (2, 5, 18)
     assert u1.shape == (2, 5, 6)
     assert u2.shape == (2, 5, 6)
@@ -142,7 +142,7 @@ def test_core_without_bank_returns_u2(rng):
     assert core.output_dim == 6
     p = Tensor(rng.normal(size=(1, 4, 10)))
     q = Tensor(rng.normal(size=(1, 3, 10)))
-    m, _, u2 = core(p, q, [], counter=[0])
+    m, _, u2 = core(p, q, [])
     np.testing.assert_allclose(m.data, u2.data, atol=1e-15)
 
 

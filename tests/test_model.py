@@ -4,6 +4,7 @@ contract, and the connector-call ledger."""
 import numpy as np
 import pytest
 
+from decaprop.bac import BAC
 from decaprop.encoder import Featurizer
 from decaprop.errors import ConfigError
 from decaprop.model import (VARIANTS, ModelConfig, apply_variant, build_model)
@@ -89,18 +90,42 @@ def test_forward_without_labels_has_no_loss(tiny_batch):
     assert model.decode(unlabeled, batch["p_len"]) == model.predict(batch)
 
 
-def test_connector_call_ledger(tiny_batch):
+def test_connector_call_ledger(tiny_batch, monkeypatch):
     featurizer, batch = tiny_batch
+    applied = [0]
+
+    def counted(method):
+        def wrapper(*args, **kwargs):
+            applied[0] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(BAC, "__call__", counted(BAC.__call__))
+    monkeypatch.setattr(BAC, "one_sided", counted(BAC.one_sided))
+
+    def ledger(model):
+        """connector_calls of two forwards in a row, each checked against the
+        connector applications that forward made."""
+        reported = []
+        for _ in range(2):
+            applied[0] = 0
+            reported.append(model.forward(batch).connector_calls)
+            assert reported[-1] == applied[0]
+        assert reported[0] == reported[1]
+        return reported[0]
+
     # full model: n^2 encoder connectors plus 2n one-sided core connectors
     for n in (2, 3):
         model = build_model(tiny_cfg(layers=n), featurizer, seed=0)
-        assert model.forward(batch).connector_calls == n * n + 2 * n
+        assert ledger(model) == n * n + 2 * n
     ra = build_model(apply_variant(tiny_cfg(), "remove_all"), featurizer, seed=0)
-    assert ra.forward(batch).connector_calls == 0
+    assert ledger(ra) == 0
     nc = build_model(apply_variant(tiny_cfg(), "no_core"), featurizer, seed=0)
-    assert nc.forward(batch).connector_calls == 9
+    assert ledger(nc) == 9
     ne = build_model(apply_variant(tiny_cfg(), "no_enc"), featurizer, seed=0)
-    assert ne.forward(batch).connector_calls == 6
+    assert ledger(ne) == 6
+    ncross = build_model(apply_variant(tiny_cfg(), "no_cross"), featurizer, seed=0)
+    assert ledger(ncross) == 3 + 6
 
 
 def test_every_variant_constructs_and_backprops(tiny_batch):

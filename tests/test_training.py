@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from decaprop import model as model_module
 from decaprop.errors import ConfigError, ContractError, DataError
 from decaprop.model import DecaProp, ModelConfig, build_model
 from decaprop.numerics import ParamStore
@@ -346,6 +347,25 @@ def test_evaluate_forwards_once_per_batch(monkeypatch):
     calls = count_forwards(monkeypatch)
     evaluate(model, fz, dev, batch_size=4)
     assert calls == [4, 2]
+
+
+def test_predict_computes_no_loss(monkeypatch):
+    model, fz, _, dev = tiny_setup()
+    batch = collate([fz.example(ex) for ex in dev[:4]])
+    spans = model.decode(model.forward(batch), batch["p_len"])
+    losses = []
+    original = model_module.span_loss
+
+    def counted(*args, **kwargs):
+        losses.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "span_loss", counted)
+    assert "y1" in batch and model.predict(batch) == spans
+    assert losses == []
+    forwards = count_forwards(monkeypatch)
+    evaluate(model, fz, dev, batch_size=4)
+    assert len(losses) == len(forwards) == 2
 
 
 def test_evaluate_matches_forward_and_predict():
