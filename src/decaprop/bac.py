@@ -85,47 +85,33 @@ def attend(e: Tensor, values: Tensor, mask: np.ndarray | None = None) -> Tensor:
 class BAC:
     """One bidirectional attention connector instance.
 
-    Both sequences must share a width; the projection is shared between them
-    unless ``shared_projection`` is off.  The same three scorers compress
-    both directions.  ``BAC.calls`` counts connector applications across all
-    instances; a caller reads the difference over the work it wants counted.
+    Both sequences must share a width and one ReLU projection.  The same
+    three scorers compress both directions.  ``BAC.calls`` counts connector
+    applications across all instances; a caller reads the difference over
+    the work it wants counted.
     """
 
     calls = 0
 
     def __init__(self, store: ParamStore, name: str, dim: int, factors: int,
-                 rng: np.random.Generator, scorer: str = "fm", shared_projection: bool = True,
-                 double: bool = False):
-        self.double = double
-        self.proj_p = Dense(store, f"{name}.proj", dim, dim, "relu", rng)
-        self.proj_q = self.proj_p if shared_projection else Dense(store, f"{name}.proj_q", dim, dim, "relu", rng)
+                 rng: np.random.Generator, scorer: str = "fm"):
+        self.proj = Dense(store, f"{name}.proj", dim, dim, "relu", rng)
         self.g_cat = make_scorer(store, f"{name}.g_cat", 2 * dim, scorer, factors, rng)
         self.g_sub = make_scorer(store, f"{name}.g_sub", dim, scorer, factors, rng)
         self.g_mul = make_scorer(store, f"{name}.g_mul", dim, scorer, factors, rng)
-        if double:
-            self.g_cat2 = make_scorer(store, f"{name}.g_cat2", 2 * dim, scorer, factors, rng)
-            self.g_sub2 = make_scorer(store, f"{name}.g_sub2", dim, scorer, factors, rng)
-            self.g_mul2 = make_scorer(store, f"{name}.g_mul2", dim, scorer, factors, rng)
-
-    @property
-    def output_dim(self) -> int:
-        return 6 if self.double else 3
 
     def _compress(self, aligned: Tensor, original: Tensor) -> Tensor:
         both = concat([aligned, original], -1)
         diff = sub(aligned, original)
         prod = mul(aligned, original)
-        cols = [self.g_cat(both), self.g_sub(diff), self.g_mul(prod)]
-        if self.double:
-            cols += [self.g_cat2(both), self.g_sub2(diff), self.g_mul2(prod)]
-        return concat(cols, -1)
+        return concat([self.g_cat(both), self.g_sub(diff), self.g_mul(prod)], -1)
 
     def __call__(self, p: Tensor, q: Tensor,
                  p_mask: np.ndarray | None = None,
                  q_mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
         """Compress both directions: returns (g_p, g_q), 3 scalars per position."""
         BAC.calls += 1
-        e = affinity(self.proj_p(p), self.proj_q(q))
+        e = affinity(self.proj(p), self.proj(q))
         a = attend(transpose_last(e), p, p_mask)
         b = attend(e, q, q_mask)
         return self._compress(b, p), self._compress(a, q)
@@ -135,5 +121,5 @@ class BAC:
                   q_mask: np.ndarray | None = None) -> Tensor:
         """Left-side compression only; skips the question-side alignment work."""
         BAC.calls += 1
-        b = attend(affinity(self.proj_p(p), self.proj_q(q)), q, q_mask)
+        b = attend(affinity(self.proj(p), self.proj(q)), q, q_mask)
         return self._compress(b, p)

@@ -15,14 +15,14 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from .checkpoint import load_checkpoint
 from .data import load_jsonl, load_squad
 from .encoder import Featurizer
 from .errors import ConfigError, DecapropError
 from .gradcheck import run_gradcheck, threshold_for
-from .model import VARIANTS, DecaProp, ModelConfig, apply_variant, build_model
+from .model import RETIRED_KEYS, VARIANTS, DecaProp, ModelConfig, apply_variant, build_model
 from .training import (SyntheticTaskSpec, TrainConfig, evaluate, gen_synthetic,
                        predict_batches, run_ablation, span_text, train_model)
 
@@ -79,16 +79,12 @@ def load_configs(path: str | None) -> tuple[ModelConfig, TrainConfig, SyntheticT
         if section not in _SECTIONS or not field:
             raise ConfigError(f"unknown config key {key!r}; use section.key with "
                               f"section in {sorted(_SECTIONS)}")
+        # a retired model key is ModelConfig.from_dict's to accept or reject
         known = {f.name for f in fields(_SECTIONS[section])}
-        if field not in known:
+        if field not in known and not (section == "model" and field in RETIRED_KEYS):
             raise ConfigError(f"unknown config key {key!r}")
         per_section[section][field] = _parse_value(value)
-
-    model_cfg = ModelConfig.from_dict(per_section["model"])
-    train_cfg = TrainConfig.from_dict(per_section["train"])
-    task = SyntheticTaskSpec(**per_section["task"])
-    task.validate()
-    return model_cfg, train_cfg, task
+    return tuple(cls.from_dict(per_section[name]) for name, cls in _SECTIONS.items())
 
 
 def _load_dataset(path: str, fmt: str):
@@ -177,7 +173,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     _, train_cfg, _ = load_configs(args.config)
     model, featurizer = _restore_model(args.checkpoint)
-    examples = _load_dataset(args.data, args.format)
+    # label-free copies, so no batch carries targets and no loss is computed
+    examples = [replace(ex, answer_start=None, answer_end=None)
+                for ex in _load_dataset(args.data, args.format)]
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for chunk, _, spans in predict_batches(model, featurizer, examples,

@@ -95,9 +95,8 @@ def load_jsonl(path: str) -> list[TokenizedExample]:
             raise DataError(f"{where}: missing fields {sorted(missing)}")
         p_tokens = _tokens(obj["passage"], "passage", where)
         q_tokens = _tokens(obj["question"], "question", where)
-        start, end = obj.get("answer_start"), obj.get("answer_end")
-        if any(v is not None and not isinstance(v, int) for v in (start, end)):
-            raise DataError(f"{where}: answer_start/answer_end must be ints")
+        start, end = (None if obj.get(k) is None else _typed(obj[k], int, k, where)
+                      for k in ("answer_start", "answer_end"))
         ex = TokenizedExample(
             id=str(obj.get("id", f"line-{lineno}")),
             passage_tokens=p_tokens, question_tokens=q_tokens,

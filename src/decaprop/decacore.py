@@ -24,13 +24,11 @@ class GatedAttention:
 
     def __init__(self, store: ParamStore, name: str, dim: int, hidden: int,
                  rng: np.random.Generator, *, cell: str = "gru", dropout: float = 0.0,
-                 gated: bool = True, shared_projection: bool = True):
+                 gated: bool = True):
         self.gated = gated
         self.dropout = dropout
         if gated:
-            self.proj_p = Dense(store, f"{name}.proj", dim, dim, "relu", rng)
-            self.proj_q = self.proj_p if shared_projection else Dense(
-                store, f"{name}.proj_q", dim, dim, "relu", rng)
+            self.proj = Dense(store, f"{name}.proj", dim, dim, "relu", rng)
             self.gate = Dense(store, f"{name}.gate", 2 * dim, dim, "sigmoid", rng)
         self.rnn = BiRNN(store, f"{name}.rnn", dim, hidden, cell, rng)
 
@@ -38,7 +36,7 @@ class GatedAttention:
         """The q rows each p position attends to: (..., lp, width)."""
         if not self.gated:
             raise ContractError("alignment is undefined for an ungated block")
-        return attend(affinity(self.proj_p(p), self.proj_q(q)), q, q_mask)
+        return attend(affinity(self.proj(p), self.proj(q)), q, q_mask)
 
     def __call__(self, p: Tensor, q: Tensor,
                  p_mask: np.ndarray | None = None, q_mask: np.ndarray | None = None,
@@ -57,33 +55,28 @@ class DecaCore:
     def __init__(self, store: ParamStore, name: str, input_dim: int, hidden: int,
                  layers: int, factors: int, rng: np.random.Generator, *,
                  cell: str = "gru", dropout: float = 0.0, gated: bool = True,
-                 dense_core: bool = True, scorer: str = "fm",
-                 shared_projection: bool = True, double_one_sided: bool = False):
+                 dense_core: bool = True, scorer: str = "fm"):
         if dense_core and layers < 1:
             raise ConfigError("dense core needs at least one encoder hierarchy")
         self.hidden = hidden
         self.layers = layers
         self.dense_core = dense_core
         self.bi_attn = GatedAttention(store, f"{name}.bi", input_dim, hidden, rng,
-                                      cell=cell, dropout=dropout, gated=gated,
-                                      shared_projection=shared_projection)
+                                      cell=cell, dropout=dropout, gated=gated)
         self.self_attn = GatedAttention(store, f"{name}.self", hidden, hidden, rng,
-                                        cell=cell, dropout=dropout, gated=gated,
-                                        shared_projection=shared_projection)
+                                        cell=cell, dropout=dropout, gated=gated)
         self.bank: dict[tuple[int, int], BAC] = {}
         if dense_core:
             for k in range(layers):
                 for j in (0, 1):
                     self.bank[(k, j)] = BAC(store, f"{name}.bank{k}u{j + 1}", hidden, factors,
-                                            rng, scorer=scorer, shared_projection=shared_projection,
-                                            double=double_one_sided)
+                                            rng, scorer=scorer)
 
     @property
     def output_dim(self) -> int:
         if not self.dense_core:
             return self.hidden
-        per = next(iter(self.bank.values())).output_dim
-        return self.hidden + per * 2 * self.layers
+        return self.hidden + 3 * 2 * self.layers
 
     def __call__(self, p_enc: Tensor, q_enc: Tensor, question_states: list[Tensor],
                  p_mask: np.ndarray | None = None, q_mask: np.ndarray | None = None,

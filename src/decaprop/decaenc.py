@@ -28,10 +28,10 @@ class DecaEncOutput:
 
 
 def encoder_output_width(layers: int, hidden: int, connectors: bool, cross: bool,
-                         concat_layers: bool, connector_width: int = 3) -> int:
+                         concat_layers: bool) -> int:
     if connectors:
         pairs = layers * layers if cross else layers
-        return layers * hidden + connector_width * pairs
+        return layers * hidden + 3 * pairs
     return layers * hidden if concat_layers else hidden
 
 
@@ -42,7 +42,7 @@ class DecaEnc:
                  layers: int, factors: int, rng: np.random.Generator, *,
                  cell: str = "gru", dropout: float = 0.0, connectors: bool = True,
                  cross_hierarchy: bool = True, concat_layers: bool = True,
-                 scorer: str = "fm", shared_projection: bool = True):
+                 scorer: str = "fm"):
         if layers < 1:
             raise ConfigError(f"encoder needs >= 1 layer, got {layers}")
         self.hidden = hidden
@@ -63,14 +63,14 @@ class DecaEnc:
         if connectors:
             for i in range(layers):
                 self.chain.append(BAC(store, f"{name}.bac{i}{i}", hidden, factors, rng,
-                                      scorer=scorer, shared_projection=shared_projection))
+                                      scorer=scorer))
             # off-diagonal connectors are registered even when cross-hierarchy
             # is disabled, so the H chain draws the same init stream either way
             for i in range(layers):
                 for j in range(layers):
                     if i != j:
                         self.cross[(i, j)] = BAC(store, f"{name}.bac{i}{j}", hidden, factors, rng,
-                                                 scorer=scorer, shared_projection=shared_projection)
+                                                 scorer=scorer)
 
     @property
     def output_dim(self) -> int:

@@ -170,12 +170,9 @@ class InputEncoder:
 
     def __init__(self, store: ParamStore, name: str, word_matrix: np.ndarray,
                  char_vocab_size: int, char_dim: int, char_hidden: int,
-                 cell: str, rng: np.random.Generator, char_pool: str = "final"):
-        if char_pool not in ("final", "max"):
-            raise ConfigError(f"char_pool must be 'final' or 'max', got {char_pool!r}")
+                 cell: str, rng: np.random.Generator):
         self.word_dim = word_matrix.shape[1]
         self.char_hidden = char_hidden
-        self.char_pool = char_pool
         self.word_emb = store.register(f"{name}.word_emb", word_matrix, trainable=False)
         char_matrix = embedding_init(rng, char_vocab_size, char_dim)
         char_matrix[0] = 0.0
@@ -185,16 +182,6 @@ class InputEncoder:
     @property
     def output_dim(self) -> int:
         return self.word_dim + self.char_hidden + 2
-
-    def _encode_char_block(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
-        """(rows, max_word_len) char ids -> (rows, char_hidden) states."""
-        emb = gather_rows(self.char_emb, ids)
-        if self.char_pool == "max":
-            pooled = self.char_rnn.pooled_states(emb, mask)
-            # squash rows with no characters at all (pad tokens) back to zero
-            alive = (mask.sum(axis=-1, keepdims=True) > 0).astype(np.float64)
-            return mul(pooled, Tensor(alive))
-        return self.char_rnn.final_states(emb, mask)
 
     def __call__(self, batch: dict) -> tuple[Tensor, Tensor]:
         """Embed both sides of a collated batch -> (passage, question) tensors."""
@@ -207,7 +194,7 @@ class InputEncoder:
             [batch["p_chars"].reshape(-1, wl), batch["q_chars"].reshape(-1, wl)])
         all_mask = np.concatenate(
             [batch["p_char_mask"].reshape(-1, wl), batch["q_char_mask"].reshape(-1, wl)])
-        ch = self._encode_char_block(all_ids, all_mask)
+        ch = self.char_rnn.final_states(gather_rows(self.char_emb, all_ids), all_mask)
         ch_p = reshape(narrow(ch, 0, 0, bsz * lp), (bsz, lp, self.char_hidden))
         ch_q = reshape(narrow(ch, 0, bsz * lp, bsz * lq), (bsz, lq, self.char_hidden))
 

@@ -194,6 +194,8 @@ def run_gradcheck(names: list[str] | None = None, seed: int = 0,
                   eps: float = 1e-5,
                   log: Callable[[str], None] | None = None) -> dict[str, float]:
     """Run the named scenarios (all by default); returns name -> max rel err."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     picked = names or list(SCENARIOS)
     results: dict[str, float] = {}
     for name in picked:

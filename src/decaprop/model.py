@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -17,6 +17,36 @@ from .numerics import ParamStore, Tensor, softmax
 
 VARIANTS = ("full", "remove_all", "no_core", "no_enc", "no_cross", "no_gated",
             "n2", "n4", "g_linear", "g_nonlinear")
+
+# Model knobs since retired, each with the one value the code now hard-wires.
+# Config files and checkpoint headers written before still carry them.
+RETIRED_KEYS = {"double_one_sided": False, "shared_projection": True, "char_pool": "final"}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a parsed config value has the declared field type: a bool is
+    no int, an int serves as a float, and ``Optional`` admits None."""
+    if get_origin(hint) is Union:
+        return any(_fits(value, h) for h in get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def config_from_dict(cls, values: dict, section: str):
+    """Build and validate the config dataclass ``cls`` from ``values``, whose
+    keys must be its fields and whose values must have the fields' types."""
+    declared = {f.name: f.type for f in fields(cls)}
+    unknown = set(values) - set(declared)
+    if unknown:
+        raise ConfigError(f"unknown {section} config keys: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    for key, value in values.items():
+        if not _fits(value, hints[key]):
+            raise ConfigError(f"{section}.{key} must be {declared[key]}, got {value!r}")
+    cfg = cls(**values)
+    cfg.validate()
+    return cfg
 
 
 @dataclass
@@ -36,9 +66,6 @@ class ModelConfig:
     encoder_concat_layers: bool = True # with connectors off: concat all layers vs last only
     gated_attention: bool = True
     dense_core: bool = True
-    double_one_sided: bool = False
-    shared_projection: bool = True
-    char_pool: str = "final"           # final | max
     max_span_len: Optional[int] = None
 
     def validate(self) -> None:
@@ -55,8 +82,6 @@ class ModelConfig:
             raise ConfigError(f"cell must be 'gru' or 'lstm', got {self.cell!r}")
         if self.connector not in ("fm", "linear", "nonlinear"):
             raise ConfigError(f"unknown connector {self.connector!r}")
-        if self.char_pool not in ("final", "max"):
-            raise ConfigError(f"char_pool must be 'final' or 'max', got {self.char_pool!r}")
         if self.max_span_len is not None and self.max_span_len < 1:
             raise ConfigError(f"max_span_len must be >= 1, got {self.max_span_len}")
 
@@ -65,13 +90,14 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(values) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        cfg = cls(**values)
-        cfg.validate()
-        return cfg
+        """Checked config; a retired key loads only at its hard-wired value."""
+        values = dict(values)
+        for key, kept in RETIRED_KEYS.items():
+            value = values.pop(key, kept)
+            if type(value) is not type(kept) or value != kept:
+                raise ConfigError(f"model.{key} was retired; only {kept!r} still loads, "
+                                  f"got {value!r}")
+        return config_from_dict(cls, values, "model")
 
 
 def apply_variant(config: ModelConfig, variant: str) -> ModelConfig:
@@ -123,23 +149,19 @@ class DecaProp:
         rng = np.random.default_rng(seed)
 
         self.input = InputEncoder(self.store, "input", word_matrix, char_vocab_size,
-                                  config.char_dim, config.char_hidden, config.cell, rng,
-                                  char_pool=config.char_pool)
+                                  config.char_dim, config.char_hidden, config.cell, rng)
         self.encoder = DecaEnc(self.store, "enc", self.input.output_dim, config.hidden,
                                config.layers, config.fm_factors, rng,
                                cell=config.cell, dropout=config.dropout,
                                connectors=config.encoder_connectors,
                                cross_hierarchy=config.cross_hierarchy,
                                concat_layers=config.encoder_concat_layers,
-                               scorer=config.connector,
-                               shared_projection=config.shared_projection)
+                               scorer=config.connector)
         self.core = DecaCore(self.store, "core", self.encoder.output_dim, config.hidden,
                              config.layers, config.fm_factors, rng,
                              cell=config.cell, dropout=config.dropout,
                              gated=config.gated_attention, dense_core=config.dense_core,
-                             scorer=config.connector,
-                             shared_projection=config.shared_projection,
-                             double_one_sided=config.double_one_sided)
+                             scorer=config.connector)
         self.pointer = PointerLayer(self.store, "pointer", self.core.output_dim,
                                     config.hidden, rng, cell=config.cell,
                                     dropout=config.dropout)

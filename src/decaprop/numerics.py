@@ -389,22 +389,6 @@ def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-def amax(a, axis: int) -> Tensor:
-    """Max along ``axis``; the gradient flows to the first argmax."""
-    a = _ensure(a)
-    ax = _check_axis(a, axis)
-    idx = a.data.argmax(axis=ax)
-    out = Tensor(a.data.max(axis=ax))
-
-    def bw():
-        buf = np.zeros_like(a.data)
-        np.put_along_axis(buf, np.expand_dims(idx, ax), np.expand_dims(out.grad, ax), ax)
-        _acc(a, buf)
-
-    _record((a,), (out,), bw)
-    return out
-
-
 def gather_rows(a, indices) -> Tensor:
     """Index axis 0 with an integer array; backward scatter-adds into the source."""
     a = _ensure(a)

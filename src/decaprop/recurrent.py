@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .numerics import (
-    ParamStore, Tensor, add, amax, concat, glorot, matmul, mul,
+    ParamStore, Tensor, add, concat, glorot, matmul, mul,
     sigmoid, stack, sub, tanh, unstack,
 )
 
@@ -147,14 +147,6 @@ class BiRNN:
         h_fwd = self._sweep(self.fwd, xs, mask, range(length))[length - 1]
         h_bwd = self._sweep(self.bwd, xs, mask, range(length - 1, -1, -1))[0]
         return concat([h_fwd, h_bwd], -1)
-
-    def pooled_states(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        """Max over time of the per-position states (alternative pooling)."""
-        seq = self(x, mask)
-        if mask is not None:
-            gate = (np.asarray(mask, dtype=np.float64)[..., None] - 1.0) * 1e30
-            seq = add(seq, Tensor(gate))
-        return amax(seq, axis=-2)
 
 
 def variational_dropout(seq: Tensor, rate: float, rng: np.random.Generator | None = None,

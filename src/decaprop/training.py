@@ -17,9 +17,10 @@ import numpy as np
 
 from .data import TokenizedExample
 from .errors import ConfigError, ContractError, DataError
-from .model import VARIANTS, DecaProp, ForwardResult, ModelConfig, apply_variant, build_model
+from .model import (VARIANTS, DecaProp, ForwardResult, ModelConfig, apply_variant, build_model,
+                    config_from_dict)
 from .numerics import ParamStore, Tape, backward
-from .encoder import Featurizer, Vocab
+from .encoder import Featurizer
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +173,13 @@ class SyntheticTaskSpec:
             raise ConfigError(f"bad span range [{self.span_min}, {self.span_max}]")
         if self.passage_len < self.query_len + self.span_max + 1:
             raise ConfigError("passage too short to hold key + answer")
+        for name in ("distractors", "n_train", "n_dev", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
-
-def synthetic_vocab(spec: SyntheticTaskSpec) -> Vocab:
-    return Vocab([f"t{i:03d}" for i in range(spec.vocab_size)])
+    @classmethod
+    def from_dict(cls, values: dict) -> "SyntheticTaskSpec":
+        return config_from_dict(cls, values, "task")
 
 
 def _find_key(passage: list[str], key: list[str]) -> list[int]:
@@ -306,6 +310,14 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.patience < 1:
+            raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if self.decay_factor <= 0:
+            raise ConfigError(f"decay_factor must be positive, got {self.decay_factor}")
         if self.ablation not in VARIANTS:
             raise ConfigError(f"unknown ablation {self.ablation!r}; pick one of {VARIANTS}")
 
@@ -314,13 +326,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(values) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        cfg = cls(**values)
-        cfg.validate()
-        return cfg
+        return config_from_dict(cls, values, "train")
 
 
 CSV_COLUMNS = ("epoch", "split", "loss", "em", "f1", "lr", "wall_seconds")

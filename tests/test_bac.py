@@ -131,12 +131,11 @@ P_MASK = np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=np.float64)
 Q_MASK = np.array([[1, 1, 1], [1, 0, 0]], dtype=np.float64)
 
 
-@pytest.mark.parametrize("shared", [True, False])
-def test_attention_matches_numpy_oracle(rng, shared):
-    bac = BAC(ParamStore(), "c", 5, 2, rng, shared_projection=shared)
+def test_attention_matches_numpy_oracle(rng):
+    bac = BAC(ParamStore(), "c", 5, 2, rng)
     p = rng.normal(size=(2, 4, 5))
     q = rng.normal(size=(2, 3, 5))
-    fp, fq = relu_proj(bac.proj_p, p), relu_proj(bac.proj_q, q)
+    fp, fq = relu_proj(bac.proj, p), relu_proj(bac.proj, q)
     aligned_q = oracle_attend(fp, fq, q, Q_MASK)  # question rows per passage position
     aligned_p = oracle_attend(fq, fp, p, P_MASK)  # passage rows per question position
 
@@ -152,13 +151,12 @@ def test_attention_matches_numpy_oracle(rng, shared):
     np.testing.assert_allclose(solo.data, want_p, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("shared", [True, False])
-def test_gated_attended_values_match_numpy_oracle(rng, shared):
-    block = GatedAttention(ParamStore(), "attn", 6, 4, rng, shared_projection=shared)
+def test_gated_attended_values_match_numpy_oracle(rng):
+    block = GatedAttention(ParamStore(), "attn", 6, 4, rng)
     p = rng.normal(size=(2, 5, 6))
     q = rng.normal(size=(2, 3, 6))
     q_mask = np.array([[1, 1, 1], [1, 1, 0]], dtype=np.float64)
-    want = oracle_attend(relu_proj(block.proj_p, p), relu_proj(block.proj_q, q), q, q_mask)
+    want = oracle_attend(relu_proj(block.proj, p), relu_proj(block.proj, q), q, q_mask)
     got = block.alignment(Tensor(p), Tensor(q), q_mask)
     np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
@@ -255,24 +253,6 @@ def test_bac_one_sided_matches_left_output(rng):
     g_p, _ = bac(p, q, q_mask=q_mask)
     solo = bac.one_sided(p, q, q_mask=q_mask)
     np.testing.assert_allclose(solo.data, g_p.data, atol=1e-15)
-
-
-def test_bac_separate_projections_flag(rng):
-    shared = ParamStore()
-    BAC(shared, "c", 5, 2, rng, shared_projection=True)
-    split = ParamStore()
-    BAC(split, "c", 5, 2, np.random.default_rng(0), shared_projection=False)
-    assert any("proj_q" in n for n in split.names())
-    assert not any("proj_q" in n for n in shared.names())
-
-
-def test_bac_double_compression_width(rng):
-    store = ParamStore()
-    bac = BAC(store, "c", 5, 2, rng, double=True)
-    assert bac.output_dim == 6
-    g_p, g_q = bac(Tensor(rng.normal(size=(4, 5))), Tensor(rng.normal(size=(3, 5))))
-    assert g_p.shape == (4, 6)
-    assert g_q.shape == (3, 6)
 
 
 def test_bac_width_contract(rng):

@@ -3,23 +3,25 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from decaprop import cli
+from decaprop import cli, model as model_module
 from decaprop.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from decaprop.data import (TokenizedExample, _char_to_token_span, load_jsonl,
                            load_squad, tokenize)
 from decaprop.encoder import Featurizer
 from decaprop.errors import DataError, IntegrityError
-from decaprop.model import build_model
+from decaprop.model import ModelConfig, build_model
 from decaprop.numerics import ParamStore
-from decaprop.training import gen_synthetic, init_optimizer_state, train_model
+from decaprop.training import (SyntheticTaskSpec, TrainConfig, gen_synthetic,
+                               init_optimizer_state, train_model)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +105,17 @@ def test_load_jsonl_bad_text_type(tmp_path, field, value):
     write_lines(path, [json.dumps({"passage": "a", "question": "q"}), json.dumps(row)])
     with pytest.raises(DataError,
                        match=rf":2: {field} must be a string or a list of strings"):
+        load_jsonl(str(path))
+
+
+@pytest.mark.parametrize("field", ["answer_start", "answer_end"])
+@pytest.mark.parametrize("value", ["1", 1.0, True, False])
+def test_load_jsonl_span_end_types(tmp_path, field, value):
+    path = tmp_path / "d.jsonl"
+    row = {"passage": "a b", "question": "q", "answer_start": 1, "answer_end": 1, field: value}
+    write_lines(path, [json.dumps({"passage": "a", "question": "q"}), json.dumps(row)])
+    with pytest.raises(DataError, match=rf":2: {field} must be an integer, "
+                                        rf"got {type(value).__name__}"):
         load_jsonl(str(path))
 
 
@@ -471,6 +484,32 @@ def test_cli_predict_unlabeled_data(tmp_path, tiny_config, capsys):
         assert err.startswith("error:data: example dev-0: no answer_start/answer_end")
 
 
+def test_cli_predict_computes_no_loss(tmp_path, tiny_config, capsys, monkeypatch):
+    """predict on labeled data decodes the spans eval writes, without a loss."""
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--config", tiny_config, "--checkpoint", str(ckpt)]) == 0
+    data = tmp_path / "dev.jsonl"
+    assert cli.main(["synth", "--config", tiny_config, "--split", "dev",
+                     "--out", str(data)]) == 0
+    calls = []
+    real = model_module.span_loss
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(model_module, "span_loss", counted)
+    preds = tmp_path / "preds.jsonl"
+    assert cli.main(["eval", "--config", tiny_config, "--checkpoint", str(ckpt),
+                     "--data", str(data), "--predictions", str(preds)]) == 0
+    assert len(calls) == 2  # one per eval batch of 4 over 6 examples
+    out = tmp_path / "spans.jsonl"
+    assert cli.main(["predict", "--config", tiny_config, "--checkpoint", str(ckpt),
+                     "--data", str(data), "--out", str(out)]) == 0
+    assert len(calls) == 2
+    assert out.read_text() == preds.read_text()
+
+
 def test_cli_predict_squad_with_bad_field_type(tmp_path, tiny_config, capsys):
     ckpt = tmp_path / "model.ckpt"
     assert cli.main(["train", "--config", tiny_config, "--checkpoint", str(ckpt)]) == 0
@@ -565,6 +604,74 @@ def test_cli_unknown_config_key(tmp_path, capsys):
     assert "error:config: unknown config key 'model.bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("train.lr = abc", "train.lr must be float, got 'abc'"),
+    ("DECAPROP_TRAIN_LR=abc", "train.lr must be float, got 'abc'"),
+    ("DECAPROP_MODEL_HIDDEN=abc", "model.hidden must be int, got 'abc'"),
+    ("DECAPROP_MODEL_LAYERS=true", "model.layers must be int, got True"),
+    ("task.n_train = 2.5", "task.n_train must be int, got 2.5"),
+    ("model.max_span_len = x", "model.max_span_len must be Optional[int], got 'x'"),
+    ("model.char_pool = max", "model.char_pool was retired"),
+    ("model.shared_projection = false", "model.shared_projection was retired"),
+    ("DECAPROP_MODEL_DOUBLE_ONE_SIDED=true", "model.double_one_sided was retired"),
+    ("train.seed = -1", "seed must be >= 0"),
+    ("train.decay_factor = 0", "decay_factor must be positive"),
+    ("train.patience = 0", "patience must be >= 1"),
+    ("train.max_steps = 0", "max_steps must be >= 1"),
+    ("task.n_train = -3", "n_train must be >= 0"),
+])
+def test_cli_rejects_bad_config_value(tmp_path, monkeypatch, capsys, setting, message):
+    cfg = tmp_path / "run.cfg"
+    if setting.startswith("DECAPROP_"):
+        monkeypatch.setenv(*setting.split("=", 1))
+        cfg.write_text("", encoding="utf-8")
+    else:
+        cfg.write_text(setting + "\n", encoding="utf-8")
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error:config: {message}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out", "x.jsonl"], ["gradcheck", "--scenario", "dense_relu"], ["train"],
+], ids=["synth", "gradcheck", "train"])
+def test_cli_rejects_negative_seed(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error:config: seed must be >= 0")
+
+
+@pytest.mark.parametrize("retired, ok", [
+    ({"char_pool": "final", "shared_projection": True, "double_one_sided": False}, True),
+    ({"char_pool": "max"}, False),
+    ({"shared_projection": False}, False),
+    ({"double_one_sided": True}, False),
+], ids=["old-defaults", "char_pool", "shared_projection", "double_one_sided"])
+def test_cli_eval_checkpoint_with_retired_keys(tmp_path, tiny_config, capsys, retired, ok):
+    """Checkpoints written before the retired model knobs went still load at
+    the knobs' old defaults; any other value is a config error naming the key."""
+    model_cfg, _, task = cli.load_configs(tiny_config)
+    featurizer = Featurizer.build(gen_synthetic(task, "train"), model_cfg.max_word_len)
+    model = build_model(model_cfg, featurizer)
+    data = tmp_path / "dev.jsonl"
+    assert cli.main(["synth", "--config", tiny_config, "--out", str(data)]) == 0
+    reports = []
+    for i, header in enumerate((model_cfg.to_dict(), {**model_cfg.to_dict(), **retired})):
+        ckpt = tmp_path / f"m{i}.ckpt"
+        save_checkpoint(str(ckpt), model.store, header, init_optimizer_state("adam", model.store),
+                        np.random.default_rng(0).bit_generator.state, {},
+                        extra={"featurizer": featurizer.state(), "seed": 0})
+        capsys.readouterr()
+        rc = cli.main(["eval", "--config", tiny_config, "--checkpoint", str(ckpt),
+                       "--data", str(data)])
+        reports.append((rc, capsys.readouterr()))
+    if ok:
+        assert reports[1] == reports[0] and reports[0][0] == 0
+    else:
+        key = next(iter(retired))
+        assert reports[1][0] == 1
+        assert reports[1][1].err.startswith(f"error:config: model.{key} was retired")
+
+
 def test_cli_malformed_config_line(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("model.hidden 8\n", encoding="utf-8")
@@ -592,6 +699,21 @@ def test_cli_eval_rejects_checkpoint_without_featurizer(tmp_path, rng, capsys):
     rc = cli.main(["eval", "--checkpoint", str(path), "--data", "whatever.jsonl"])
     assert rc == 1
     assert "no featurizer state" in capsys.readouterr().err
+
+
+def test_readme_names_every_config_key():
+    """The README's Configuration section documents exactly the config fields."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Configuration", 1)[1].split("\n### ", 1)[0]
+    named = {(s, k) for s, k in re.findall(r"^(model|train|task)\.(\w+) *=", section, re.M)}
+    keys_paragraph = section[section.index("Model keys not shown above:"):].split("\n\n", 1)[0]
+    parts = re.split(r"\b(Model|Train|Task) keys[^:]*:", keys_paragraph)[1:]
+    for name, listed in zip(parts[::2], parts[1::2]):
+        named |= {(name.lower(), k) for k in re.findall(r"`(\w+)`", listed)}
+    declared = {(section_name, f.name) for section_name, cls in
+                (("model", ModelConfig), ("train", TrainConfig), ("task", SyntheticTaskSpec))
+                for f in fields(cls)}
+    assert named == declared
 
 
 def test_parse_value_types():

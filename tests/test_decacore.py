@@ -20,7 +20,7 @@ def build_block(dim=6, hidden=4, seed=0, **kwargs):
 def weights(block, p, q, q_mask=None):
     """Attention weights of the block: its attention applied to identity values."""
     eye = Tensor(np.broadcast_to(np.eye(q.shape[-2]), q.shape[:-2] + (q.shape[-2],) * 2))
-    return attend(affinity(block.proj_p(p), block.proj_q(q)), eye, q_mask)
+    return attend(affinity(block.proj(p), block.proj(q)), eye, q_mask)
 
 
 def build_core(input_dim=10, hidden=6, layers=2, seed=0, **kwargs):
@@ -130,11 +130,6 @@ def test_core_output_width_and_counts(rng):
 def test_core_width_fixed_point():
     core, _ = build_core(input_dim=20, hidden=64, layers=3)
     assert core.output_dim == 64 + 18
-
-
-def test_core_double_one_sided_width():
-    core, _ = build_core(layers=2, hidden=6, double_one_sided=True)
-    assert core.output_dim == 6 + 12 * 2
 
 
 def test_core_without_bank_returns_u2(rng):

@@ -134,15 +134,14 @@ def test_unlabeled_example_carries_no_targets():
 # input encoder
 
 
-def build_encoder(char_pool="final", seed=0):
+def build_encoder(seed=0):
     ex = example()
     fz = Featurizer.build([ex], max_word_len=4)
     rng = np.random.default_rng(seed)
     word_matrix = random_embeddings(rng, fz.vocab, 5)
     store = ParamStore()
     enc = InputEncoder(store, "input", word_matrix, len(fz.char_vocab),
-                       char_dim=3, char_hidden=4, cell="gru", rng=rng,
-                       char_pool=char_pool)
+                       char_dim=3, char_hidden=4, cell="gru", rng=rng)
     return enc, fz, store
 
 
@@ -185,32 +184,3 @@ def test_encoder_batch_matches_single():
     p_alone, q_alone = enc(alone)
     np.testing.assert_allclose(p_both.data[0], p_alone.data[0], atol=1e-12)
     np.testing.assert_allclose(q_both.data[0], q_alone.data[0], atol=1e-12)
-
-
-def test_encoder_max_pool_variant():
-    enc, fz, _ = build_encoder(char_pool="max")
-    batch = collate([fz.example(example())])
-    p, _ = enc(batch)
-    assert p.shape == (1, 6, 11)
-
-
-def test_encoder_char_pool_flag_changes_output():
-    enc_final, fz, _ = build_encoder(char_pool="final")
-    enc_max, _, _ = build_encoder(char_pool="max")
-    batch = collate([fz.example(example())])
-    p_final, _ = enc_final(batch)
-    p_max, _ = enc_max(batch)
-    # same init stream, different pooling -> same word slice, different char slice
-    np.testing.assert_allclose(p_final.data[..., :5], p_max.data[..., :5], atol=1e-15)
-    assert not np.allclose(p_final.data[..., 5:9], p_max.data[..., 5:9])
-
-
-def test_encoder_rejects_unknown_pool():
-    ex = example()
-    fz = Featurizer.build([ex], max_word_len=4)
-    rng = np.random.default_rng(0)
-    word_matrix = random_embeddings(rng, fz.vocab, 5)
-    with pytest.raises(ConfigError):
-        InputEncoder(ParamStore(), "input", word_matrix, len(fz.char_vocab),
-                     char_dim=3, char_hidden=4, cell="gru", rng=rng,
-                     char_pool="mean")

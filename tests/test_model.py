@@ -42,6 +42,15 @@ def test_config_rejects_unknown_keys_and_bad_values():
         tiny_cfg(hidden=1).validate()
     with pytest.raises(ConfigError, match="dropout"):
         tiny_cfg(dropout=1.0).validate()
+    with pytest.raises(ConfigError, match="model.layers must be int, got True"):
+        ModelConfig.from_dict({"layers": True})
+    # retired knobs load at the value the code hard-wires, and at no other
+    old = {"double_one_sided": False, "shared_projection": True, "char_pool": "final"}
+    assert ModelConfig.from_dict({**tiny_cfg().to_dict(), **old}) == tiny_cfg()
+    for key, value in (("char_pool", "max"), ("shared_projection", False),
+                       ("double_one_sided", True), ("shared_projection", 1)):
+        with pytest.raises(ConfigError, match=f"model.{key} was retired"):
+            ModelConfig.from_dict({key: value})
 
 
 def test_variant_table():

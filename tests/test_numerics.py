@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from decaprop.errors import ConfigError, ContractError
-from decaprop.numerics import (Dense, ParamStore, Tape, Tensor, add, amax, backward,
+from decaprop.numerics import (Dense, ParamStore, Tape, Tensor, add, backward,
                                concat, gather_rows, glorot, grad_check, log_softmax,
                                masked_softmax, matmul, mean_, mul, neg, narrow, pick,
                                relu, reshape, sigmoid, softmax, stack, sub, sum_, tanh,
@@ -176,18 +176,6 @@ def test_sum_mean_axis_grads():
     check_op(lambda a: sum_(mul(sum_(a, axis=1), sum_(a, axis=1))), [(3, 4)])
     check_op(lambda a: sum_(mul(mean_(a, axis=0), mean_(a, axis=0))), [(3, 4)])
     check_op(lambda a: sum_(sum_(a, axis=1, keepdims=True)), [(2, 3)])
-
-
-def test_amax_routes_to_first_argmax():
-    x = Tensor(np.array([[1.0, 3.0, 3.0]]), requires_grad=True)
-    with Tape() as tape:
-        y = sum_(amax(x, axis=-1))
-    backward(tape, y)
-    np.testing.assert_allclose(x.grad, [[0.0, 1.0, 0.0]])
-
-
-def test_amax_grad():
-    check_op(lambda a: sum_(amax(a, axis=-1)), [(4, 6)], seed=3)
 
 
 def test_gather_rows_grad():

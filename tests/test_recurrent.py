@@ -197,16 +197,6 @@ def test_birnn_final_states_all_masked_row_is_zero(rng):
     np.testing.assert_allclose(fin.data[1], np.zeros(6), atol=1e-15)
 
 
-def test_birnn_pooled_states_ignores_padding(rng):
-    store = ParamStore()
-    rnn = BiRNN(store, "r", 3, 6, "gru", rng)
-    x = rng.normal(size=(1, 4, 3))
-    mask = np.array([[1, 1, 0, 0]], dtype=np.float64)
-    pooled = rnn.pooled_states(Tensor(x), mask)
-    seq = rnn(Tensor(x), mask)
-    np.testing.assert_allclose(pooled.data, seq.data[:, :2].max(axis=1), atol=1e-12)
-
-
 def test_birnn_grad_with_mask(rng):
     store = ParamStore()
     rnn = BiRNN(store, "r", 3, 4, "gru", rng)

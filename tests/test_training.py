@@ -406,3 +406,9 @@ def test_train_config_validation():
         TrainConfig(ablation="nonsense").validate()
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"lr": 0.1, "bogus": 1})
+    for bad in (dict(seed=-1), dict(decay_factor=0.0), dict(patience=0), dict(max_steps=0)):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            TrainConfig(**bad).validate()
+    for bad in (dict(seed=-1), dict(n_train=-3), dict(n_dev=-1), dict(distractors=-1)):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            SyntheticTaskSpec(**bad).validate()
