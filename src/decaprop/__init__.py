@@ -16,7 +16,7 @@ from .decaenc import DecaEnc, DecaEncOutput, encoder_output_width
 from .encoder import (Featurizer, InputEncoder, Vocab, binary_match, load_glove,
                       norm_frequency, random_embeddings)
 from .errors import (ConfigError, ContractError, DataError, DecapropError,
-                     IntegrityError)
+                     IntegrityError, NumericError)
 from .gradcheck import SCENARIOS, run_gradcheck, threshold_for
 from .model import (VARIANTS, DecaProp, ForwardResult, ModelConfig, apply_variant,
                     build_model)
@@ -33,7 +33,8 @@ __all__ = [
     "BAC", "BiRNN", "ConfigError", "ContractError", "DataError", "DecaCore",
     "DecaEnc", "DecaEncOutput", "DecaProp", "DecapropError", "Dense", "FMKernel",
     "Featurizer", "ForwardResult", "GRUCell", "GatedAttention", "InputEncoder",
-    "IntegrityError", "LSTMCell", "ModelConfig", "ParamStore", "PointerLayer",
+    "IntegrityError", "LSTMCell", "ModelConfig", "NumericError", "ParamStore",
+    "PointerLayer",
     "SCENARIOS", "SyntheticTaskSpec", "Tape", "Tensor", "TokenizedExample",
     "TrainConfig", "TrainResult", "VARIANTS", "Vocab", "adadelta_step",
     "adam_step", "affinity", "apply_variant", "attend", "backward",

@@ -128,14 +128,14 @@ def load_checkpoint(path: str) -> dict:
         arr, offset = _take(blob, offset, meta["shape"])
         params[meta["name"]] = arr
 
+    shapes = {meta["name"]: meta["shape"] for meta in header["params"]}
     opt_meta = header["optimizer"]
     optimizer: dict = {"kind": opt_meta["kind"]}
     optimizer.update(opt_meta["scalars"])
     for slot, names in opt_meta["slots"].items():
         slot_dict = {}
         for name in names:
-            shape = next(m["shape"] for m in header["params"] if m["name"] == name)
-            arr, offset = _take(blob, offset, shape)
+            arr, offset = _take(blob, offset, shapes[name])
             slot_dict[name] = arr
         optimizer[slot] = slot_dict
     if offset != blob_len:

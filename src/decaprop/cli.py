@@ -20,7 +20,7 @@ from dataclasses import fields, replace
 from .checkpoint import load_checkpoint
 from .data import load_jsonl, load_squad
 from .encoder import Featurizer
-from .errors import ConfigError, DecapropError
+from .errors import ConfigError, DecapropError, NumericError
 from .gradcheck import run_gradcheck, threshold_for
 from .model import RETIRED_KEYS, VARIANTS, DecaProp, ModelConfig, apply_variant, build_model
 from .training import (SyntheticTaskSpec, TrainConfig, evaluate, gen_synthetic,
@@ -70,7 +70,10 @@ def _env_overrides() -> dict[str, str]:
     return values
 
 
-def load_configs(path: str | None) -> tuple[ModelConfig, TrainConfig, SyntheticTaskSpec]:
+def load_configs(path: str | None, **overrides: dict
+                 ) -> tuple[ModelConfig, TrainConfig, SyntheticTaskSpec]:
+    """The config sections from ``path`` and ``DECAPROP_*`` variables; ``overrides``
+    maps a section to field values (None: not given) that win, checked alike."""
     raw = read_config_file(path) if path else {}
     raw.update(_env_overrides())
     per_section: dict[str, dict] = {name: {} for name in _SECTIONS}
@@ -84,7 +87,9 @@ def load_configs(path: str | None) -> tuple[ModelConfig, TrainConfig, SyntheticT
         if field not in known and not (section == "model" and field in RETIRED_KEYS):
             raise ConfigError(f"unknown config key {key!r}")
         per_section[section][field] = _parse_value(value)
-    return tuple(cls.from_dict(per_section[name]) for name, cls in _SECTIONS.items())
+    return tuple(replace(cls.from_dict(per_section[name]),
+                         **{k: v for k, v in overrides.get(name, {}).items() if v is not None})
+                 for name, cls in _SECTIONS.items())
 
 
 def _load_dataset(path: str, fmt: str):
@@ -115,13 +120,9 @@ def _restore_model(checkpoint_path: str) -> tuple[DecaProp, Featurizer]:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    model_cfg, train_cfg, task = load_configs(args.config)
-    if args.seed is not None:
-        train_cfg.seed = args.seed
-        task.seed = args.seed
-    if args.variant is not None:
-        train_cfg.ablation = args.variant
-    train_cfg.validate()
+    model_cfg, train_cfg, task = load_configs(
+        args.config, train={"seed": args.seed, "ablation": args.variant},
+        task={"seed": args.seed})
     model_cfg = apply_variant(model_cfg, train_cfg.ablation)
 
     if args.data:
@@ -199,21 +200,14 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
             failed.append((name, err, limit))
     if failed:
         name, err, limit = failed[0]
-        print(f"error:numeric: gradient check failed ({name}: {err:.3e} >= {limit})",
-              file=sys.stderr)
-        return 1
+        raise NumericError(f"gradient check failed ({name}: {err:.3e} >= {limit})")
     return 0
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    model_cfg, train_cfg, task = load_configs(args.config)
-    if args.seed is not None:
-        train_cfg.seed = args.seed
-        task.seed = args.seed
+    model_cfg, train_cfg, task = load_configs(args.config, train={"seed": args.seed},
+                                              task={"seed": args.seed})
     variants = tuple(args.variant) if args.variant else VARIANTS
-    for v in variants:
-        if v not in VARIANTS:
-            raise ConfigError(f"unknown ablation {v!r}; pick from {VARIANTS}")
     rows = run_ablation(model_cfg, train_cfg, task, variants, log=log.info)
     payload = json.dumps(rows, indent=2)
     if args.out:
@@ -224,9 +218,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    _, _, task = load_configs(args.config)
-    if args.seed is not None:
-        task.seed = args.seed
+    _, _, task = load_configs(args.config, task={"seed": args.seed})
     examples = gen_synthetic(task, args.split)
     with open(args.out, "w", encoding="utf-8") as fh:
         for ex in examples:
@@ -285,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="train every architecture variant")
     p.add_argument("--config", help="flat section.key=value config file")
     p.add_argument("--seed", type=int)
-    p.add_argument("--variant", action="append", help="limit to named variants")
+    p.add_argument("--variant", action="append", choices=VARIANTS,
+                   help="limit to named variants")
     p.add_argument("--out", help="write the result table (json)")
     p.set_defaults(fn=cmd_ablate)
 

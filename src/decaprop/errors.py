@@ -29,3 +29,9 @@ class IntegrityError(DecapropError):
     """A checkpoint failed validation (truncated, corrupt, wrong version)."""
 
     kind = "integrity"
+
+
+class NumericError(DecapropError):
+    """A computation went non-finite or failed a numerical check."""
+
+    kind = "numeric"

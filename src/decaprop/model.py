@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
+from functools import cache
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -33,24 +35,64 @@ def _fits(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def config_from_dict(cls, values: dict, section: str):
-    """Build and validate the config dataclass ``cls`` from ``values``, whose
-    keys must be its fields and whose values must have the fields' types."""
-    declared = {f.name: f.type for f in fields(cls)}
-    unknown = set(values) - set(declared)
-    if unknown:
-        raise ConfigError(f"unknown {section} config keys: {sorted(unknown)}")
+@cache
+def _field_types(cls) -> tuple:
+    """(name, resolved type, declared type text) per field, once per class."""
     hints = get_type_hints(cls)
-    for key, value in values.items():
-        if not _fits(value, hints[key]):
-            raise ConfigError(f"{section}.{key} must be {declared[key]}, got {value!r}")
-    cfg = cls(**values)
-    cfg.validate()
-    return cfg
+    return tuple((f.name, hints[f.name], f.type) for f in fields(cls))
 
 
-@dataclass
-class ModelConfig:
+def at_least(lo):
+    """Range rule: the value is ``lo`` or more."""
+    return (lambda v, cfg: v >= lo), f"must be >= {lo}"
+
+
+POSITIVE = (lambda v, cfg: v > 0), "must be positive"
+
+
+def one_of(choices: tuple):
+    """Choice rule: the value is one of ``choices``."""
+    return (lambda v, cfg: v in choices), f"must be one of {choices}"
+
+
+_RNN_WIDTH = (lambda v, cfg: v >= 2), "must be >= 2: rnn widths need a state per direction"
+
+
+class Config:
+    """Base of the frozen config sections.  Construction checks each field's
+    declared type, that floats are finite, then the subclass's ``rules``
+    (field -> (test(value, config), wording), skipped for None); errors
+    start with ``section.key``."""
+
+    def __post_init__(self) -> None:
+        for name, hint, declared in _field_types(type(self)):
+            value = getattr(self, name)
+            if not _fits(value, hint):
+                raise self._error(name, f"must be {declared}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise self._error(name, "must be finite")
+        for name, (test, wording) in self.rules.items():
+            value = getattr(self, name)
+            if value is not None and not test(value, self):
+                raise self._error(name, wording)
+
+    def _error(self, name: str, wording: str) -> ConfigError:
+        return ConfigError(f"{self.section}.{name} {wording}, got {getattr(self, name)!r}")
+
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, values: dict):
+        """The config from ``values``, whose keys must be its fields."""
+        unknown = set(values) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown {cls.section} config keys: {sorted(unknown)}")
+        return cls(**values)
+
+
+@dataclass(frozen=True)
+class ModelConfig(Config):
     word_dim: int = 16
     char_dim: int = 8
     char_hidden: int = 8
@@ -68,25 +110,13 @@ class ModelConfig:
     dense_core: bool = True
     max_span_len: Optional[int] = None
 
-    def validate(self) -> None:
-        positive = ("word_dim", "char_dim", "char_hidden", "max_word_len",
-                    "hidden", "layers", "fm_factors")
-        for name in positive:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.hidden < 2 or self.char_hidden < 2:
-            raise ConfigError("rnn widths must be >= 2 so both directions get a state")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.cell not in ("gru", "lstm"):
-            raise ConfigError(f"cell must be 'gru' or 'lstm', got {self.cell!r}")
-        if self.connector not in ("fm", "linear", "nonlinear"):
-            raise ConfigError(f"unknown connector {self.connector!r}")
-        if self.max_span_len is not None and self.max_span_len < 1:
-            raise ConfigError(f"max_span_len must be >= 1, got {self.max_span_len}")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    section = "model"
+    rules = {"word_dim": at_least(1), "char_dim": at_least(1), "char_hidden": _RNN_WIDTH,
+             "max_word_len": at_least(1), "hidden": _RNN_WIDTH, "layers": at_least(1),
+             "fm_factors": at_least(1), "cell": one_of(("gru", "lstm")),
+             "dropout": (lambda v, cfg: 0.0 <= v < 1.0, "must be in [0, 1)"),
+             "connector": one_of(("fm", "linear", "nonlinear")),
+             "max_span_len": at_least(1)}
 
     @classmethod
     def from_dict(cls, values: dict) -> "ModelConfig":
@@ -97,7 +127,7 @@ class ModelConfig:
             if type(value) is not type(kept) or value != kept:
                 raise ConfigError(f"model.{key} was retired; only {kept!r} still loads, "
                                   f"got {value!r}")
-        return config_from_dict(cls, values, "model")
+        return super().from_dict(values)
 
 
 def apply_variant(config: ModelConfig, variant: str) -> ModelConfig:
@@ -140,7 +170,6 @@ class DecaProp:
 
     def __init__(self, config: ModelConfig, word_matrix: np.ndarray, char_vocab_size: int,
                  seed: int = 0, store: ParamStore | None = None):
-        config.validate()
         if word_matrix.ndim != 2 or word_matrix.shape[1] != config.word_dim:
             raise ConfigError(
                 f"word matrix shape {word_matrix.shape} does not match word_dim {config.word_dim}")

@@ -10,15 +10,16 @@ import re
 import string
 import time
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from .checkpoint import save_checkpoint
 from .data import TokenizedExample
-from .errors import ConfigError, ContractError, DataError
-from .model import (VARIANTS, DecaProp, ForwardResult, ModelConfig, apply_variant, build_model,
-                    config_from_dict)
+from .errors import ConfigError, ContractError, DataError, NumericError
+from .model import (POSITIVE, VARIANTS, Config, DecaProp, ForwardResult, ModelConfig,
+                    apply_variant, at_least, build_model, one_of)
 from .numerics import ParamStore, Tape, backward
 from .encoder import Featurizer
 
@@ -154,8 +155,8 @@ def em_f1(prediction: str, golds: list[str]) -> tuple[int, float]:
 # synthetic span-recovery task
 
 
-@dataclass
-class SyntheticTaskSpec:
+@dataclass(frozen=True)
+class SyntheticTaskSpec(Config):
     vocab_size: int = 100
     passage_len: int = 40
     query_len: int = 3
@@ -166,20 +167,14 @@ class SyntheticTaskSpec:
     n_dev: int = 500
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.vocab_size < self.query_len + 1:
-            raise ConfigError("vocab too small for a distinct key sequence")
-        if not 1 <= self.span_min <= self.span_max:
-            raise ConfigError(f"bad span range [{self.span_min}, {self.span_max}]")
-        if self.passage_len < self.query_len + self.span_max + 1:
-            raise ConfigError("passage too short to hold key + answer")
-        for name in ("distractors", "n_train", "n_dev", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-
-    @classmethod
-    def from_dict(cls, values: dict) -> "SyntheticTaskSpec":
-        return config_from_dict(cls, values, "task")
+    section = "task"
+    rules = {"query_len": at_least(1), "span_min": at_least(1),
+             "span_max": (lambda v, cfg: v >= cfg.span_min, "must be >= span_min"),
+             "vocab_size": (lambda v, cfg: v > cfg.query_len, "must be > query_len"),
+             "passage_len": (lambda v, cfg: v > cfg.query_len + cfg.span_max,
+                             "must be > query_len + span_max to hold key + answer"),
+             "distractors": at_least(0), "n_train": at_least(0), "n_dev": at_least(0),
+             "seed": at_least(0)}
 
 
 def _find_key(passage: list[str], key: list[str]) -> list[int]:
@@ -195,7 +190,6 @@ def gen_synthetic(spec: SyntheticTaskSpec, split: str = "train") -> list[Tokeniz
     answer span, plus partial-key distractors.  Splits draw from disjoint
     seed-offset streams, so train and dev never share an example.
     """
-    spec.validate()
     offsets = {"train": 0, "dev": 1, "test": 2}
     if split not in offsets:
         raise ConfigError(f"unknown split {split!r}; pick one of {sorted(offsets)}")
@@ -284,8 +278,8 @@ def collate(feats: list[dict]) -> dict:
 # training loop
 
 
-@dataclass
-class TrainConfig:
+@dataclass(frozen=True)
+class TrainConfig(Config):
     optimizer: str = "adam"
     lr: float = 1e-3
     batch_size: int = 32
@@ -299,34 +293,11 @@ class TrainConfig:
     target_loss: Optional[float] = None
     ablation: str = "full"
 
-    def validate(self) -> None:
-        if self.optimizer not in ("adam", "adadelta"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.decay_factor <= 0:
-            raise ConfigError(f"decay_factor must be positive, got {self.decay_factor}")
-        if self.ablation not in VARIANTS:
-            raise ConfigError(f"unknown ablation {self.ablation!r}; pick one of {VARIANTS}")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, values: dict) -> "TrainConfig":
-        return config_from_dict(cls, values, "train")
+    section = "train"
+    rules = {"optimizer": one_of(("adam", "adadelta")), "lr": POSITIVE,
+             "batch_size": at_least(1), "max_epochs": at_least(1), "max_steps": at_least(1),
+             "seed": at_least(0), "clip_norm": POSITIVE, "patience": at_least(1),
+             "decay_factor": POSITIVE, "ablation": one_of(VARIANTS)}
 
 
 CSV_COLUMNS = ("epoch", "split", "loss", "em", "f1", "lr", "wall_seconds")
@@ -416,9 +387,6 @@ def train_model(model: DecaProp, featurizer: Featurizer,
     evaluated or resumed; ``resume`` (a loaded checkpoint dict) continues
     seamlessly.
     """
-    from .checkpoint import save_checkpoint  # cycle: checkpoint knows configs
-
-    tcfg.validate()
     if not train_examples:
         raise DataError("training on an empty dataset")
     _require_labels(train_examples + (dev_examples or []), "training")
@@ -470,16 +438,22 @@ def train_model(model: DecaProp, featurizer: Featurizer,
                 batch = collate([feats[i] for i in order[lo:lo + tcfg.batch_size]])
                 with Tape() as tape:
                     out = model.forward(batch, training=True, rng=rng)
+                loss_value = out.loss.item()
+                if not np.isfinite(loss_value):
+                    raise NumericError(f"training diverged at step {step + 1}: "
+                                       f"loss {loss_value}")
                 model.store.zero_grads()
                 backward(tape, out.loss)
                 if tcfg.clip_norm is not None:
-                    clip_gradients(model.store, tcfg.clip_norm)
+                    norm = clip_gradients(model.store, tcfg.clip_norm)
+                    if not np.isfinite(norm):
+                        raise NumericError(f"training diverged at step {step + 1}: "
+                                           f"gradient norm {norm}")
                 if tcfg.optimizer == "adam":
                     adam_step(model.store, opt_state, lr=lr)
                 else:
                     adadelta_step(model.store, opt_state, lr=lr)
                 step += 1
-                loss_value = out.loss.item()
                 epoch_losses.append(loss_value)
                 result.step_losses.append(loss_value)
                 if tcfg.target_loss is not None and loss_value < tcfg.target_loss:

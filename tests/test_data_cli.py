@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from decaprop.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from decaprop.data import (TokenizedExample, _char_to_token_span, load_jsonl,
                            load_squad, tokenize)
 from decaprop.encoder import Featurizer
-from decaprop.errors import DataError, IntegrityError
+from decaprop.errors import ConfigError, DataError, IntegrityError
 from decaprop.model import ModelConfig, build_model
 from decaprop.numerics import ParamStore
 from decaprop.training import (SyntheticTaskSpec, TrainConfig, gen_synthetic,
@@ -390,6 +390,30 @@ def test_cli_synth_writes_jsonl(tmp_path, tiny_config):
                         "answer_end", "answers"}
 
 
+def test_cli_ablate_writes_rows(tmp_path, tiny_config, capsys):
+    out = tmp_path / "ablation.json"
+    assert cli.main(["ablate", "--config", tiny_config, "--variant", "full",
+                     "--variant", "no_gated", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == out.read_text(encoding="utf-8")
+    rows = json.loads(printed)
+    assert [row["variant"] for row in rows] == ["full", "no_gated"]
+    for row in rows:
+        assert set(row) == {"variant", "em", "f1", "steps", "final_loss"}
+        assert row["steps"] == 3 and np.isfinite(row["final_loss"])
+        assert 0.0 <= row["em"] <= 100.0 and 0.0 <= row["f1"] <= 100.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the 1e300 rate overflows on purpose
+def test_cli_train_stops_when_loss_turns_non_finite(tmp_path, tiny_config, capsys):
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(Path(tiny_config).read_text() + "train.lr = 1e300\n", encoding="utf-8")
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error:numeric: training diverged at step 2: loss nan"
+    assert "Traceback" not in err
+
+
 def test_cli_train_eval_predict_resume(tmp_path, tiny_config, capsys, monkeypatch):
     csv_path = tmp_path / "metrics.csv"
     ckpt = tmp_path / "model.ckpt"
@@ -628,16 +652,80 @@ def test_cli_rejects_bad_config_value(tmp_path, monkeypatch, capsys, setting, me
     else:
         cfg.write_text(setting + "\n", encoding="utf-8")
     assert cli.main(["train", "--config", str(cfg)]) == 1
+    # every message starts with section.key; the range wordings above omit the section
+    section = re.match(r"(?:DECAPROP_)?([a-z]+)", setting, re.I).group(1).lower()
+    if not message.startswith(f"{section}."):
+        message = f"{section}.{message}"
     assert capsys.readouterr().err.startswith(f"error:config: {message}")
 
 
-@pytest.mark.parametrize("argv", [
-    ["synth", "--out", "x.jsonl"], ["gradcheck", "--scenario", "dense_relu"], ["train"],
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--out", "x.jsonl"], "task.seed must be >= 0"),
+    (["gradcheck", "--scenario", "dense_relu"], "seed must be >= 0"),
+    (["train"], "train.seed must be >= 0"),
 ], ids=["synth", "gradcheck", "train"])
-def test_cli_rejects_negative_seed(tmp_path, monkeypatch, capsys, argv):
+def test_cli_rejects_negative_seed(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv + ["--seed", "-1"]) == 1
-    assert capsys.readouterr().err.startswith("error:config: seed must be >= 0")
+    assert capsys.readouterr().err.startswith(f"error:config: {message}")
+
+
+CONFIGS = (("model", ModelConfig), ("train", TrainConfig), ("task", SyntheticTaskSpec))
+# values of the declared type's kind that every such field rejects
+BAD_BY_TYPE = {"float": ("NaN", "Infinity", "-Infinity", "abc"),
+               "int": ("true", "2.5", "abc"), "str": ("1",), "bool": ("1",)}
+# an out-of-range value per field that has a range or choice rule
+OUT_OF_RANGE = {
+    "model": {"word_dim": "0", "char_dim": "0", "char_hidden": "1", "max_word_len": "0",
+              "hidden": "1", "layers": "0", "fm_factors": "0", "cell": "rnn",
+              "dropout": "1.0", "connector": "bilinear", "max_span_len": "0"},
+    "train": {"optimizer": "sgd", "lr": "0", "batch_size": "0", "max_epochs": "0",
+              "max_steps": "0", "seed": "-1", "clip_norm": "-1.5", "patience": "0",
+              "decay_factor": "0", "ablation": "bogus"},
+    "task": {"query_len": "0", "span_min": "0", "span_max": "1", "vocab_size": "3",
+             "passage_len": "5", "distractors": "-1", "n_train": "-1", "n_dev": "-1",
+             "seed": "-1"},
+}
+BAD_SETTINGS = [
+    pytest.param(section, f.name, raw, id=f"{section}.{f.name}={raw}")
+    for section, cls in CONFIGS for f in fields(cls)
+    for raw in (BAD_BY_TYPE[f.type.removeprefix("Optional[").rstrip("]")]
+                + ((OUT_OF_RANGE[section][f.name],) if f.name in OUT_OF_RANGE[section] else ()))
+]
+
+
+def test_out_of_range_table_covers_every_rule():
+    assert {s: set(keys) for s, keys in OUT_OF_RANGE.items()} == {
+        section: set(cls.rules) for section, cls in CONFIGS}
+
+
+@pytest.mark.parametrize("section, key, raw", BAD_SETTINGS)
+def test_every_config_key_rejects_bad_values(tmp_path, monkeypatch, capsys, section, key, raw):
+    """A config file line, a DECAPROP_* variable and direct construction all
+    reject the value with an error that starts with section.key."""
+    prefix = f"{section}.{key} "
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{section}.{key} = {raw}\n", encoding="utf-8")
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    from_file = capsys.readouterr().err
+    monkeypatch.setenv(f"DECAPROP_{section}_{key}".upper(), raw)
+    assert cli.main(["train"]) == 1
+    from_env = capsys.readouterr().err
+    for err in (from_file, from_env):
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith(f"error:config: {prefix}")
+    cls = dict(CONFIGS)[section]
+    with pytest.raises(ConfigError) as exc:
+        cls(**{key: cli._parse_value(raw)})
+    assert str(exc.value).startswith(prefix)
+
+
+def test_config_fields_are_frozen():
+    for _, cls in CONFIGS:
+        cfg = cls()
+        for f in fields(cls):
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
 
 
 @pytest.mark.parametrize("retired, ok", [
@@ -689,9 +777,10 @@ def test_cli_env_override(monkeypatch):
 
 
 def test_cli_usage_error_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["train", "--variant", "bogus"])
-    assert exc.value.code == 2
+    for argv in (["train", "--variant", "bogus"], ["ablate", "--variant", "bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
 
 def test_cli_eval_rejects_checkpoint_without_featurizer(tmp_path, rng, capsys):

@@ -39,9 +39,9 @@ def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ConfigError, match="unknown model config keys"):
         ModelConfig.from_dict({"hidden": 8, "bogus": 1})
     with pytest.raises(ConfigError, match="rnn widths"):
-        tiny_cfg(hidden=1).validate()
+        tiny_cfg(hidden=1)
     with pytest.raises(ConfigError, match="dropout"):
-        tiny_cfg(dropout=1.0).validate()
+        tiny_cfg(dropout=1.0)
     with pytest.raises(ConfigError, match="model.layers must be int, got True"):
         ModelConfig.from_dict({"layers": True})
     # retired knobs load at the value the code hard-wires, and at no other

@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from decaprop import model as model_module
-from decaprop.errors import ConfigError, ContractError, DataError
+from decaprop import model as model_module, training as training_module
+from decaprop.errors import ConfigError, ContractError, DataError, NumericError
 from decaprop.model import DecaProp, ModelConfig, build_model
 from decaprop.numerics import ParamStore
 from decaprop.encoder import Featurizer
@@ -312,6 +312,15 @@ def test_train_model_max_steps_stops_early():
     assert res.steps == 2
 
 
+def test_train_model_stops_on_non_finite_gradient_norm(monkeypatch):
+    model, fz, train, dev = tiny_setup()
+    before = {name: p.data.copy() for name, p in model.store.items()}
+    monkeypatch.setattr(training_module, "clip_gradients", lambda store, max_norm: np.inf)
+    with pytest.raises(NumericError, match="diverged at step 1: gradient norm inf"):
+        train_model(model, fz, train, dev, TrainConfig(batch_size=4, max_epochs=1))
+    assert all(np.array_equal(p.data, before[name]) for name, p in model.store.items())
+
+
 def test_train_model_empty_dataset_rejected():
     model, fz, _, _ = tiny_setup()
     tcfg = TrainConfig(max_epochs=1)
@@ -399,16 +408,16 @@ def test_unlabeled_examples_rejected_before_any_forward(monkeypatch):
 
 def test_train_config_validation():
     with pytest.raises(ConfigError):
-        TrainConfig(optimizer="sgd").validate()
+        TrainConfig(optimizer="sgd")
     with pytest.raises(ConfigError):
-        TrainConfig(batch_size=0).validate()
+        TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
-        TrainConfig(ablation="nonsense").validate()
+        TrainConfig(ablation="nonsense")
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"lr": 0.1, "bogus": 1})
     for bad in (dict(seed=-1), dict(decay_factor=0.0), dict(patience=0), dict(max_steps=0)):
         with pytest.raises(ConfigError, match=next(iter(bad))):
-            TrainConfig(**bad).validate()
+            TrainConfig(**bad)
     for bad in (dict(seed=-1), dict(n_train=-3), dict(n_dev=-1), dict(distractors=-1)):
         with pytest.raises(ConfigError, match=next(iter(bad))):
-            SyntheticTaskSpec(**bad).validate()
+            SyntheticTaskSpec(**bad)
