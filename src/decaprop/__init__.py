@@ -12,7 +12,7 @@ from .bac import BAC, FMKernel, affinity, attend
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import TokenizedExample, load_jsonl, load_squad, tokenize
 from .decacore import DecaCore, GatedAttention
-from .decaenc import DecaEnc, DecaEncOutput, encoder_output_width
+from .decaenc import DecaEnc, DecaEncOutput
 from .encoder import (Featurizer, InputEncoder, Vocab, binary_match, load_glove,
                       norm_frequency, random_embeddings)
 from .errors import (ConfigError, ContractError, DataError, DecapropError,
@@ -39,7 +39,7 @@ __all__ = [
     "TrainConfig", "TrainResult", "VARIANTS", "Vocab", "adadelta_step",
     "adam_step", "affinity", "apply_variant", "attend", "backward",
     "binary_match", "build_model", "clip_gradients", "collate", "decode_span",
-    "em_f1", "encoder_output_width", "evaluate", "gen_synthetic", "grad_check",
+    "em_f1", "evaluate", "gen_synthetic", "grad_check",
     "load_checkpoint", "load_glove", "load_jsonl", "load_squad", "lr_schedule",
     "norm_frequency", "normalize_answer", "predict_batches", "random_embeddings",
     "run_ablation", "run_gradcheck", "save_checkpoint", "span_loss",

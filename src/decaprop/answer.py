@@ -27,14 +27,14 @@ class PointerLayer:
         self.w_end = store.register(f"{name}.w_end", glorot(rng, hidden, 1))
 
     def __call__(self, m: Tensor, p_mask: np.ndarray | None = None,
-                 training: bool = False, rng: np.random.Generator | None = None
-                 ) -> tuple[Tensor, Tensor]:
+                 rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
         """(batch, len, width) -> (start_logits, end_logits), each (batch, len);
-        padded positions are pushed to -inf."""
+        padded positions are pushed to -inf.  With ``rng`` the BiRNN inputs
+        get dropout."""
         if p_mask is not None and not np.all(p_mask.sum(axis=-1) > 0):
             raise ContractError("pointer layer: some row has every position masked")
-        h1 = self.rnn_start(variational_dropout(m, self.dropout, rng, training), p_mask)
-        h2 = self.rnn_end(variational_dropout(h1, self.dropout, rng, training), p_mask)
+        h1 = self.rnn_start(variational_dropout(m, self.dropout, rng), p_mask)
+        h2 = self.rnn_end(variational_dropout(h1, self.dropout, rng), p_mask)
         s1 = reshape(matmul(h1, self.w_start), h1.shape[:-1])
         s2 = reshape(matmul(h2, self.w_end), h2.shape[:-1])
         if p_mask is not None:

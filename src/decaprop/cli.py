@@ -207,7 +207,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     model_cfg, train_cfg, task = load_configs(args.config, train={"seed": args.seed},
                                               task={"seed": args.seed})
-    variants = tuple(args.variant) if args.variant else VARIANTS
+    variants = tuple(args.variant or VARIANTS)
     rows = run_ablation(model_cfg, train_cfg, task, variants, log=log.info)
     payload = json.dumps(rows, indent=2)
     if args.out:
@@ -239,13 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, *, data_required: bool = False) -> None:
         p.add_argument("--config", help="flat section.key=value config file")
-        p.add_argument("--seed", type=int, help="override the configured seed")
         p.add_argument("--data", required=data_required, help="dataset path")
         p.add_argument("--format", choices=("jsonl", "squad"), default="jsonl",
                        help="dataset layout (default jsonl)")
 
     p = sub.add_parser("train", help="fit a model")
     common(p)
+    p.add_argument("--seed", type=int, help="override the configured seed")
     p.add_argument("--dev", help="held-out dataset for per-epoch metrics")
     p.add_argument("--out", help="metrics CSV path")
     p.add_argument("--checkpoint", help="checkpoint path, written every epoch")

@@ -105,8 +105,12 @@ def load_jsonl(path: str) -> list[TokenizedExample]:
             ex.validate()
         except DataError as exc:
             raise DataError(f"{where}: {exc}") from exc
+        answers = obj.get("answers")
+        answers = [] if answers is None else _typed(answers, list, "answers", where)
+        for k, text in enumerate(answers):
+            _typed(text, str, f"answers[{k}]", where)
         default = [" ".join(p_tokens[start:end + 1])] if ex.labeled else []
-        ex.answer_texts = list(obj.get("answers") or default)
+        ex.answer_texts = answers or default
         examples.append(ex)
     if not examples:
         raise DataError(f"{path}: no examples found")

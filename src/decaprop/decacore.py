@@ -6,6 +6,7 @@ attention, sigmoid-gate the original rows, and re-encode with a BiRNN.  The
 self block is the same computation with the passage playing both roles and
 no diagonal masking.  The dense bank compresses (U^j vs question layer k)
 for j in {1,2} and every k, appending 3 scalars per connector to U^2.
+Dropout runs when the call is given an ``rng``.
 """
 
 from __future__ import annotations
@@ -40,12 +41,13 @@ class GatedAttention:
 
     def __call__(self, p: Tensor, q: Tensor,
                  p_mask: np.ndarray | None = None, q_mask: np.ndarray | None = None,
-                 training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+                 rng: np.random.Generator | None = None) -> Tensor:
+        """Gated p rows re-encoded; with ``rng`` they get dropout first."""
         if self.gated:
             attended = self.alignment(p, q, q_mask)
             gate = self.gate(concat([p, attended], -1))
             p = mul(gate, p)
-        p = variational_dropout(p, self.dropout, rng, training)
+        p = variational_dropout(p, self.dropout, rng)
         return self.rnn(p, p_mask)
 
 
@@ -80,13 +82,13 @@ class DecaCore:
 
     def __call__(self, p_enc: Tensor, q_enc: Tensor, question_states: list[Tensor],
                  p_mask: np.ndarray | None = None, q_mask: np.ndarray | None = None,
-                 training: bool = False,
-                 rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor, Tensor]:
-        """Returns (m, u1, u2); m is what the answer layer consumes."""
-        u1 = self.bi_attn(p_enc, q_enc, p_mask, q_mask, training, rng)
-        u2 = self.self_attn(u1, u1, p_mask, p_mask, training, rng)
+                 rng: np.random.Generator | None = None) -> Tensor:
+        """m, what the answer layer consumes: the self-attention output u2,
+        followed by the bank's columns when the dense core is on."""
+        u1 = self.bi_attn(p_enc, q_enc, p_mask, q_mask, rng)
+        u2 = self.self_attn(u1, u1, p_mask, p_mask, rng)
         if not self.dense_core:
-            return u2, u1, u2
+            return u2
         if len(question_states) != self.layers:
             raise ContractError(
                 f"dense core built for {self.layers} hierarchies, got {len(question_states)}")
@@ -94,4 +96,4 @@ class DecaCore:
         for k in range(self.layers):
             for j, u in enumerate((u1, u2)):
                 blocks.append(self.bank[(k, j)].one_sided(u, question_states[k], p_mask, q_mask))
-        return concat(blocks, -1), u1, u2
+        return concat(blocks, -1)

@@ -4,12 +4,14 @@ passage/question hierarchies is compared by an attention connector.
 Layer l+1 consumes [H_l; g_l] (width h+3), so lower-layer alignment signal
 propagates upward through the chain; afterwards connectors are also applied
 across all (i, j) layer pairs, giving n*h + 3*n^2 output columns per
-position.  Diagonal pairs reuse the in-chain connector outputs.
+position.  Diagonal pairs reuse the in-chain connector outputs.  Connector
+(i, j) is ``DecaEnc.bac[(i, j)]``; ``output_dim`` is the one place the width
+law is written.  Dropout runs when the call is given an ``rng``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,16 +25,7 @@ from .recurrent import BiRNN, variational_dropout
 class DecaEncOutput:
     passage: Tensor
     question: Tensor
-    passage_states: list[Tensor] = field(default_factory=list)
-    question_states: list[Tensor] = field(default_factory=list)
-
-
-def encoder_output_width(layers: int, hidden: int, connectors: bool, cross: bool,
-                         concat_layers: bool) -> int:
-    if connectors:
-        pairs = layers * layers if cross else layers
-        return layers * hidden + 3 * pairs
-    return layers * hidden if concat_layers else hidden
+    question_states: list[Tensor]   # one (batch, lq, hidden) per layer, for the core
 
 
 class DecaEnc:
@@ -58,41 +51,41 @@ class DecaEnc:
             self.rnns.append(BiRNN(store, f"{name}.rnn{i}", width, hidden, cell, rng))
             width = hidden + 3 if connectors else hidden
 
-        self.chain: list[BAC] = []
-        self.cross: dict[tuple[int, int], BAC] = {}
+        # connector (i, j) compares passage layer i with question layer j.  The
+        # diagonal ones are registered first, then the rest row by row; those
+        # are registered even when cross-hierarchy is disabled, so the H chain
+        # draws the same init stream either way
+        self.bac: dict[tuple[int, int], BAC] = {}
         if connectors:
-            for i in range(layers):
-                self.chain.append(BAC(store, f"{name}.bac{i}{i}", hidden, factors, rng,
-                                      scorer=scorer))
-            # off-diagonal connectors are registered even when cross-hierarchy
-            # is disabled, so the H chain draws the same init stream either way
-            for i in range(layers):
-                for j in range(layers):
-                    if i != j:
-                        self.cross[(i, j)] = BAC(store, f"{name}.bac{i}{j}", hidden, factors, rng,
-                                                 scorer=scorer)
+            pairs = [(i, j) for i in range(layers) for j in range(layers)]
+            for i, j in sorted(pairs, key=lambda ij: ij[0] != ij[1]):
+                self.bac[(i, j)] = BAC(store, f"{name}.bac{i}{j}", hidden, factors, rng,
+                                       scorer=scorer)
 
     @property
     def output_dim(self) -> int:
-        return encoder_output_width(self.layers, self.hidden, self.connectors,
-                                    self.cross_hierarchy, self.concat_layers)
+        if not self.connectors:
+            return self.layers * self.hidden if self.concat_layers else self.hidden
+        pairs = self.layers * self.layers if self.cross_hierarchy else self.layers
+        return self.layers * self.hidden + 3 * pairs
 
     def __call__(self, p0: Tensor, q0: Tensor,
                  p_mask: np.ndarray | None = None, q_mask: np.ndarray | None = None,
-                 training: bool = False, rng: np.random.Generator | None = None) -> DecaEncOutput:
+                 rng: np.random.Generator | None = None) -> DecaEncOutput:
+        """Encode both sides; with ``rng`` each layer's inputs get dropout."""
         p_in, q_in = p0, q0
         p_states, q_states = [], []
-        diag: list[tuple[Tensor, Tensor]] = []
+        z: dict[tuple[int, int], tuple[Tensor, Tensor]] = {}
         for i, rnn in enumerate(self.rnns):
-            p_in = variational_dropout(p_in, self.dropout, rng, training)
-            q_in = variational_dropout(q_in, self.dropout, rng, training)
+            p_in = variational_dropout(p_in, self.dropout, rng)
+            q_in = variational_dropout(q_in, self.dropout, rng)
             h_p = rnn(p_in, p_mask)
             h_q = rnn(q_in, q_mask)
             p_states.append(h_p)
             q_states.append(h_q)
             if self.connectors:
-                g_p, g_q = self.chain[i](h_p, h_q, p_mask, q_mask)
-                diag.append((g_p, g_q))
+                z[(i, i)] = self.bac[(i, i)](h_p, h_q, p_mask, q_mask)
+                g_p, g_q = z[(i, i)]
                 p_in = concat([h_p, g_p], -1)
                 q_in = concat([h_q, g_q], -1)
             else:
@@ -100,23 +93,13 @@ class DecaEnc:
 
         if not self.connectors:
             if self.concat_layers and self.layers > 1:
-                p_enc = concat(p_states, -1)
-                q_enc = concat(q_states, -1)
-            else:
-                p_enc, q_enc = p_states[-1], q_states[-1]
-            return DecaEncOutput(p_enc, q_enc, p_states, q_states)
+                return DecaEncOutput(concat(p_states, -1), concat(q_states, -1), q_states)
+            return DecaEncOutput(p_states[-1], q_states[-1], q_states)
 
-        z_p, z_q = [], []
-        for i in range(self.layers):
-            for j in range(self.layers):
-                if i == j:
-                    g_p, g_q = diag[i]
-                elif self.cross_hierarchy:
-                    g_p, g_q = self.cross[(i, j)](p_states[i], q_states[j], p_mask, q_mask)
-                else:
-                    continue
-                z_p.append(g_p)
-                z_q.append(g_q)
-        p_enc = concat(p_states + z_p, -1)
-        q_enc = concat(q_states + z_q, -1)
-        return DecaEncOutput(p_enc, q_enc, p_states, q_states)
+        n = self.layers
+        pairs = [(i, j) for i in range(n) for j in range(n) if i == j or self.cross_hierarchy]
+        for i, j in pairs:
+            if i != j:
+                z[(i, j)] = self.bac[(i, j)](p_states[i], q_states[j], p_mask, q_mask)
+        return DecaEncOutput(concat(p_states + [z[ij][0] for ij in pairs], -1),
+                             concat(q_states + [z[ij][1] for ij in pairs], -1), q_states)

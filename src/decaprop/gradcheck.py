@@ -159,7 +159,7 @@ def _scenario_micro_model(seed: int):
     batch = collate([featurizer.example(ex) for ex in examples])
 
     def forward() -> Tensor:
-        return model.forward(batch, training=False).loss
+        return model.forward(batch).loss
 
     return model.store, forward
 

@@ -14,11 +14,24 @@ from .bac import BAC
 from .decacore import DecaCore
 from .decaenc import DecaEnc
 from .encoder import Featurizer, InputEncoder, random_embeddings
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .numerics import ParamStore, Tensor, softmax
 
-VARIANTS = ("full", "remove_all", "no_core", "no_enc", "no_cross", "no_gated",
-            "n2", "n4", "g_linear", "g_nonlinear")
+# The ablation variants, each with the ModelConfig fields it overrides.
+VARIANTS = {
+    "full": {},
+    # stacked BiRNN encoder with layer-concat shortcuts, no connectors anywhere
+    "remove_all": {"encoder_connectors": False, "encoder_concat_layers": True,
+                   "dense_core": False},
+    "no_core": {"dense_core": False},
+    "no_enc": {"encoder_connectors": False, "encoder_concat_layers": False},
+    "no_cross": {"cross_hierarchy": False},
+    "no_gated": {"gated_attention": False},
+    "n2": {"layers": 2},
+    "n4": {"layers": 4},
+    "g_linear": {"connector": "linear"},
+    "g_nonlinear": {"connector": "nonlinear"},
+}
 
 # Model knobs since retired, each with the one value the code now hard-wires.
 # Config files and checkpoint headers written before still carry them.
@@ -131,30 +144,10 @@ class ModelConfig(Config):
 
 
 def apply_variant(config: ModelConfig, variant: str) -> ModelConfig:
-    """Table of ablations, each a pure transformation of the base config."""
+    """``config`` with the fields ``variant`` overrides (see ``VARIANTS``)."""
     if variant not in VARIANTS:
-        raise ConfigError(f"unknown ablation variant {variant!r}; pick one of {VARIANTS}")
-    if variant == "full":
-        return replace(config)
-    if variant == "remove_all":
-        # stacked BiRNN encoder with layer-concat shortcuts, no connectors anywhere
-        return replace(config, encoder_connectors=False, encoder_concat_layers=True,
-                       dense_core=False)
-    if variant == "no_core":
-        return replace(config, dense_core=False)
-    if variant == "no_enc":
-        return replace(config, encoder_connectors=False, encoder_concat_layers=False)
-    if variant == "no_cross":
-        return replace(config, cross_hierarchy=False)
-    if variant == "no_gated":
-        return replace(config, gated_attention=False)
-    if variant == "n2":
-        return replace(config, layers=2)
-    if variant == "n4":
-        return replace(config, layers=4)
-    if variant == "g_linear":
-        return replace(config, connector="linear")
-    return replace(config, connector="nonlinear")
+        raise ConfigError(f"unknown ablation variant {variant!r}; pick one of {tuple(VARIANTS)}")
+    return replace(config, **VARIANTS[variant])
 
 
 @dataclass
@@ -197,13 +190,16 @@ class DecaProp:
 
     def forward(self, batch: dict, training: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardResult:
+        """Dropout runs in training mode only, drawing its masks from ``rng``."""
+        if training and self.config.dropout > 0.0 and rng is None:
+            raise ContractError("training with dropout needs an rng")
+        rng = rng if training else None
         calls = BAC.calls
         p0, q0 = self.input(batch)
-        enc = self.encoder(p0, q0, batch["p_mask"], batch["q_mask"],
-                           training=training, rng=rng)
-        m, _, _ = self.core(enc.passage, enc.question, enc.question_states,
-                            batch["p_mask"], batch["q_mask"], training=training, rng=rng)
-        s1, s2 = self.pointer(m, batch["p_mask"], training=training, rng=rng)
+        enc = self.encoder(p0, q0, batch["p_mask"], batch["q_mask"], rng)
+        m = self.core(enc.passage, enc.question, enc.question_states,
+                      batch["p_mask"], batch["q_mask"], rng)
+        s1, s2 = self.pointer(m, batch["p_mask"], rng)
         loss = None
         if "y1" in batch:
             loss = span_loss(s1, s2, batch["y1"], batch["y2"], batch["p_len"])
@@ -220,7 +216,7 @@ class DecaProp:
     def predict(self, batch: dict) -> list[tuple[int, int]]:
         """One forward without the span targets, so no loss, then decode."""
         inputs = {k: v for k, v in batch.items() if k not in ("y1", "y2")}
-        return self.decode(self.forward(inputs, training=False), batch["p_len"])
+        return self.decode(self.forward(inputs), batch["p_len"])
 
 
 def build_model(config: ModelConfig, featurizer: Featurizer, seed: int = 0,

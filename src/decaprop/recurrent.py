@@ -149,19 +149,18 @@ class BiRNN:
         return concat([h_fwd, h_bwd], -1)
 
 
-def variational_dropout(seq: Tensor, rate: float, rng: np.random.Generator | None = None,
-                        training: bool = True) -> Tensor:
-    """One Bernoulli mask over the feature axis, shared across all time steps.
+def variational_dropout(seq: Tensor, rate: float,
+                        rng: np.random.Generator | None = None) -> Tensor:
+    """One Bernoulli mask over the feature axis, shared across all time steps,
+    drawn from ``rng``; without an ``rng`` (eval mode) the identity.
 
-    Scaled by 1/(1-rate) so eval mode (identity) matches in expectation.
+    Scaled by 1/(1-rate) so eval mode matches in expectation.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if seq.ndim != 3:
         raise ContractError(f"variational dropout expects a 3-d sequence, got shape {seq.shape}")
-    if rate == 0.0 or not training:
+    if rate == 0.0 or rng is None:
         return seq
-    if rng is None:
-        raise ContractError("variational dropout in training mode needs an rng")
     keep = (rng.random((seq.shape[0], 1, seq.shape[-1])) >= rate).astype(np.float64)
     return mul(seq, Tensor(keep / (1.0 - rate)))

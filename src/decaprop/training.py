@@ -10,7 +10,7 @@ import re
 import string
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -297,7 +297,7 @@ class TrainConfig(Config):
     rules = {"optimizer": one_of(("adam", "adadelta")), "lr": POSITIVE,
              "batch_size": at_least(1), "max_epochs": at_least(1), "max_steps": at_least(1),
              "seed": at_least(0), "clip_norm": POSITIVE, "patience": at_least(1),
-             "decay_factor": POSITIVE, "ablation": one_of(VARIANTS)}
+             "decay_factor": POSITIVE, "ablation": one_of(tuple(VARIANTS))}
 
 
 CSV_COLUMNS = ("epoch", "split", "loss", "em", "f1", "lr", "wall_seconds")
@@ -314,11 +314,7 @@ def _fmt(x) -> str:
 @dataclass
 class TrainResult:
     steps: int = 0
-    epochs: int = 0
-    lr: float = 0.0
-    dev_history: list[float] = None
-    step_losses: list[float] = None
-    rows: list[tuple] = None
+    step_losses: list[float] = field(default_factory=list)
     best_em: float = 0.0
     final_f1: float = 0.0
 
@@ -347,7 +343,7 @@ def predict_batches(model: DecaProp, featurizer: Featurizer,
     feats = [featurizer.example(ex) for ex in examples]
     for lo in range(0, len(examples), batch_size):
         batch = collate(feats[lo:lo + batch_size])
-        out = model.forward(batch, training=False)
+        out = model.forward(batch)
         yield examples[lo:lo + batch_size], out, model.decode(out, batch["p_len"])
 
 
@@ -408,7 +404,7 @@ def train_model(model: DecaProp, featurizer: Featurizer,
         lr = ts["lr"]
         history = list(ts["history"])
 
-    result = TrainResult(dev_history=history, step_losses=[], rows=[])
+    result = TrainResult()
     t0 = clock()
     writer = None
     csv_handle = None
@@ -419,17 +415,15 @@ def train_model(model: DecaProp, featurizer: Featurizer,
             writer.writerow(CSV_COLUMNS)
 
     def emit(epoch: int, split: str, loss: float, em, f1) -> None:
-        row = (epoch, split, _fmt(loss), _fmt(em), _fmt(f1), _fmt(lr), _fmt(clock() - t0))
-        result.rows.append(row)
         if writer is not None:
-            writer.writerow(row)
+            writer.writerow((epoch, split, _fmt(loss), _fmt(em), _fmt(f1), _fmt(lr),
+                             _fmt(clock() - t0)))
             csv_handle.flush()
         if log is not None:
             log(f"epoch {epoch} {split}: loss={loss:.4f}"
                 + (f" em={em:.2f} f1={f1:.2f}" if em != "" and em is not None else ""))
 
     stop = False
-    epoch = start_epoch
     try:
         for epoch in range(start_epoch + 1, tcfg.max_epochs + 1):
             order = rng.permutation(len(feats))
@@ -487,8 +481,6 @@ def train_model(model: DecaProp, featurizer: Featurizer,
             csv_handle.close()
 
     result.steps = step
-    result.epochs = epoch
-    result.lr = lr
     return result
 
 
@@ -497,7 +489,7 @@ def train_model(model: DecaProp, featurizer: Featurizer,
 
 
 def run_ablation(base: ModelConfig, tcfg: TrainConfig, task: SyntheticTaskSpec,
-                 variants: tuple[str, ...] = VARIANTS,
+                 variants: tuple[str, ...] = tuple(VARIANTS),
                  log: Callable[[str], None] | None = None) -> list[dict]:
     """Train every variant on one synthetic task; returns one row per variant."""
     train_ex = gen_synthetic(task, "train")
@@ -507,8 +499,7 @@ def run_ablation(base: ModelConfig, tcfg: TrainConfig, task: SyntheticTaskSpec,
     for variant in variants:
         cfg = apply_variant(base, variant)
         model = build_model(cfg, featurizer, seed=tcfg.seed)
-        run = replace(tcfg, ablation=variant)
-        res = train_model(model, featurizer, train_ex, dev_ex, run)
+        res = train_model(model, featurizer, train_ex, dev_ex, tcfg)
         row = {"variant": variant, "em": res.best_em, "f1": res.final_f1,
                "steps": res.steps, "final_loss": res.step_losses[-1] if res.step_losses else None}
         rows.append(row)

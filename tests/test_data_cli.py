@@ -119,6 +119,22 @@ def test_load_jsonl_span_end_types(tmp_path, field, value):
         load_jsonl(str(path))
 
 
+@pytest.mark.parametrize("value,message", [
+    (5, "answers must be a list, got int"),
+    ("bc", "answers must be a list, got str"),
+    ({"a": "b"}, "answers must be a list, got dict"),
+    ([1], r"answers\[0\] must be a string, got int"),
+    (["b", None], r"answers\[1\] must be a string, got NoneType"),
+], ids=["int", "str", "object", "int_item", "null_item"])
+def test_load_jsonl_answers_type(tmp_path, value, message):
+    path = tmp_path / "d.jsonl"
+    row = {"passage": "a b", "question": "q", "answer_start": 1, "answer_end": 1,
+           "answers": value}
+    write_lines(path, [json.dumps({"passage": "a", "question": "q"}), json.dumps(row)])
+    with pytest.raises(DataError, match=rf":2: {message}"):
+        load_jsonl(str(path))
+
+
 def test_load_jsonl_span_outside_passage(tmp_path):
     path = tmp_path / "d.jsonl"
     write_lines(path, [json.dumps({"passage": "a b", "question": "q",
@@ -777,7 +793,9 @@ def test_cli_env_override(monkeypatch):
 
 
 def test_cli_usage_error_exits_2():
-    for argv in (["train", "--variant", "bogus"], ["ablate", "--variant", "bogus"]):
+    for argv in (["train", "--variant", "bogus"], ["ablate", "--variant", "bogus"],
+                 # eval and predict have no seed to set
+                 ["eval", "--seed", "1"], ["predict", "--seed", "1"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

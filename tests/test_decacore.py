@@ -30,6 +30,12 @@ def build_core(input_dim=10, hidden=6, layers=2, seed=0, **kwargs):
     return core, store
 
 
+def stages(core, p, q):
+    """(u1, u2): the core's two gated blocks run on their own, without masks."""
+    u1 = core.bi_attn(p, q)
+    return u1, core.self_attn(u1, u1)
+
+
 # ---------------------------------------------------------------------------
 # gated attention
 
@@ -120,9 +126,10 @@ def test_core_output_width_and_counts(rng):
     q = Tensor(rng.normal(size=(2, 3, 10)))
     states = [Tensor(rng.normal(size=(2, 3, 6))) for _ in range(2)]
     calls = BAC.calls
-    m, u1, u2 = core(p, q, states)
+    m = core(p, q, states)
     assert BAC.calls - calls == 4  # 2n one-sided connectors
     assert m.shape == (2, 5, 18)
+    u1, u2 = stages(core, p, q)
     assert u1.shape == (2, 5, 6)
     assert u2.shape == (2, 5, 6)
 
@@ -137,8 +144,8 @@ def test_core_without_bank_returns_u2(rng):
     assert core.output_dim == 6
     p = Tensor(rng.normal(size=(1, 4, 10)))
     q = Tensor(rng.normal(size=(1, 3, 10)))
-    m, _, u2 = core(p, q, [])
-    np.testing.assert_allclose(m.data, u2.data, atol=1e-15)
+    m = core(p, q, [])
+    np.testing.assert_allclose(m.data, stages(core, p, q)[1].data, atol=1e-15)
 
 
 def test_core_zero_kernels_leave_u2_block(rng):
@@ -149,8 +156,8 @@ def test_core_zero_kernels_leave_u2_block(rng):
     p = Tensor(rng.normal(size=(1, 4, 10)))
     q = Tensor(rng.normal(size=(1, 3, 10)))
     states = [Tensor(rng.normal(size=(1, 3, 6))) for _ in range(2)]
-    m, _, u2 = core(p, q, states)
-    np.testing.assert_allclose(m.data[..., :6], u2.data, atol=1e-15)
+    m = core(p, q, states)
+    np.testing.assert_allclose(m.data[..., :6], stages(core, p, q)[1].data, atol=1e-15)
     np.testing.assert_allclose(m.data[..., 6:], np.zeros((1, 4, 12)), atol=1e-15)
 
 
@@ -159,7 +166,7 @@ def test_core_ungated_keeps_widths(rng):
     p = Tensor(rng.normal(size=(1, 4, 10)))
     q = Tensor(rng.normal(size=(1, 3, 10)))
     states = [Tensor(rng.normal(size=(1, 3, 6))) for _ in range(2)]
-    m, _, _ = core(p, q, states)
+    m = core(p, q, states)
     assert m.shape == (1, 4, 18)
 
 
@@ -179,7 +186,6 @@ def test_core_gradients(rng):
     states = [Tensor(rng.normal(0.0, 0.6, size=(1, 2, 4)))]
 
     def forward():
-        m, _, _ = core(p, q, states)
-        return sum_(m)
+        return sum_(core(p, q, states))
 
     assert grad_check(forward, store) < 1e-4

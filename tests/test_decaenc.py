@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from decaprop.bac import BAC
-from decaprop.decaenc import DecaEnc, encoder_output_width
+from decaprop.decaenc import DecaEnc
 from decaprop.errors import ConfigError, ContractError
 from decaprop.numerics import ParamStore, Tensor, add, grad_check, sum_
 
@@ -31,21 +31,25 @@ def data(rng, batch=2, lp=5, lq=3, d=7):
 # width law
 
 
+def enc_width(layers, hidden, **kwargs):
+    return build(layers=layers, hidden=hidden, **kwargs)[0].output_dim
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("h", [32, 50, 64, 75])
 def test_output_width_law(n, h):
-    assert encoder_output_width(n, h, True, True, True) == n * h + 3 * n * n
-    assert encoder_output_width(n, h, True, False, True) == n * h + 3 * n
+    assert enc_width(n, h) == n * h + 3 * n * n
+    assert enc_width(n, h, cross_hierarchy=False) == n * h + 3 * n
 
 
 def test_output_width_without_connectors():
-    assert encoder_output_width(3, 10, False, False, True) == 30
-    assert encoder_output_width(3, 10, False, False, False) == 10
+    assert enc_width(3, 10, connectors=False, concat_layers=True) == 30
+    assert enc_width(3, 10, connectors=False, concat_layers=False) == 10
 
 
 @pytest.mark.parametrize("n,h,expect", [(3, 50, 177), (2, 32, 76), (4, 32, 176)])
 def test_width_law_fixed_points(n, h, expect):
-    assert encoder_output_width(n, h, True, True, True) == expect
+    assert enc_width(n, h) == expect
 
 
 def test_forward_shapes_match_width_law(rng):
@@ -56,8 +60,8 @@ def test_forward_shapes_match_width_law(rng):
         assert enc.output_dim == width
         assert out.passage.shape == (2, 5, width)
         assert out.question.shape == (2, 3, width)
-        assert len(out.passage_states) == 2
-        assert out.passage_states[0].shape == (2, 5, 6)
+        assert len(out.question_states) == 2
+        assert out.question_states[0].shape == (2, 3, 6)
 
 
 def test_odd_hidden_width(rng):
@@ -97,13 +101,26 @@ def test_chain_widths():
     assert [r.input_dim for r in enc_plain.rnns] == [26, 6, 6]
 
 
+def test_connector_map_registration_order():
+    """Diagonal connectors first, then the others row by row, with or without
+    cross-hierarchy, so the init stream does not depend on that flag."""
+    for cross in (True, False):
+        enc, store = build(layers=3, hidden=6, cross_hierarchy=cross)
+        assert list(enc.bac) == [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2),
+                                 (1, 0), (1, 2), (2, 0), (2, 1)]
+        names = [n.split(".")[1] for n, _ in store.items() if ".bac" in n]
+        assert list(dict.fromkeys(names)) == [f"bac{i}{j}" for i, j in enc.bac]
+    assert build(layers=3, hidden=6, connectors=False)[0].bac == {}
+
+
 def test_diagonal_block_equals_standalone_connector(rng):
     """The first Z block in the output is the chain connector applied to the
-    layer-one states."""
+    layer-one states, which lead the output."""
     enc, _ = build(layers=2, hidden=6)
     p, q, pm, qm = data(rng)
     out = enc(p, q, pm, qm)
-    g_p, g_q = enc.chain[0](out.passage_states[0], out.question_states[0], pm, qm)
+    h_p = Tensor(out.passage.data[..., :6])
+    g_p, g_q = enc.bac[(0, 0)](h_p, out.question_states[0], pm, qm)
     nh = 2 * 6
     np.testing.assert_allclose(out.passage.data[..., nh:nh + 3], g_p.data, atol=1e-12)
     np.testing.assert_allclose(out.question.data[..., nh:nh + 3], g_q.data, atol=1e-12)
@@ -157,10 +174,10 @@ def test_needs_at_least_one_layer():
 def test_dropout_training_vs_eval(rng):
     enc, _ = build(layers=2, hidden=6, dropout=0.4)
     p, q, pm, qm = data(rng)
-    eval_out = enc(p, q, pm, qm, training=False)
-    eval_again = enc(p, q, pm, qm, training=False)
+    eval_out = enc(p, q, pm, qm)
+    eval_again = enc(p, q, pm, qm)
     np.testing.assert_array_equal(eval_out.passage.data, eval_again.passage.data)
-    train_out = enc(p, q, pm, qm, training=True, rng=np.random.default_rng(1))
+    train_out = enc(p, q, pm, qm, rng=np.random.default_rng(1))
     assert not np.allclose(train_out.passage.data, eval_out.passage.data)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from decaprop.bac import BAC
 from decaprop.encoder import Featurizer
-from decaprop.errors import ConfigError
+from decaprop.errors import ConfigError, ContractError
 from decaprop.model import (VARIANTS, ModelConfig, apply_variant, build_model)
 from decaprop.numerics import Tape, backward
 from decaprop.training import SyntheticTaskSpec, collate, gen_synthetic
@@ -147,6 +147,49 @@ def test_every_variant_constructs_and_backprops(tiny_batch):
         backward(tape, out.loss)
         total = sum(float(np.abs(p.grad).sum()) for _, p in model.store.trainable_items())
         assert np.isfinite(out.loss.data) and total > 0.0, variant
+
+
+def test_dropout_training_needs_rng(tiny_batch):
+    """Dropout runs only in training mode, with masks from the caller's rng."""
+    featurizer, batch = tiny_batch
+    model = build_model(tiny_cfg(dropout=0.3), featurizer, seed=0)
+    with pytest.raises(ContractError, match="needs an rng"):
+        model.forward(batch, training=True)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    plain = model.forward(batch)
+    # eval mode draws no mask even when handed an rng
+    np.testing.assert_array_equal(model.forward(batch, rng=rng).start_logits.data,
+                                  plain.start_logits.data)
+    assert rng.bit_generator.state == state
+    dropped = model.forward(batch, training=True, rng=rng)
+    assert rng.bit_generator.state != state
+    assert not np.array_equal(dropped.start_logits.data, plain.start_logits.data)
+    # without dropout, training mode needs no rng
+    no_drop = build_model(tiny_cfg(), featurizer, seed=0)
+    np.testing.assert_array_equal(no_drop.forward(batch, training=True).start_logits.data,
+                                  no_drop.forward(batch).start_logits.data)
+
+
+@pytest.mark.parametrize("cell,layers,loss,calls", [
+    ("gru", 2, 7.3927780413093656, 8), ("lstm", 4, 7.3807419392282725, 24)],
+    ids=["gru_n2", "lstm_n4"])
+def test_golden_first_step(cell, layers, loss, calls):
+    """First training-mode forward of the criterion-6 model (seed 0) on the 32
+    seed-0 examples of the criterion-6 task: the same loss the benchmark
+    checks its first step against, and n^2 + 2n connector calls."""
+    spec = SyntheticTaskSpec(vocab_size=100, passage_len=40, query_len=3, span_min=2,
+                             span_max=2, distractors=1, n_train=32, seed=0)
+    examples = gen_synthetic(spec, "train")
+    cfg = ModelConfig(word_dim=16, char_dim=8, char_hidden=8, max_word_len=8, hidden=32,
+                      layers=layers, fm_factors=8, cell=cell)
+    featurizer = Featurizer.build(examples, cfg.max_word_len)
+    model = build_model(cfg, featurizer, seed=0)
+    batch = collate([featurizer.example(ex) for ex in examples])
+    with Tape():
+        out = model.forward(batch, training=True, rng=np.random.default_rng(0))
+    assert abs(out.loss.item() - loss) <= 1e-9
+    assert out.connector_calls == calls
 
 
 def test_predict_spans_within_length(tiny_batch):

@@ -211,18 +211,18 @@ def test_birnn_grad_with_mask(rng):
 
 def test_dropout_identity_cases(rng):
     x = Tensor(rng.normal(size=(2, 5, 4)))
-    assert variational_dropout(x, 0.0, rng, training=True) is x
-    assert variational_dropout(x, 0.5, rng, training=False) is x
+    assert variational_dropout(x, 0.0, rng) is x
+    assert variational_dropout(x, 0.5, None) is x  # no rng: eval mode
     # only (batch, len, width) sequences, in eval mode too
     for shape in ((2, 3), (2, 3, 4, 5)):
         with pytest.raises(ContractError):
-            variational_dropout(Tensor(np.ones(shape)), 0.5, rng, training=False)
+            variational_dropout(Tensor(np.ones(shape)), 0.5, None)
 
 
 def test_dropout_mask_shared_over_time():
     rng = np.random.default_rng(7)
     x = Tensor(np.ones((2, 6, 8)))
-    y = variational_dropout(x, 0.5, rng, training=True)
+    y = variational_dropout(x, 0.5, rng)
     # every time step sees the same mask, scaled by 1/(1-rate)
     for t in range(1, 6):
         np.testing.assert_allclose(y.data[:, t], y.data[:, 0], atol=1e-15)
@@ -238,9 +238,3 @@ def test_dropout_bad_rate(rng):
         variational_dropout(x, 1.0, rng)
     with pytest.raises(ConfigError):
         variational_dropout(x, -0.1, rng)
-
-
-def test_dropout_training_needs_rng():
-    x = Tensor(np.ones((2, 3, 4)))
-    with pytest.raises(ContractError):
-        variational_dropout(x, 0.5, None, training=True)
