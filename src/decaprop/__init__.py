@@ -25,7 +25,7 @@ from .recurrent import BiRNN, GRUCell, LSTMCell, variational_dropout
 from .training import (SyntheticTaskSpec, TrainConfig, TrainResult, adadelta_step,
                        adam_step, clip_gradients, collate, em_f1, evaluate,
                        gen_synthetic, lr_schedule, normalize_answer, predict_batches,
-                       run_ablation, train_model)
+                       restore_model, run_ablation, train_model)
 
 __version__ = "0.1.0"
 
@@ -42,6 +42,6 @@ __all__ = [
     "em_f1", "evaluate", "gen_synthetic", "grad_check",
     "load_checkpoint", "load_glove", "load_jsonl", "load_squad", "lr_schedule",
     "norm_frequency", "normalize_answer", "predict_batches", "random_embeddings",
-    "run_ablation", "run_gradcheck", "save_checkpoint", "span_loss",
+    "restore_model", "run_ablation", "run_gradcheck", "save_checkpoint", "span_loss",
     "threshold_for", "tokenize", "train_model", "variational_dropout",
 ]

@@ -1,6 +1,7 @@
 """Span pointer: two chained BiRNNs produce start/end position logits, the
 loss is the mean negative log-likelihood of the gold endpoints, and decoding
-maximizes p_start[k] * p_end[l] over ordered pairs k <= l.
+maximizes p_start[k] * p_end[l] over ordered pairs k <= l.  The pointer
+takes the passage mask and the loss the passage lengths; both are required.
 """
 
 from __future__ import annotations
@@ -26,28 +27,24 @@ class PointerLayer:
         self.w_start = store.register(f"{name}.w_start", glorot(rng, hidden, 1))
         self.w_end = store.register(f"{name}.w_end", glorot(rng, hidden, 1))
 
-    def __call__(self, m: Tensor, p_mask: np.ndarray | None = None,
+    def __call__(self, m: Tensor, p_mask: np.ndarray,
                  rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
         """(batch, len, width) -> (start_logits, end_logits), each (batch, len);
         padded positions are pushed to -inf.  With ``rng`` the BiRNN inputs
         get dropout."""
-        if p_mask is not None and not np.all(p_mask.sum(axis=-1) > 0):
+        if not np.all(p_mask.sum(axis=-1) > 0):
             raise ContractError("pointer layer: some row has every position masked")
         h1 = self.rnn_start(variational_dropout(m, self.dropout, rng), p_mask)
         h2 = self.rnn_end(variational_dropout(h1, self.dropout, rng), p_mask)
         s1 = reshape(matmul(h1, self.w_start), h1.shape[:-1])
         s2 = reshape(matmul(h2, self.w_end), h2.shape[:-1])
-        if p_mask is not None:
-            penalty = Tensor((1.0 - p_mask) * NEG_INF)
-            s1 = add(s1, penalty)
-            s2 = add(s2, penalty)
-        return s1, s2
+        penalty = Tensor((1.0 - p_mask) * NEG_INF)
+        return add(s1, penalty), add(s2, penalty)
 
 
-def span_loss(start_logits: Tensor, end_logits: Tensor, y1, y2,
-              lengths: np.ndarray | None = None) -> Tensor:
+def span_loss(start_logits: Tensor, end_logits: Tensor, y1, y2, lengths) -> Tensor:
     """Mean over the batch of -(log p1[y1] + log p2[y2]), in log space.
-    Logits are (batch, len)."""
+    Logits are (batch, len); each span must end before its example's length."""
     if start_logits.ndim != 2:
         raise ContractError(f"span loss expects (batch, len) logits, got shape {start_logits.shape}")
     if start_logits.shape != end_logits.shape:
@@ -55,8 +52,7 @@ def span_loss(start_logits: Tensor, end_logits: Tensor, y1, y2,
             f"start/end logits differ in shape: {start_logits.shape} vs {end_logits.shape}")
     y1 = np.atleast_1d(np.asarray(y1, dtype=np.int64))
     y2 = np.atleast_1d(np.asarray(y2, dtype=np.int64))
-    limit = np.full(start_logits.shape[0], start_logits.shape[1], dtype=np.int64) \
-        if lengths is None else np.asarray(lengths, dtype=np.int64)
+    limit = np.asarray(lengths, dtype=np.int64)
     for i in range(start_logits.shape[0]):
         if not (0 <= y1[i] <= y2[i] < limit[i]):
             raise DataError(

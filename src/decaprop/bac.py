@@ -5,7 +5,8 @@ ReLU-projected rows, then compresses each position's (aligned, original)
 pair into three scalars with factorization machines applied to the
 concatenation, difference, and elementwise product.  The 3-wide outputs are
 what gets propagated between layers, so connector cost stays negligible
-next to the encoders.
+next to the encoders.  Every attention call takes the (batch, len) mask of
+its keys; padded keys get no weight.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class FMKernel:
         self.factors = factors
         self.w0 = store.register(f"{name}.w0", np.zeros(1))
         self.w = store.register(f"{name}.w", glorot(rng, input_dim, 1))
-        self.v = store.register(f"{name}.v", glorot(rng, input_dim, factors, shape=(input_dim, factors)))
+        self.v = store.register(f"{name}.v", glorot(rng, input_dim, factors))
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.input_dim:
@@ -75,10 +76,10 @@ def affinity(fp: Tensor, fq: Tensor) -> Tensor:
     return mul(matmul(fp, transpose_last(fq)), 1.0 / np.sqrt(fp.shape[-1]))
 
 
-def attend(e: Tensor, values: Tensor, mask: np.ndarray | None = None) -> Tensor:
+def attend(e: Tensor, values: Tensor, mask: np.ndarray) -> Tensor:
     """Masked softmax of ``e`` over its last axis, then the weighted sum of
     ``values`` rows; ``mask`` (..., lk) zeroes the weight of padded keys."""
-    m = None if mask is None else np.asarray(mask, dtype=np.float64)[..., None, :]
+    m = np.asarray(mask, dtype=np.float64)[..., None, :]
     return matmul(masked_softmax(e, m, axis=-1), values)
 
 
@@ -107,8 +108,7 @@ class BAC:
         return concat([self.g_cat(both), self.g_sub(diff), self.g_mul(prod)], -1)
 
     def __call__(self, p: Tensor, q: Tensor,
-                 p_mask: np.ndarray | None = None,
-                 q_mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+                 p_mask: np.ndarray, q_mask: np.ndarray) -> tuple[Tensor, Tensor]:
         """Compress both directions: returns (g_p, g_q), 3 scalars per position."""
         BAC.calls += 1
         e = affinity(self.proj(p), self.proj(q))
@@ -116,9 +116,7 @@ class BAC:
         b = attend(e, q, q_mask)
         return self._compress(b, p), self._compress(a, q)
 
-    def one_sided(self, p: Tensor, q: Tensor,
-                  p_mask: np.ndarray | None = None,
-                  q_mask: np.ndarray | None = None) -> Tensor:
+    def one_sided(self, p: Tensor, q: Tensor, p_mask: np.ndarray, q_mask: np.ndarray) -> Tensor:
         """Left-side compression only; skips the question-side alignment work."""
         BAC.calls += 1
         b = attend(affinity(self.proj(p), self.proj(q)), q, q_mask)

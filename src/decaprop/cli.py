@@ -15,16 +15,16 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from .checkpoint import load_checkpoint
 from .data import load_jsonl, load_squad
 from .encoder import Featurizer
 from .errors import ConfigError, DecapropError, NumericError
 from .gradcheck import run_gradcheck, threshold_for
-from .model import RETIRED_KEYS, VARIANTS, DecaProp, ModelConfig, apply_variant, build_model
+from .model import VARIANTS, ModelConfig, apply_variant, build_model
 from .training import (SyntheticTaskSpec, TrainConfig, evaluate, gen_synthetic,
-                       predict_batches, run_ablation, span_text, train_model)
+                       predict_batches, restore_model, run_ablation, span_text, train_model)
 
 log = logging.getLogger("decaprop")
 
@@ -82,10 +82,6 @@ def load_configs(path: str | None, **overrides: dict
         if section not in _SECTIONS or not field:
             raise ConfigError(f"unknown config key {key!r}; use section.key with "
                               f"section in {sorted(_SECTIONS)}")
-        # a retired model key is ModelConfig.from_dict's to accept or reject
-        known = {f.name for f in fields(_SECTIONS[section])}
-        if field not in known and not (section == "model" and field in RETIRED_KEYS):
-            raise ConfigError(f"unknown config key {key!r}")
         per_section[section][field] = _parse_value(value)
     return tuple(replace(cls.from_dict(per_section[name]),
                          **{k: v for k, v in overrides.get(name, {}).items() if v is not None})
@@ -101,22 +97,6 @@ def _load_dataset(path: str, fmt: str):
             log.info("dropped %d unmappable questions from %s", dropped, path)
         return examples
     raise ConfigError(f"unknown data format {fmt!r}; pick 'jsonl' or 'squad'")
-
-
-def _checkpoint_featurizer(ck: dict, checkpoint_path: str) -> Featurizer:
-    if "featurizer" not in ck["extra"]:
-        raise ConfigError(f"{checkpoint_path}: checkpoint has no featurizer state; "
-                          "was it written by 'decaprop train'?")
-    return Featurizer.from_state(ck["extra"]["featurizer"])
-
-
-def _restore_model(checkpoint_path: str) -> tuple[DecaProp, Featurizer]:
-    ck = load_checkpoint(checkpoint_path)
-    featurizer = _checkpoint_featurizer(ck, checkpoint_path)
-    model_cfg = ModelConfig.from_dict(ck["model_config"])
-    model = build_model(model_cfg, featurizer, seed=int(ck["extra"].get("seed", 0)))
-    model.store.load_values(ck["params"])
-    return model, featurizer
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -138,12 +118,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         if not args.checkpoint:
             raise ConfigError("--resume needs --checkpoint")
         resume = load_checkpoint(args.checkpoint)
-        model_cfg = ModelConfig.from_dict(resume["model_config"])
-        featurizer = _checkpoint_featurizer(resume, args.checkpoint)
+        model, featurizer = restore_model(resume, args.checkpoint)
     else:
         featurizer = Featurizer.build(train_ex + (dev_ex or []), model_cfg.max_word_len)
-
-    model = build_model(model_cfg, featurizer, seed=train_cfg.seed)
+        model = build_model(model_cfg, featurizer, seed=train_cfg.seed)
     result = train_model(
         model, featurizer, train_ex, dev_ex, train_cfg,
         csv_path=args.out, checkpoint_path=args.checkpoint, resume=resume,
@@ -161,7 +139,7 @@ def _write_spans(fh, examples, spans) -> None:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     _, train_cfg, _ = load_configs(args.config)
-    model, featurizer = _restore_model(args.checkpoint)
+    model, featurizer = restore_model(load_checkpoint(args.checkpoint), args.checkpoint)
     examples = _load_dataset(args.data, args.format)
     loss, em, f1, spans = evaluate(model, featurizer, examples, train_cfg.batch_size)
     if args.predictions:
@@ -173,7 +151,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     _, train_cfg, _ = load_configs(args.config)
-    model, featurizer = _restore_model(args.checkpoint)
+    model, featurizer = restore_model(load_checkpoint(args.checkpoint), args.checkpoint)
     # label-free copies, so no batch carries targets and no loss is computed
     examples = [replace(ex, answer_start=None, answer_end=None)
                 for ex in _load_dataset(args.data, args.format)]
@@ -190,7 +168,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     names = args.scenario or None
-    results = run_gradcheck(names, seed=args.seed or 0, log=None)
+    results = run_gradcheck(names, seed=args.seed)
     failed = []
     for name, err in results.items():
         limit = args.threshold if args.threshold is not None else threshold_for(name)

@@ -33,14 +33,13 @@ class GatedAttention:
             self.gate = Dense(store, f"{name}.gate", 2 * dim, dim, "sigmoid", rng)
         self.rnn = BiRNN(store, f"{name}.rnn", dim, hidden, cell, rng)
 
-    def alignment(self, p: Tensor, q: Tensor, q_mask: np.ndarray | None = None) -> Tensor:
+    def alignment(self, p: Tensor, q: Tensor, q_mask: np.ndarray) -> Tensor:
         """The q rows each p position attends to: (..., lp, width)."""
         if not self.gated:
             raise ContractError("alignment is undefined for an ungated block")
         return attend(affinity(self.proj(p), self.proj(q)), q, q_mask)
 
-    def __call__(self, p: Tensor, q: Tensor,
-                 p_mask: np.ndarray | None = None, q_mask: np.ndarray | None = None,
+    def __call__(self, p: Tensor, q: Tensor, p_mask: np.ndarray, q_mask: np.ndarray,
                  rng: np.random.Generator | None = None) -> Tensor:
         """Gated p rows re-encoded; with ``rng`` they get dropout first."""
         if self.gated:
@@ -81,7 +80,7 @@ class DecaCore:
         return self.hidden + 3 * 2 * self.layers
 
     def __call__(self, p_enc: Tensor, q_enc: Tensor, question_states: list[Tensor],
-                 p_mask: np.ndarray | None = None, q_mask: np.ndarray | None = None,
+                 p_mask: np.ndarray, q_mask: np.ndarray,
                  rng: np.random.Generator | None = None) -> Tensor:
         """m, what the answer layer consumes: the self-attention output u2,
         followed by the bank's columns when the dense core is on."""

@@ -69,8 +69,7 @@ class DecaEnc:
         pairs = self.layers * self.layers if self.cross_hierarchy else self.layers
         return self.layers * self.hidden + 3 * pairs
 
-    def __call__(self, p0: Tensor, q0: Tensor,
-                 p_mask: np.ndarray | None = None, q_mask: np.ndarray | None = None,
+    def __call__(self, p0: Tensor, q0: Tensor, p_mask: np.ndarray, q_mask: np.ndarray,
                  rng: np.random.Generator | None = None) -> DecaEncOutput:
         """Encode both sides; with ``rng`` each layer's inputs get dropout."""
         p_in, q_in = p0, q0

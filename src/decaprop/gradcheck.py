@@ -191,8 +191,7 @@ def threshold_for(name: str) -> float:
 
 
 def run_gradcheck(names: list[str] | None = None, seed: int = 0,
-                  eps: float = 1e-5,
-                  log: Callable[[str], None] | None = None) -> dict[str, float]:
+                  eps: float = 1e-5) -> dict[str, float]:
     """Run the named scenarios (all by default); returns name -> max rel err."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -205,6 +204,4 @@ def run_gradcheck(names: list[str] | None = None, seed: int = 0,
         store, forward = SCENARIOS[name](seed)
         err = grad_check(forward, store, eps=eps)
         results[name] = err
-        if log is not None:
-            log(f"{name}: max rel err {err:.3e}")
     return results

@@ -98,9 +98,10 @@ class Config:
     @classmethod
     def from_dict(cls, values: dict):
         """The config from ``values``, whose keys must be its fields."""
-        unknown = set(values) - {f.name for f in fields(cls)}
+        unknown = sorted(set(values) - {f.name for f in fields(cls)})
         if unknown:
-            raise ConfigError(f"unknown {cls.section} config keys: {sorted(unknown)}")
+            key = f"{cls.section}.{unknown[0]}"
+            raise ConfigError(f"unknown config key {key!r}")
         return cls(**values)
 
 
@@ -162,12 +163,12 @@ class DecaProp:
     """Input featurization -> dense encoder -> gated core -> span pointer."""
 
     def __init__(self, config: ModelConfig, word_matrix: np.ndarray, char_vocab_size: int,
-                 seed: int = 0, store: ParamStore | None = None):
+                 seed: int = 0):
         if word_matrix.ndim != 2 or word_matrix.shape[1] != config.word_dim:
             raise ConfigError(
                 f"word matrix shape {word_matrix.shape} does not match word_dim {config.word_dim}")
         self.config = config
-        self.store = store if store is not None else ParamStore()
+        self.store = ParamStore()
         rng = np.random.default_rng(seed)
 
         self.input = InputEncoder(self.store, "input", word_matrix, char_vocab_size,

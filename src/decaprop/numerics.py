@@ -266,10 +266,9 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return out
 
 
-def masked_softmax(a, mask: np.ndarray | None, axis: int = -1) -> Tensor:
+def masked_softmax(a, mask: np.ndarray, axis: int = -1) -> Tensor:
     """Softmax where positions with ``mask == 0`` receive (numerically) zero mass."""
-    if mask is not None:
-        a = add(a, Tensor((1.0 - np.asarray(mask, dtype=np.float64)) * NEG_INF))
+    a = add(a, Tensor((1.0 - np.asarray(mask, dtype=np.float64)) * NEG_INF))
     return softmax(a, axis)
 
 
@@ -432,10 +431,10 @@ def pick(a, indices) -> Tensor:
 # parameters
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
-    """Uniform init on +/- sqrt(6 / (fan_in + fan_out))."""
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """Uniform (fan_in, fan_out) init on +/- sqrt(6 / (fan_in + fan_out))."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape if shape is not None else (fan_in, fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 def embedding_init(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -504,10 +503,9 @@ class Dense:
     """Affine map with an optional pointwise activation."""
 
     def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int,
-                 activation: str = "none", rng: np.random.Generator | None = None):
+                 activation: str, rng: np.random.Generator):
         if activation not in _ACTIVATIONS:
             raise ConfigError(f"unknown activation {activation!r}; pick one of {sorted(_ACTIVATIONS)}")
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.name = name
         self.d_in = d_in
         self.d_out = d_out

@@ -1,9 +1,9 @@
 """GRU/LSTM cells, bidirectional runners, and variational dropout.
 
 Cells are step functions over (batch, dim) slices; ``BiRNN`` drives them over
-a sequence with optional right-padding masks.  A masked step keeps the
-previous state, so the states at real positions are bit-identical to running
-each sequence unpadded.
+a sequence under a required (batch, len) padding mask.  A masked step keeps
+the previous state, so the states at real positions are bit-identical to
+running each sequence unpadded; an all-ones mask runs every step.
 """
 
 from __future__ import annotations
@@ -84,18 +84,17 @@ class BiRNN:
     """Two independent directional passes whose states are concatenated.
 
     ``output_dim`` is split ceil/floor across the directions, so odd widths
-    are allowed.  Initial states are zero.  ``mask`` freezes the state at
-    padded steps, which also makes the backward pass start from zero until
-    the first real token is reached from the right.
+    are allowed.  Initial states are zero.  The (batch, len) ``mask`` freezes
+    the state at padded steps, which also makes the backward pass start from
+    zero until the first real token is reached from the right.
     """
 
     def __init__(self, store: ParamStore, name: str, input_dim: int, output_dim: int,
-                 cell: str = "gru", rng: np.random.Generator | None = None):
+                 cell: str, rng: np.random.Generator):
         if cell not in _CELLS:
             raise ConfigError(f"unknown rnn cell {cell!r}; pick one of {sorted(_CELLS)}")
         if output_dim < 2:
             raise ConfigError(f"birnn output width must be >= 2, got {output_dim}")
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.input_dim = input_dim
         self.output_dim = output_dim
         self.cell_kind = cell
@@ -104,20 +103,18 @@ class BiRNN:
         self.fwd = _CELLS[cell](store, f"{name}.fwd", input_dim, fwd_dim, rng)
         self.bwd = _CELLS[cell](store, f"{name}.bwd", input_dim, bwd_dim, rng)
 
-    def _sweep(self, cell, xs: list[Tensor], mask: np.ndarray | None, order) -> list[Tensor]:
+    def _sweep(self, cell, xs: list[Tensor], mask: np.ndarray, order) -> list[Tensor]:
         batch = xs[0].shape[0]
         state = cell.initial_state(batch)
         states: dict[int, Tensor] = {}
         for t in order:
             new = cell.step(xs[t], state)
-            if mask is not None:
-                m = Tensor(mask[:, t:t + 1])
-                if isinstance(new, tuple):
-                    new = tuple(add(mul(m, n), mul(Tensor(1.0 - m.data), old))
-                                for n, old in zip(new, state))
-                else:
-                    new = add(mul(m, new), mul(Tensor(1.0 - m.data), state))
-            state = new
+            m = Tensor(mask[:, t:t + 1])
+            if isinstance(new, tuple):
+                state = tuple(add(mul(m, n), mul(Tensor(1.0 - m.data), old))
+                              for n, old in zip(new, state))
+            else:
+                state = add(mul(m, new), mul(Tensor(1.0 - m.data), state))
             states[t] = state[0] if isinstance(state, tuple) else state
         return [states[t] for t in range(len(xs))]
 
@@ -131,7 +128,7 @@ class BiRNN:
             raise ContractError(f"birnn expects input width {self.input_dim}, got shape {x.shape}")
         return unstack(x, axis=1)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
         """Map (batch, len, d_in) -> (batch, len, d_out); ``mask`` is (batch, len)."""
         xs = self._steps(x)
         length = len(xs)
@@ -139,7 +136,7 @@ class BiRNN:
         bwd = self._sweep(self.bwd, xs, mask, range(length - 1, -1, -1))
         return concat([stack(fwd, axis=1), stack(bwd, axis=1)], -1)
 
-    def final_states(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    def final_states(self, x: Tensor, mask: np.ndarray) -> Tensor:
         """Concat of the forward state at the last real step and the backward
         state at the first step: (batch, d_out).  An all-masked row yields zeros."""
         xs = self._steps(x)

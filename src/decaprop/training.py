@@ -239,35 +239,30 @@ def gen_synthetic(spec: SyntheticTaskSpec, split: str = "train") -> list[Tokeniz
 
 
 def collate(feats: list[dict]) -> dict:
-    """Pad a list of per-example feature dicts into one batch dict; the span
-    targets ``y1``/``y2`` come along only when every example has them."""
+    """Pad a list of per-example feature dicts into one batch dict.
+
+    Every array a side (``p``, ``q``) carries becomes ``{side}_{name}``,
+    zero-padded along its first axis with its dtype and trailing shape kept;
+    ``{side}_mask`` marks the real positions and ``p_len`` counts them.  The
+    span targets ``y1``/``y2`` come along only when every example has them.
+    """
     if not feats:
         raise ContractError("collate of an empty batch")
     batch: dict = {}
     for prefix in ("p", "q"):
         sides = [f[prefix] for f in feats]
-        lens = np.array([s["word"].shape[0] for s in sides], dtype=np.int64)
+        names = list(sides[0])
+        lens = np.array([len(s[names[0]]) for s in sides], dtype=np.int64)
         n = int(lens.max())
-        wl = sides[0]["chars"].shape[1]
-        bsz = len(sides)
-        word = np.zeros((bsz, n), dtype=np.int64)
-        chars = np.zeros((bsz, n, wl), dtype=np.int64)
-        cmask = np.zeros((bsz, n, wl))
-        match = np.zeros((bsz, n))
-        freq = np.zeros((bsz, n))
-        mask = np.zeros((bsz, n))
-        for i, s in enumerate(sides):
-            k = lens[i]
-            word[i, :k] = s["word"]
-            chars[i, :k] = s["chars"]
-            cmask[i, :k] = s["char_mask"]
-            match[i, :k] = s["match"]
-            freq[i, :k] = s["freq"]
-            mask[i, :k] = 1.0
-        batch.update({f"{prefix}_word": word, f"{prefix}_chars": chars,
-                      f"{prefix}_char_mask": cmask, f"{prefix}_match": match,
-                      f"{prefix}_freq": freq, f"{prefix}_mask": mask,
-                      f"{prefix}_len": lens})
+        for name in names:
+            first = sides[0][name]
+            padded = np.zeros((len(sides), n) + first.shape[1:], dtype=first.dtype)
+            for row, s, k in zip(padded, sides, lens):
+                row[:k] = s[name]
+            batch[f"{prefix}_{name}"] = padded
+        batch[f"{prefix}_mask"] = (np.arange(n) < lens[:, None]).astype(np.float64)
+        if prefix == "p":
+            batch["p_len"] = lens
     if all("y1" in f for f in feats):
         batch["y1"] = np.array([f["y1"] for f in feats], dtype=np.int64)
         batch["y2"] = np.array([f["y2"] for f in feats], dtype=np.int64)
@@ -430,19 +425,21 @@ def train_model(model: DecaProp, featurizer: Featurizer,
             epoch_losses = []
             for lo in range(0, len(order), tcfg.batch_size):
                 batch = collate([feats[i] for i in order[lo:lo + tcfg.batch_size]])
-                with Tape() as tape:
-                    out = model.forward(batch, training=True, rng=rng)
-                loss_value = out.loss.item()
-                if not np.isfinite(loss_value):
-                    raise NumericError(f"training diverged at step {step + 1}: "
-                                       f"loss {loss_value}")
-                model.store.zero_grads()
-                backward(tape, out.loss)
-                if tcfg.clip_norm is not None:
-                    norm = clip_gradients(model.store, tcfg.clip_norm)
-                    if not np.isfinite(norm):
+                # a diverging step overflows; the checks below report it
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    with Tape() as tape:
+                        out = model.forward(batch, training=True, rng=rng)
+                    loss_value = out.loss.item()
+                    if not np.isfinite(loss_value):
                         raise NumericError(f"training diverged at step {step + 1}: "
-                                           f"gradient norm {norm}")
+                                           f"loss {loss_value}")
+                    model.store.zero_grads()
+                    backward(tape, out.loss)
+                    if tcfg.clip_norm is not None:
+                        norm = clip_gradients(model.store, tcfg.clip_norm)
+                        if not np.isfinite(norm):
+                            raise NumericError(f"training diverged at step {step + 1}: "
+                                               f"gradient norm {norm}")
                 if tcfg.optimizer == "adam":
                     adam_step(model.store, opt_state, lr=lr)
                 else:
@@ -469,6 +466,7 @@ def train_model(model: DecaProp, featurizer: Featurizer,
                     stop = True
 
             if checkpoint_path is not None:
+                # restore_model reads what this writes
                 save_checkpoint(
                     checkpoint_path, model.store, model.config.to_dict(), opt_state,
                     rng.bit_generator.state,
@@ -482,6 +480,19 @@ def train_model(model: DecaProp, featurizer: Featurizer,
 
     result.steps = step
     return result
+
+
+def restore_model(ck: dict, path: str) -> tuple[DecaProp, Featurizer]:
+    """The model and featurizer of a loaded ``train_model`` checkpoint ``ck``;
+    ``path`` names it in errors."""
+    if "featurizer" not in ck["extra"]:
+        raise ConfigError(f"{path}: checkpoint has no featurizer state; "
+                          "was it written by 'decaprop train'?")
+    featurizer = Featurizer.from_state(ck["extra"]["featurizer"])
+    model = build_model(ModelConfig.from_dict(ck["model_config"]), featurizer,
+                        seed=int(ck["extra"].get("seed", 0)))
+    model.store.load_values(ck["params"])
+    return model, featurizer
 
 
 # ---------------------------------------------------------------------------

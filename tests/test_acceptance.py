@@ -78,7 +78,8 @@ def test_criterion_3_shape_laws():
 
     store = ParamStore()
     bac = BAC(store, "c", 8, 4, rng)
-    g_p, g_q = bac(Tensor(rng.normal(size=(5, 8))), Tensor(rng.normal(size=(7, 8))))
+    g_p, g_q = bac(Tensor(rng.normal(size=(5, 8))), Tensor(rng.normal(size=(7, 8))),
+                   np.ones(5), np.ones(7))
     triples_ok = g_p.shape == (5, 3) and g_q.shape == (7, 3)
 
     spec = SyntheticTaskSpec(vocab_size=15, passage_len=7, query_len=2,

@@ -23,7 +23,7 @@ def exhaustive_decode(p1: np.ndarray, p2: np.ndarray,
     return best_pair
 
 
-def distributions(layer, m, p_mask=None):
+def distributions(layer, m, p_mask):
     """Start/end probability distributions over positions."""
     s1, s2 = layer(m, p_mask)
     return softmax(s1, -1), softmax(s2, -1)
@@ -55,7 +55,7 @@ def test_pointer_zero_weights_uniform(rng):
     layer.w_start.data[:] = 0.0
     layer.w_end.data[:] = 0.0
     m = Tensor(rng.normal(size=(1, 4, 6)))
-    p1, p2 = distributions(layer, m)
+    p1, p2 = distributions(layer, m, np.ones((1, 4)))
     np.testing.assert_allclose(p1.data, np.full((1, 4), 0.25), atol=1e-12)
     np.testing.assert_allclose(p2.data, np.full((1, 4), 0.25), atol=1e-12)
 
@@ -78,11 +78,11 @@ def test_pointer_rejects_fully_masked_row(rng):
 
 def test_pointer_single_sequence_input(rng):
     layer, _ = build_layer()
-    s, e = layer(Tensor(rng.normal(size=(1, 4, 6))))
+    s, e = layer(Tensor(rng.normal(size=(1, 4, 6))), np.ones((1, 4)))
     assert s.shape == (1, 4)
     assert e.shape == (1, 4)
     with pytest.raises(ContractError):
-        layer(Tensor(rng.normal(size=(4, 6))))
+        layer(Tensor(rng.normal(size=(4, 6))), np.ones((1, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,7 @@ def test_pointer_single_sequence_input(rng):
 
 def test_span_loss_uniform_hand_value():
     zeros = Tensor(np.zeros((2, 4)))
-    loss = span_loss(zeros, zeros, np.array([0, 2]), np.array([1, 3]))
+    loss = span_loss(zeros, zeros, np.array([0, 2]), np.array([1, 3]), np.array([4, 4]))
     np.testing.assert_allclose(loss.data, 2.0 * np.log(4.0), atol=1e-12)
 
 
@@ -100,7 +100,7 @@ def test_span_loss_perfect_prediction_is_zero():
     e = np.full((1, 4), -1e3)
     s[0, 1] = 1e3
     e[0, 2] = 1e3
-    loss = span_loss(Tensor(s), Tensor(e), np.array([1]), np.array([2]))
+    loss = span_loss(Tensor(s), Tensor(e), np.array([1]), np.array([2]), np.array([4]))
     np.testing.assert_allclose(loss.data, 0.0, atol=1e-9)
 
 
@@ -109,19 +109,20 @@ def test_span_loss_batch_mean(rng):
     e = Tensor(rng.normal(size=(2, 5)))
     y1 = np.array([0, 1])
     y2 = np.array([2, 4])
-    both = span_loss(s, e, y1, y2).data
-    a = span_loss(Tensor(s.data[:1]), Tensor(e.data[:1]), y1[:1], y2[:1]).data
-    b = span_loss(Tensor(s.data[1:]), Tensor(e.data[1:]), y1[1:], y2[1:]).data
+    lengths = np.array([5, 5])
+    both = span_loss(s, e, y1, y2, lengths).data
+    a = span_loss(Tensor(s.data[:1]), Tensor(e.data[:1]), y1[:1], y2[:1], lengths[:1]).data
+    b = span_loss(Tensor(s.data[1:]), Tensor(e.data[1:]), y1[1:], y2[1:], lengths[1:]).data
     np.testing.assert_allclose(both, (a + b) / 2.0, atol=1e-12)
     # one example is a batch of one; bare 1-d logits are rejected
     with pytest.raises(ContractError):
-        span_loss(Tensor(s.data[0]), Tensor(e.data[0]), y1[:1], y2[:1])
+        span_loss(Tensor(s.data[0]), Tensor(e.data[0]), y1[:1], y2[:1], lengths[:1])
 
 
 def test_span_loss_finite_for_extreme_logits():
     s = Tensor(np.array([[-1e3, 1e3, 0.0]]))
     e = Tensor(np.array([[0.0, -1e3, 1e3]]))
-    loss = span_loss(s, e, np.array([0]), np.array([1]))
+    loss = span_loss(s, e, np.array([0]), np.array([1]), np.array([3]))
     assert np.isfinite(loss.data)
 
 
@@ -129,7 +130,7 @@ def test_span_loss_finite_for_extreme_logits():
 def test_span_loss_invalid_targets(y1, y2):
     zeros = Tensor(np.zeros((1, 4)))
     with pytest.raises(DataError, match="example 0"):
-        span_loss(zeros, zeros, np.array([y1]), np.array([y2]))
+        span_loss(zeros, zeros, np.array([y1]), np.array([y2]), np.array([4]))
 
 
 def test_span_loss_respects_true_lengths():

@@ -21,6 +21,11 @@ def naive_fm(x: np.ndarray, w0: float, w: np.ndarray, v: np.ndarray) -> float:
     return total
 
 
+def real(*xs):
+    """All-ones masks for sequences whose every position is real."""
+    return [np.ones(x.shape[:-1]) for x in xs]
+
+
 # ---------------------------------------------------------------------------
 # factorization machine
 
@@ -165,7 +170,8 @@ def test_align_uniform_row_gives_column_mean(rng):
     p = Tensor(rng.normal(size=(4, 3)))
     q = Tensor(rng.normal(size=(5, 3)))
     e = Tensor(np.zeros((4, 5)))
-    a, b = attend(transpose_last(e), p), attend(e, q)
+    p_mask, q_mask = real(p, q)
+    a, b = attend(transpose_last(e), p, p_mask), attend(e, q, q_mask)
     np.testing.assert_allclose(b.data, np.tile(q.data.mean(axis=0), (4, 1)), atol=1e-12)
     np.testing.assert_allclose(a.data, np.tile(p.data.mean(axis=0), (5, 1)), atol=1e-12)
 
@@ -177,14 +183,14 @@ def test_align_hard_attention_selects_row(rng):
     e[0, 1] = 1e3
     e[1, 0] = 1e3
     e[2, 1] = 1e3
-    b = attend(Tensor(e), q)
+    b = attend(Tensor(e), q, *real(q))
     np.testing.assert_allclose(b.data[0], q.data[1], atol=1e-9)
     np.testing.assert_allclose(b.data[1], q.data[0], atol=1e-9)
 
 
 def test_align_shape_contract(rng):
     with pytest.raises(ContractError):
-        attend(transpose_last(Tensor(np.zeros((3, 2)))), Tensor(np.zeros((4, 5))))
+        attend(transpose_last(Tensor(np.zeros((3, 2)))), Tensor(np.zeros((4, 5))), np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +200,8 @@ def test_align_shape_contract(rng):
 def test_bac_output_shapes(rng):
     store = ParamStore()
     bac = BAC(store, "c", 8, 3, rng)
-    g_p, g_q = bac(Tensor(rng.normal(size=(5, 8))), Tensor(rng.normal(size=(7, 8))))
+    p, q = Tensor(rng.normal(size=(5, 8))), Tensor(rng.normal(size=(7, 8)))
+    g_p, g_q = bac(p, q, *real(p, q))
     assert g_p.shape == (5, 3)
     assert g_q.shape == (7, 3)
 
@@ -220,8 +227,9 @@ def test_bac_mask_blocks_padding_influence(rng):
     q2 = np.array(q1)
     q2[0, 2] = 77.0
     q_mask = np.array([[1, 1, 0]], dtype=np.float64)
-    g1, _ = bac(p, Tensor(q1), q_mask=q_mask)
-    g2, _ = bac(p, Tensor(q2), q_mask=q_mask)
+    p_mask = np.ones((1, 4))
+    g1, _ = bac(p, Tensor(q1), p_mask, q_mask)
+    g2, _ = bac(p, Tensor(q2), p_mask, q_mask)
     np.testing.assert_allclose(g1.data, g2.data, atol=1e-12)
 
 
@@ -231,7 +239,8 @@ def test_bac_zero_kernels_give_zero_outputs(rng):
     for name, p in store.items():
         if ".g_" in name:
             p.data[:] = 0.0
-    g_p, g_q = bac(Tensor(rng.normal(size=(4, 5))), Tensor(rng.normal(size=(6, 5))))
+    p, q = Tensor(rng.normal(size=(4, 5))), Tensor(rng.normal(size=(6, 5)))
+    g_p, g_q = bac(p, q, *real(p, q))
     np.testing.assert_allclose(g_p.data, np.zeros((4, 3)), atol=1e-15)
     np.testing.assert_allclose(g_q.data, np.zeros((6, 3)), atol=1e-15)
 
@@ -240,7 +249,7 @@ def test_bac_identical_sequences_symmetric(rng):
     store = ParamStore()
     bac = BAC(store, "c", 5, 2, rng)
     p = Tensor(rng.normal(size=(4, 5)))
-    g_p, g_q = bac(p, p)
+    g_p, g_q = bac(p, p, *real(p, p))
     np.testing.assert_allclose(g_p.data, g_q.data, atol=1e-12)
 
 
@@ -250,15 +259,16 @@ def test_bac_one_sided_matches_left_output(rng):
     p = Tensor(rng.normal(size=(2, 4, 6)))
     q = Tensor(rng.normal(size=(2, 3, 6)))
     q_mask = np.array([[1, 1, 1], [1, 1, 0]], dtype=np.float64)
-    g_p, _ = bac(p, q, q_mask=q_mask)
-    solo = bac.one_sided(p, q, q_mask=q_mask)
+    p_mask = np.ones((2, 4))
+    g_p, _ = bac(p, q, p_mask, q_mask)
+    solo = bac.one_sided(p, q, p_mask, q_mask)
     np.testing.assert_allclose(solo.data, g_p.data, atol=1e-15)
 
 
 def test_bac_width_contract(rng):
     bac = BAC(ParamStore(), "c", 5, 2, rng)
     with pytest.raises(ContractError):
-        bac(Tensor(np.zeros((4, 6))), Tensor(np.zeros((3, 5))))
+        bac(Tensor(np.zeros((4, 6))), Tensor(np.zeros((3, 5))), np.ones(4), np.ones(3))
 
 
 def test_bac_gradients(rng):
@@ -268,7 +278,7 @@ def test_bac_gradients(rng):
     q = Tensor(rng.normal(0.0, 0.6, size=(2, 4)))
 
     def forward():
-        g_p, g_q = bac(p, q)
+        g_p, g_q = bac(p, q, *real(p, q))
         return add(sum_(g_p), sum_(g_q))
 
     assert grad_check(forward, store) < 1e-4

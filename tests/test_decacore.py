@@ -17,7 +17,12 @@ def build_block(dim=6, hidden=4, seed=0, **kwargs):
     return block, store
 
 
-def weights(block, p, q, q_mask=None):
+def real(x):
+    """An all-ones mask for a sequence whose every position is real."""
+    return np.ones(x.shape[:-1])
+
+
+def weights(block, p, q, q_mask):
     """Attention weights of the block: its attention applied to identity values."""
     eye = Tensor(np.broadcast_to(np.eye(q.shape[-2]), q.shape[:-2] + (q.shape[-2],) * 2))
     return attend(affinity(block.proj(p), block.proj(q)), eye, q_mask)
@@ -31,9 +36,9 @@ def build_core(input_dim=10, hidden=6, layers=2, seed=0, **kwargs):
 
 
 def stages(core, p, q):
-    """(u1, u2): the core's two gated blocks run on their own, without masks."""
-    u1 = core.bi_attn(p, q)
-    return u1, core.self_attn(u1, u1)
+    """(u1, u2): the core's two gated blocks run on their own, all positions real."""
+    u1 = core.bi_attn(p, q, real(p), real(q))
+    return u1, core.self_attn(u1, u1, real(u1), real(u1))
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +49,7 @@ def test_block_output_shape(rng):
     block, _ = build_block()
     p = Tensor(rng.normal(size=(2, 5, 6)))
     q = Tensor(rng.normal(size=(2, 3, 6)))
-    out = block(p, q)
+    out = block(p, q, real(p), real(q))
     assert out.shape == (2, 5, 4)
 
 
@@ -62,7 +67,7 @@ def test_gate_values_strictly_inside_unit_interval(rng):
     block, _ = build_block()
     p = Tensor(rng.normal(size=(1, 4, 6)))
     q = Tensor(rng.normal(size=(1, 3, 6)))
-    attended = block.alignment(p, q).data
+    attended = block.alignment(p, q, real(q)).data
     gate = block.gate(Tensor(np.concatenate([p.data, attended], axis=-1)))
     assert np.all(gate.data > 0.0) and np.all(gate.data < 1.0)
 
@@ -73,8 +78,8 @@ def test_open_gate_reduces_to_plain_rnn(rng):
     block.gate.b.data[:] = 50.0  # sigmoid -> 1
     p = Tensor(rng.normal(size=(1, 4, 6)))
     q = Tensor(rng.normal(size=(1, 3, 6)))
-    out = block(p, q)
-    np.testing.assert_allclose(out.data, block.rnn(p).data, atol=1e-6)
+    out = block(p, q, real(p), real(q))
+    np.testing.assert_allclose(out.data, block.rnn(p, real(p)).data, atol=1e-6)
 
 
 def test_closed_gate_feeds_zeros(rng):
@@ -83,8 +88,8 @@ def test_closed_gate_feeds_zeros(rng):
     block.gate.b.data[:] = -50.0  # sigmoid -> 0
     p = Tensor(rng.normal(size=(1, 4, 6)))
     q = Tensor(rng.normal(size=(1, 3, 6)))
-    out = block(p, q)
-    zeros = block.rnn(Tensor(np.zeros((1, 4, 6))))
+    out = block(p, q, real(p), real(q))
+    zeros = block.rnn(Tensor(np.zeros((1, 4, 6))), real(p))
     np.testing.assert_allclose(out.data, zeros.data, atol=1e-6)
 
 
@@ -93,16 +98,16 @@ def test_ungated_block_skips_attention(rng):
     assert not any("gate" in n or "proj" in n for n in store.names())
     p = Tensor(rng.normal(size=(1, 4, 6)))
     q = Tensor(rng.normal(size=(1, 3, 6)))
-    out = block(p, q)
-    np.testing.assert_allclose(out.data, block.rnn(p).data, atol=1e-15)
+    out = block(p, q, real(p), real(q))
+    np.testing.assert_allclose(out.data, block.rnn(p, real(p)).data, atol=1e-15)
     with pytest.raises(ContractError):
-        block.alignment(p, q)
+        block.alignment(p, q, real(q))
 
 
 def test_self_attention_single_position_weight_is_one(rng):
     block, _ = build_block()
     x = Tensor(rng.normal(size=(1, 1, 6)))
-    a = weights(block, x, x)
+    a = weights(block, x, x, real(x))
     np.testing.assert_allclose(a.data, [[[1.0]]], atol=1e-12)
 
 
@@ -110,8 +115,9 @@ def test_self_attention_permutation_equivariance(rng):
     block, _ = build_block()
     x = rng.normal(size=(1, 4, 6))
     perm = np.array([2, 0, 3, 1])
-    a = weights(block, Tensor(x), Tensor(x)).data[0]
-    a_perm = weights(block, Tensor(x[:, perm]), Tensor(x[:, perm])).data[0]
+    mask = np.ones((1, 4))
+    a = weights(block, Tensor(x), Tensor(x), mask).data[0]
+    a_perm = weights(block, Tensor(x[:, perm]), Tensor(x[:, perm]), mask).data[0]
     np.testing.assert_allclose(a_perm, a[perm][:, perm], atol=1e-12)
 
 
@@ -126,7 +132,7 @@ def test_core_output_width_and_counts(rng):
     q = Tensor(rng.normal(size=(2, 3, 10)))
     states = [Tensor(rng.normal(size=(2, 3, 6))) for _ in range(2)]
     calls = BAC.calls
-    m = core(p, q, states)
+    m = core(p, q, states, real(p), real(q))
     assert BAC.calls - calls == 4  # 2n one-sided connectors
     assert m.shape == (2, 5, 18)
     u1, u2 = stages(core, p, q)
@@ -144,7 +150,7 @@ def test_core_without_bank_returns_u2(rng):
     assert core.output_dim == 6
     p = Tensor(rng.normal(size=(1, 4, 10)))
     q = Tensor(rng.normal(size=(1, 3, 10)))
-    m = core(p, q, [])
+    m = core(p, q, [], real(p), real(q))
     np.testing.assert_allclose(m.data, stages(core, p, q)[1].data, atol=1e-15)
 
 
@@ -156,7 +162,7 @@ def test_core_zero_kernels_leave_u2_block(rng):
     p = Tensor(rng.normal(size=(1, 4, 10)))
     q = Tensor(rng.normal(size=(1, 3, 10)))
     states = [Tensor(rng.normal(size=(1, 3, 6))) for _ in range(2)]
-    m = core(p, q, states)
+    m = core(p, q, states, real(p), real(q))
     np.testing.assert_allclose(m.data[..., :6], stages(core, p, q)[1].data, atol=1e-15)
     np.testing.assert_allclose(m.data[..., 6:], np.zeros((1, 4, 12)), atol=1e-15)
 
@@ -166,7 +172,7 @@ def test_core_ungated_keeps_widths(rng):
     p = Tensor(rng.normal(size=(1, 4, 10)))
     q = Tensor(rng.normal(size=(1, 3, 10)))
     states = [Tensor(rng.normal(size=(1, 3, 6))) for _ in range(2)]
-    m = core(p, q, states)
+    m = core(p, q, states, real(p), real(q))
     assert m.shape == (1, 4, 18)
 
 
@@ -175,7 +181,7 @@ def test_core_state_count_contract(rng):
     p = Tensor(rng.normal(size=(1, 4, 10)))
     q = Tensor(rng.normal(size=(1, 3, 10)))
     with pytest.raises(ContractError):
-        core(p, q, [Tensor(rng.normal(size=(1, 3, 6)))])
+        core(p, q, [Tensor(rng.normal(size=(1, 3, 6)))], real(p), real(q))
 
 
 def test_core_gradients(rng):
@@ -186,6 +192,6 @@ def test_core_gradients(rng):
     states = [Tensor(rng.normal(0.0, 0.6, size=(1, 2, 4)))]
 
     def forward():
-        return sum_(core(p, q, states))
+        return sum_(core(p, q, states, real(p), real(q)))
 
     assert grad_check(forward, store) < 1e-4

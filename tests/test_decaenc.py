@@ -163,7 +163,8 @@ def test_padding_rows_do_not_leak(rng):
 def test_layer_width_contract(rng):
     enc, _ = build(layers=2, hidden=6, input_dim=7)
     with pytest.raises(ContractError, match="input width"):
-        enc(Tensor(rng.normal(size=(2, 5, 8))), Tensor(rng.normal(size=(2, 3, 8))))
+        enc(Tensor(rng.normal(size=(2, 5, 8))), Tensor(rng.normal(size=(2, 3, 8))),
+            np.ones((2, 5)), np.ones((2, 3)))
 
 
 def test_needs_at_least_one_layer():
@@ -188,7 +189,7 @@ def test_gradients_through_two_layers(rng):
     q = Tensor(rng.normal(0.0, 0.6, size=(1, 2, 4)))
 
     def forward():
-        out = enc(p, q)
+        out = enc(p, q, np.ones((1, 3)), np.ones((1, 2)))
         return add(sum_(out.passage), sum_(out.question))
 
     assert grad_check(forward, store) < 1e-4

@@ -36,7 +36,7 @@ def test_config_round_trip():
 
 
 def test_config_rejects_unknown_keys_and_bad_values():
-    with pytest.raises(ConfigError, match="unknown model config keys"):
+    with pytest.raises(ConfigError, match="unknown config key 'model.bogus'"):
         ModelConfig.from_dict({"hidden": 8, "bogus": 1})
     with pytest.raises(ConfigError, match="rnn widths"):
         tiny_cfg(hidden=1)

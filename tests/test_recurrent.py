@@ -99,15 +99,15 @@ def test_lstm_grad(rng):
 def test_birnn_shapes(rng):
     store = ParamStore()
     rnn = BiRNN(store, "r", 10, 32, "gru", rng)
-    out = rnn(Tensor(rng.normal(size=(1, 5, 10))))
+    out = rnn(Tensor(rng.normal(size=(1, 5, 10))), np.ones((1, 5)))
     assert out.shape == (1, 5, 32)
-    out = rnn(Tensor(rng.normal(size=(2, 5, 10))))
+    out = rnn(Tensor(rng.normal(size=(2, 5, 10))), np.ones((2, 5)))
     assert out.shape == (2, 5, 32)
     for bad in (np.zeros((5, 10)), np.zeros((1, 2, 5, 10))):
         with pytest.raises(ContractError):
-            rnn(Tensor(bad))
+            rnn(Tensor(bad), np.ones(bad.shape[:-1]))
         with pytest.raises(ContractError):
-            rnn.final_states(Tensor(bad))
+            rnn.final_states(Tensor(bad), np.ones(bad.shape[:-1]))
 
 
 def test_birnn_odd_width_splits_ceil_floor(rng):
@@ -115,16 +115,16 @@ def test_birnn_odd_width_splits_ceil_floor(rng):
     rnn = BiRNN(store, "r", 4, 75, "gru", rng)
     assert rnn.fwd.hidden_dim == 38
     assert rnn.bwd.hidden_dim == 37
-    out = rnn(Tensor(rng.normal(size=(1, 3, 4))))
+    out = rnn(Tensor(rng.normal(size=(1, 3, 4))), np.ones((1, 3)))
     assert out.shape == (1, 3, 75)
     with pytest.raises(ContractError):
-        rnn(Tensor(rng.normal(size=(3, 4))))
+        rnn(Tensor(rng.normal(size=(3, 4))), np.ones(3))
 
 
 def test_birnn_empty_sequence(rng):
     rnn = BiRNN(ParamStore(), "r", 4, 6, "gru", rng)
     with pytest.raises(ContractError):
-        rnn(Tensor(np.zeros((2, 0, 4))))
+        rnn(Tensor(np.zeros((2, 0, 4))), np.ones((2, 0)))
 
 
 def test_birnn_unknown_cell(rng):
@@ -136,7 +136,7 @@ def test_birnn_single_step_equals_cells(rng):
     store = ParamStore()
     rnn = BiRNN(store, "r", 4, 6, "gru", rng)
     x = Tensor(rng.normal(size=(1, 4)))
-    out = rnn(Tensor(x.data[:, None]))
+    out = rnn(Tensor(x.data[:, None]), np.ones((1, 1)))
     h_f = rnn.fwd.step(x, rnn.fwd.initial_state(1))
     h_b = rnn.bwd.step(x, rnn.bwd.initial_state(1))
     np.testing.assert_allclose(out.data[0, 0, :3], h_f.data[0], atol=1e-15)
@@ -156,7 +156,7 @@ def test_birnn_masked_matches_unpadded(rng):
         mask[i, :lengths[i]] = 1.0
     out = rnn(Tensor(padded), mask)
     for i, row in enumerate(rows):
-        solo = rnn(Tensor(row[None]))
+        solo = rnn(Tensor(row[None]), np.ones((1, len(row))))
         np.testing.assert_allclose(out.data[i, :lengths[i]], solo.data[0], atol=1e-12)
 
 
@@ -168,8 +168,9 @@ def test_birnn_direction_symmetry(rng):
     for attr in ("w_z", "w_r", "w_h", "b_z", "b_r", "b_h"):
         getattr(rnn.bwd, attr).data[:] = getattr(rnn.fwd, attr).data
     x = rng.normal(size=(1, 5, 3))
-    out = rnn(Tensor(x)).data
-    out_rev = rnn(Tensor(x[:, ::-1, :].copy())).data
+    mask = np.ones((1, 5))
+    out = rnn(Tensor(x), mask).data
+    out_rev = rnn(Tensor(x[:, ::-1, :].copy()), mask).data
     np.testing.assert_allclose(out_rev[:, :, :4], out[:, ::-1, 4:], atol=1e-12)
     np.testing.assert_allclose(out_rev[:, :, 4:], out[:, ::-1, :4], atol=1e-12)
 

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from decaprop import model as model_module, training as training_module
+from decaprop.checkpoint import load_checkpoint
+from decaprop.data import TokenizedExample
 from decaprop.errors import ConfigError, ContractError, DataError, NumericError
 from decaprop.model import DecaProp, ModelConfig, build_model
 from decaprop.numerics import ParamStore
@@ -16,7 +18,8 @@ from decaprop.encoder import Featurizer
 from decaprop.training import (SyntheticTaskSpec, TrainConfig, adadelta_step,
                                adam_step, clip_gradients, collate, em_f1, evaluate,
                                gen_synthetic, init_optimizer_state, lr_schedule,
-                               normalize_answer, predict_batches, train_model)
+                               normalize_answer, predict_batches, restore_model,
+                               train_model)
 
 
 def scalar_store(value=0.0, grad=1.0):
@@ -249,6 +252,41 @@ def test_collate_pads_to_longest():
     assert batch["y1"].shape == (4,)
 
 
+def test_collate_pads_every_side_array():
+    """Mixed lengths, a one-token question included: every array a side
+    carries is padded with its dtype and trailing shape, real rows first."""
+    examples = [
+        TokenizedExample("a", ["the", "cat", "sat", "on", "mats"], ["cat"], 1, 1, ["cat"]),
+        TokenizedExample("b", ["dogs", "bark"], ["do", "dogs", "x"], 0, 0, ["dogs"]),
+        TokenizedExample("c", list("abcdefg"), ["bc", "d"], 2, 3, ["c d"]),
+    ]
+    fz = Featurizer.build(examples, max_word_len=3)
+    feats = [fz.example(ex) for ex in examples]
+    batch = collate(feats)
+    assert "q_len" not in batch
+    names = list(feats[0]["p"])
+    assert set(batch) == ({f"{s}_{n}" for s in "pq" for n in names}
+                          | {"p_mask", "q_mask", "p_len", "y1", "y2"})
+    for side, longest in (("p", 7), ("q", 3)):
+        lengths = [len(f[side][names[0]]) for f in feats]
+        mask = batch[f"{side}_mask"]
+        assert mask.dtype == np.float64 and mask.shape == (3, longest)
+        for i, k in enumerate(lengths):
+            assert mask[i].tolist() == [1.0] * k + [0.0] * (longest - k)
+        for name in names:
+            got = batch[f"{side}_{name}"]
+            first = feats[0][side][name]
+            assert got.dtype == first.dtype, (side, name)
+            assert got.shape == (3, longest) + first.shape[1:], (side, name)
+            for i, k in enumerate(lengths):
+                np.testing.assert_array_equal(got[i, :k], feats[i][side][name])
+                assert not got[i, k:].any(), (side, name, i)
+    assert batch["p_len"].dtype == np.int64
+    assert batch["p_len"].tolist() == batch["p_mask"].sum(axis=1).tolist() == [5, 2, 7]
+    assert batch["q_mask"].sum(axis=1).tolist() == [1, 3, 2]
+    assert {"word", "chars", "char_mask", "match", "freq"} <= set(names)
+
+
 def test_collate_empty_batch_rejected():
     with pytest.raises(ContractError):
         collate([])
@@ -319,6 +357,20 @@ def test_train_model_stops_on_non_finite_gradient_norm(monkeypatch):
     with pytest.raises(NumericError, match="diverged at step 1: gradient norm inf"):
         train_model(model, fz, train, dev, TrainConfig(batch_size=4, max_epochs=1))
     assert all(np.array_equal(p.data, before[name]) for name, p in model.store.items())
+
+
+def test_restore_model_reproduces_trained_logits(tmp_path):
+    model, fz, train, dev = tiny_setup()
+    path = tmp_path / "model.ckpt"
+    tcfg = TrainConfig(lr=5e-3, batch_size=4, max_epochs=2, seed=0)
+    train_model(model, fz, train, dev, tcfg, checkpoint_path=str(path))
+    restored, restored_fz = restore_model(load_checkpoint(str(path)), str(path))
+    assert restored_fz.state() == fz.state()
+    assert restored.config == model.config
+    batch = collate([fz.example(ex) for ex in dev])
+    want, got = model.forward(batch), restored.forward(batch)
+    assert got.start_logits.data.tobytes() == want.start_logits.data.tobytes()
+    assert got.end_logits.data.tobytes() == want.end_logits.data.tobytes()
 
 
 def test_train_model_empty_dataset_rejected():
