@@ -10,8 +10,8 @@ import numpy as np
 
 from .errors import ContractError, DataError
 from .numerics import (
-    NEG_INF, ParamStore, Tensor, add, glorot, log_softmax, matmul, mean_, neg,
-    pick, reshape,
+    NEG_INF, ParamStore, Tensor, add, glorot, log_softmax, matmul, mul, pick,
+    reshape, sum_,
 )
 from .recurrent import BiRNN, variational_dropout
 
@@ -59,7 +59,7 @@ def span_loss(start_logits: Tensor, end_logits: Tensor, y1, y2, lengths) -> Tens
                 f"example {i}: invalid span ({y1[i]}, {y2[i]}) for length {limit[i]}")
     lp1 = pick(log_softmax(start_logits, -1), y1)
     lp2 = pick(log_softmax(end_logits, -1), y2)
-    return mean_(neg(add(lp1, lp2)))
+    return mul(sum_(add(lp1, lp2)), -1.0 / start_logits.shape[0])
 
 
 def decode_span(p1: np.ndarray, p2: np.ndarray, max_span_len: int | None = None

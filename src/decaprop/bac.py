@@ -116,8 +116,9 @@ class BAC:
         b = attend(e, q, q_mask)
         return self._compress(b, p), self._compress(a, q)
 
-    def one_sided(self, p: Tensor, q: Tensor, p_mask: np.ndarray, q_mask: np.ndarray) -> Tensor:
-        """Left-side compression only; skips the question-side alignment work."""
+    def one_sided(self, p: Tensor, q: Tensor, q_mask: np.ndarray) -> Tensor:
+        """Left-side compression only; skips the question-side alignment work,
+        so only the question keys' mask is needed."""
         BAC.calls += 1
         b = attend(affinity(self.proj(p), self.proj(q)), q, q_mask)
         return self._compress(b, p)

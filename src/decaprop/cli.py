@@ -99,6 +99,16 @@ def _load_dataset(path: str, fmt: str):
     raise ConfigError(f"unknown data format {fmt!r}; pick 'jsonl' or 'squad'")
 
 
+def _require_same_model(configured: ModelConfig, restored: ModelConfig, path: str) -> None:
+    """A resumed run keeps the checkpoint's architecture, so a configured
+    model (``--variant`` applied) that differs from it is refused."""
+    wanted, kept = configured.to_dict(), restored.to_dict()
+    for key in wanted:
+        if wanted[key] != kept[key]:
+            raise ConfigError(f"model.{key} is {wanted[key]!r}, but the checkpoint {path} "
+                              f"has {kept[key]!r}; a resumed run keeps its model")
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     model_cfg, train_cfg, task = load_configs(
         args.config, train={"seed": args.seed, "ablation": args.variant},
@@ -119,6 +129,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise ConfigError("--resume needs --checkpoint")
         resume = load_checkpoint(args.checkpoint)
         model, featurizer = restore_model(resume, args.checkpoint)
+        _require_same_model(model_cfg, model.config, args.checkpoint)
     else:
         featurizer = Featurizer.build(train_ex + (dev_ex or []), model_cfg.max_word_len)
         model = build_model(model_cfg, featurizer, seed=train_cfg.seed)

@@ -94,5 +94,5 @@ class DecaCore:
         blocks = [u2]
         for k in range(self.layers):
             for j, u in enumerate((u1, u2)):
-                blocks.append(self.bank[(k, j)].one_sided(u, question_states[k], p_mask, q_mask))
+                blocks.append(self.bank[(k, j)].one_sided(u, question_states[k], q_mask))
         return concat(blocks, -1)

@@ -65,8 +65,7 @@ def _cell_scenario(kind: str, seed: int, tag: int):
         state = cell.initial_state(2)
         for x in xs:
             state = cell.step(x, state)
-        h = state[0] if isinstance(state, tuple) else state
-        return sum_(h)
+        return sum_(state[0])
 
     return store, forward
 
@@ -108,7 +107,7 @@ def _bac_scenario(seed: int, tag: int, one_sided: bool):
 
     def forward() -> Tensor:
         if one_sided:
-            return sum_(bac.one_sided(p, q, p_mask, q_mask))
+            return sum_(bac.one_sided(p, q, q_mask))
         g_p, g_q = bac(p, q, p_mask, q_mask)
         return add(sum_(g_p), sum_(g_q))
 

@@ -41,10 +41,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.data.shape}")
@@ -163,17 +159,6 @@ def mul(a, b) -> Tensor:
         _acc(b, _unbroadcast(g * a.data, b.data.shape))
 
     _record((a, b), (out,), bw)
-    return out
-
-
-def neg(a) -> Tensor:
-    a = _ensure(a)
-    out = Tensor(-a.data)
-
-    def bw():
-        _acc(a, -out.grad)
-
-    _record((a,), (out,), bw)
     return out
 
 
@@ -379,13 +364,6 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
 
     _record((a,), (out,), bw)
     return out
-
-
-def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
-    """Mean along ``axis`` (all entries when None)."""
-    a = _ensure(a)
-    count = a.size if axis is None else a.shape[_check_axis(a, axis)]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def gather_rows(a, indices) -> Tensor:

@@ -1,9 +1,11 @@
 """GRU/LSTM cells, bidirectional runners, and variational dropout.
 
-Cells are step functions over (batch, dim) slices; ``BiRNN`` drives them over
-a sequence under a required (batch, len) padding mask.  A masked step keeps
-the previous state, so the states at real positions are bit-identical to
-running each sequence unpadded; an all-ones mask runs every step.
+Cells are step functions over (batch, dim) slices.  Every cell's state is a
+tuple whose first entry is the hidden output: ``(h,)`` for a GRU, ``(h, c)``
+for an LSTM.  ``BiRNN`` drives the cells over a sequence under a required
+(batch, len) padding mask.  A masked step keeps the previous state, so the
+states at real positions are bit-identical to running each sequence
+unpadded; an all-ones mask runs every step.
 """
 
 from __future__ import annotations
@@ -32,19 +34,20 @@ class GRUCell:
         self.b_r = store.register(f"{name}.b_r", np.zeros(hidden_dim))
         self.b_h = store.register(f"{name}.b_h", np.zeros(hidden_dim))
 
-    def initial_state(self, batch: int) -> Tensor:
-        return Tensor(np.zeros((batch, self.hidden_dim)))
+    def initial_state(self, batch: int) -> tuple[Tensor]:
+        return (Tensor(np.zeros((batch, self.hidden_dim))),)
 
-    def step(self, x: Tensor, h: Tensor) -> Tensor:
+    def step(self, x: Tensor, state: tuple[Tensor]) -> tuple[Tensor]:
         if x.shape[-1] != self.input_dim:
             raise ContractError(f"gru cell expects input width {self.input_dim}, got shape {x.shape}")
+        h, = state
         xh = concat([x, h], -1)
         z = sigmoid(add(matmul(xh, self.w_z), self.b_z))
         r = sigmoid(add(matmul(xh, self.w_r), self.b_r))
         xrh = concat([x, mul(r, h)], -1)
         cand = tanh(add(matmul(xrh, self.w_h), self.b_h))
         # (1 - z) * h + z * cand, written to reuse h
-        return add(h, mul(z, sub(cand, h)))
+        return (add(h, mul(z, sub(cand, h))),)
 
 
 class LSTMCell:
@@ -104,46 +107,42 @@ class BiRNN:
         self.bwd = _CELLS[cell](store, f"{name}.bwd", input_dim, bwd_dim, rng)
 
     def _sweep(self, cell, xs: list[Tensor], mask: np.ndarray, order) -> list[Tensor]:
-        batch = xs[0].shape[0]
-        state = cell.initial_state(batch)
-        states: dict[int, Tensor] = {}
+        """The cell's hidden output at each step, in the order ``order`` visits them."""
+        state = cell.initial_state(xs[0].shape[0])
+        hs: list[Tensor] = []
         for t in order:
             new = cell.step(xs[t], state)
-            m = Tensor(mask[:, t:t + 1])
-            if isinstance(new, tuple):
-                state = tuple(add(mul(m, n), mul(Tensor(1.0 - m.data), old))
-                              for n, old in zip(new, state))
-            else:
-                state = add(mul(m, new), mul(Tensor(1.0 - m.data), state))
-            states[t] = state[0] if isinstance(state, tuple) else state
-        return [states[t] for t in range(len(xs))]
+            m = mask[:, t:t + 1]
+            keep, hold = Tensor(m), Tensor(1.0 - m)
+            state = tuple(add(mul(keep, n), mul(hold, old)) for n, old in zip(new, state))
+            hs.append(state[0])
+        return hs
 
-    def _steps(self, x: Tensor) -> list[Tensor]:
-        """Validate a (batch, len, d_in) input and split it into time steps."""
+    def _sweeps(self, x: Tensor, mask: np.ndarray) -> tuple[list[Tensor], list[Tensor]]:
+        """Both directions over a (batch, len, d_in) input: the forward and
+        the backward states, each listed in time order."""
         if x.ndim != 3:
             raise ContractError(f"birnn expects a 3-d (batch, len, width) input, got shape {x.shape}")
         if x.shape[1] == 0:
             raise ContractError("birnn on an empty sequence")
         if x.shape[-1] != self.input_dim:
             raise ContractError(f"birnn expects input width {self.input_dim}, got shape {x.shape}")
-        return unstack(x, axis=1)
-
-    def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
-        """Map (batch, len, d_in) -> (batch, len, d_out); ``mask`` is (batch, len)."""
-        xs = self._steps(x)
+        xs = unstack(x, axis=1)
         length = len(xs)
         fwd = self._sweep(self.fwd, xs, mask, range(length))
         bwd = self._sweep(self.bwd, xs, mask, range(length - 1, -1, -1))
+        return fwd, bwd[::-1]
+
+    def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
+        """Map (batch, len, d_in) -> (batch, len, d_out); ``mask`` is (batch, len)."""
+        fwd, bwd = self._sweeps(x, mask)
         return concat([stack(fwd, axis=1), stack(bwd, axis=1)], -1)
 
     def final_states(self, x: Tensor, mask: np.ndarray) -> Tensor:
         """Concat of the forward state at the last real step and the backward
         state at the first step: (batch, d_out).  An all-masked row yields zeros."""
-        xs = self._steps(x)
-        length = len(xs)
-        h_fwd = self._sweep(self.fwd, xs, mask, range(length))[length - 1]
-        h_bwd = self._sweep(self.bwd, xs, mask, range(length - 1, -1, -1))[0]
-        return concat([h_fwd, h_bwd], -1)
+        fwd, bwd = self._sweeps(x, mask)
+        return concat([fwd[-1], bwd[0]], -1)
 
 
 def variational_dropout(seq: Tensor, rate: float,

@@ -37,7 +37,7 @@ def init_optimizer_state(kind: str, store: ParamStore) -> dict:
         return {"kind": "adadelta",
                 "g2": {n: np.zeros_like(p.data) for n, p in store.trainable_items()},
                 "dx2": {n: np.zeros_like(p.data) for n, p in store.trainable_items()}}
-    raise ConfigError(f"unknown optimizer {kind!r}; pick 'adam' or 'adadelta'")
+    raise ConfigError(f"unknown optimizer {kind!r}; pick one of {tuple(OPTIMIZERS)}")
 
 
 def adam_step(store: ParamStore, state: dict, lr: float = 1e-3,
@@ -77,13 +77,18 @@ def adadelta_step(store: ParamStore, state: dict, lr: float = 0.5,
         p.data += lr * dx
 
 
-def clip_gradients(store: ParamStore, max_norm: float) -> float:
-    """Scale every gradient if the global l2 norm exceeds ``max_norm``."""
+# optimizer name -> its step on the state ``init_optimizer_state`` builds
+OPTIMIZERS = {"adam": adam_step, "adadelta": adadelta_step}
+
+
+def clip_gradients(store: ParamStore, max_norm: float | None) -> float:
+    """The global l2 norm of the gradients; every gradient is scaled down
+    when it exceeds ``max_norm`` (None: never)."""
     total = 0.0
     for _, p in store.trainable_items():
         total += float((p.grad * p.grad).sum())
     norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0.0:
+    if max_norm is not None and norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for _, p in store.trainable_items():
             p.grad = p.grad * scale
@@ -289,7 +294,7 @@ class TrainConfig(Config):
     ablation: str = "full"
 
     section = "train"
-    rules = {"optimizer": one_of(("adam", "adadelta")), "lr": POSITIVE,
+    rules = {"optimizer": one_of(tuple(OPTIMIZERS)), "lr": POSITIVE,
              "batch_size": at_least(1), "max_epochs": at_least(1), "max_steps": at_least(1),
              "seed": at_least(0), "clip_norm": POSITIVE, "patience": at_least(1),
              "decay_factor": POSITIVE, "ablation": one_of(tuple(VARIANTS))}
@@ -376,7 +381,7 @@ def train_model(model: DecaProp, featurizer: Featurizer,
     loss, EM, and F1.  With ``checkpoint_path`` the full state, featurizer
     included, is saved after every epoch, so any of those checkpoints can be
     evaluated or resumed; ``resume`` (a loaded checkpoint dict) continues
-    seamlessly.
+    seamlessly, and is refused when its optimizer is not ``tcfg.optimizer``.
     """
     if not train_examples:
         raise DataError("training on an empty dataset")
@@ -384,12 +389,17 @@ def train_model(model: DecaProp, featurizer: Featurizer,
     feats = [featurizer.example(ex) for ex in train_examples]
 
     rng = np.random.default_rng((tcfg.seed, 0x10AD))
-    opt_state = init_optimizer_state(tcfg.optimizer, model.store)
     lr = tcfg.lr
     start_epoch = 0
     step = 0
     history: list[float] = []
-    if resume is not None:
+    if resume is None:
+        opt_state = init_optimizer_state(tcfg.optimizer, model.store)
+    else:
+        kind = resume["optimizer"].get("kind")
+        if kind != tcfg.optimizer:
+            raise ConfigError(f"train.optimizer is {tcfg.optimizer!r}, but the checkpoint "
+                              f"was trained with {kind!r}")
         model.store.load_values(resume["params"])
         opt_state = resume["optimizer"]
         rng.bit_generator.state = resume["rng_state"]
@@ -399,7 +409,7 @@ def train_model(model: DecaProp, featurizer: Featurizer,
         lr = ts["lr"]
         history = list(ts["history"])
 
-    result = TrainResult()
+    result = TrainResult(best_em=max(history, default=0.0))
     t0 = clock()
     writer = None
     csv_handle = None
@@ -435,15 +445,11 @@ def train_model(model: DecaProp, featurizer: Featurizer,
                                            f"loss {loss_value}")
                     model.store.zero_grads()
                     backward(tape, out.loss)
-                    if tcfg.clip_norm is not None:
-                        norm = clip_gradients(model.store, tcfg.clip_norm)
-                        if not np.isfinite(norm):
-                            raise NumericError(f"training diverged at step {step + 1}: "
-                                               f"gradient norm {norm}")
-                if tcfg.optimizer == "adam":
-                    adam_step(model.store, opt_state, lr=lr)
-                else:
-                    adadelta_step(model.store, opt_state, lr=lr)
+                    norm = clip_gradients(model.store, tcfg.clip_norm)
+                    if not np.isfinite(norm):
+                        raise NumericError(f"training diverged at step {step + 1}: "
+                                           f"gradient norm {norm}")
+                OPTIMIZERS[tcfg.optimizer](model.store, opt_state, lr=lr)
                 step += 1
                 epoch_losses.append(loss_value)
                 result.step_losses.append(loss_value)
@@ -471,7 +477,7 @@ def train_model(model: DecaProp, featurizer: Featurizer,
                     checkpoint_path, model.store, model.config.to_dict(), opt_state,
                     rng.bit_generator.state,
                     {"epoch": epoch, "step": step, "lr": lr, "history": history},
-                    extra={"featurizer": featurizer.state(), "seed": tcfg.seed})
+                    extra={"featurizer": featurizer.state()})
             if stop:
                 break
     finally:
@@ -489,8 +495,8 @@ def restore_model(ck: dict, path: str) -> tuple[DecaProp, Featurizer]:
         raise ConfigError(f"{path}: checkpoint has no featurizer state; "
                           "was it written by 'decaprop train'?")
     featurizer = Featurizer.from_state(ck["extra"]["featurizer"])
-    model = build_model(ModelConfig.from_dict(ck["model_config"]), featurizer,
-                        seed=int(ck["extra"].get("seed", 0)))
+    # every parameter, the frozen word vectors included, is then overwritten
+    model = build_model(ModelConfig.from_dict(ck["model_config"]), featurizer)
     model.store.load_values(ck["params"])
     return model, featurizer
 

@@ -152,7 +152,7 @@ def test_attention_matches_numpy_oracle(rng):
     want_q = bac._compress(Tensor(aligned_p), Tensor(q)).data
     np.testing.assert_allclose(g_p.data, want_p, rtol=0, atol=1e-12)
     np.testing.assert_allclose(g_q.data, want_q, rtol=0, atol=1e-12)
-    solo = bac.one_sided(Tensor(p), Tensor(q), P_MASK, Q_MASK)
+    solo = bac.one_sided(Tensor(p), Tensor(q), Q_MASK)
     np.testing.assert_allclose(solo.data, want_p, rtol=0, atol=1e-12)
 
 
@@ -261,7 +261,7 @@ def test_bac_one_sided_matches_left_output(rng):
     q_mask = np.array([[1, 1, 1], [1, 1, 0]], dtype=np.float64)
     p_mask = np.ones((2, 4))
     g_p, _ = bac(p, q, p_mask, q_mask)
-    solo = bac.one_sided(p, q, p_mask, q_mask)
+    solo = bac.one_sided(p, q, q_mask)
     np.testing.assert_allclose(solo.data, g_p.data, atol=1e-15)
 
 

@@ -494,6 +494,61 @@ def test_cli_resume_and_eval_from_a_per_epoch_checkpoint(tmp_path, tiny_config, 
     assert load_checkpoint(str(ckpt))["train_state"]["epoch"] == 2
 
 
+def trained_checkpoint(tmp_path, tiny_config) -> Path:
+    """A one-epoch tiny checkpoint written by ``decaprop train``."""
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--config", tiny_config, "--checkpoint", str(ckpt)]) == 0
+    return ckpt
+
+
+@pytest.mark.parametrize("flags, env, message", [
+    (["--variant", "no_gated"], {}, "model.gated_attention is False, but the checkpoint"),
+    ([], {"DECAPROP_MODEL_HIDDEN": "6"}, "model.hidden is 6, but the checkpoint"),
+], ids=["variant", "model-key"])
+def test_cli_resume_refuses_a_different_model(tmp_path, tiny_config, capsys, monkeypatch,
+                                              flags, env, message):
+    ckpt = trained_checkpoint(tmp_path, tiny_config)
+    before = ckpt.read_bytes()
+    capsys.readouterr()
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setenv("DECAPROP_TRAIN_MAX_EPOCHS", "2")
+    assert cli.main(["train", "--config", tiny_config, "--checkpoint", str(ckpt),
+                     "--resume", *flags]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"error:config: {message}")
+    assert "Traceback" not in "\n".join(err)
+    assert ckpt.read_bytes() == before
+
+
+def test_cli_resume_refuses_a_different_optimizer(tmp_path, tiny_config, capsys, monkeypatch):
+    ckpt = trained_checkpoint(tmp_path, tiny_config)
+    before = ckpt.read_bytes()
+    capsys.readouterr()
+    monkeypatch.setenv("DECAPROP_TRAIN_OPTIMIZER", "adadelta")
+    monkeypatch.setenv("DECAPROP_TRAIN_MAX_EPOCHS", "2")
+    assert cli.main(["train", "--config", tiny_config, "--checkpoint", str(ckpt),
+                     "--resume"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error:config: train.optimizer is 'adadelta', but the checkpoint was trained "
+        "with 'adam'")
+    assert ckpt.read_bytes() == before
+
+
+def test_cli_resume_reports_the_best_em_of_the_whole_run(tmp_path, tiny_config, caplog,
+                                                         monkeypatch):
+    ckpt = trained_checkpoint(tmp_path, tiny_config)
+    first = load_checkpoint(str(ckpt))["train_state"]["history"]
+    monkeypatch.setenv("DECAPROP_TRAIN_MAX_EPOCHS", "2")
+    caplog.set_level("INFO", logger="decaprop")
+    assert cli.main(["train", "--config", tiny_config, "--checkpoint", str(ckpt),
+                     "--resume"]) == 0
+    history = load_checkpoint(str(ckpt))["train_state"]["history"]
+    # the restored epoch scored higher than the resumed one
+    assert history[:1] == first and history[0] > history[1]
+    assert caplog.messages[-1] == f"finished: 6 steps, best dev em {history[0]:.2f}"
+
+
 def test_cli_predict_unlabeled_data(tmp_path, tiny_config, capsys):
     """predict decodes data without answer spans; eval and train refuse it."""
     ckpt = tmp_path / "model.ckpt"
@@ -634,6 +689,32 @@ def test_cli_gradcheck_threshold_failure(capsys):
     rc = cli.main(["gradcheck", "--scenario", "dense_relu", "--threshold", "1e-30"])
     assert rc == 1
     assert "error:numeric" in capsys.readouterr().err
+
+
+def test_readme_config_reference_is_complete(tmp_path, monkeypatch):
+    """README's run.cfg block loads as shown, and it plus the lists of keys
+    not shown name every field of the three config sections exactly once."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(# run\.cfg\n.*?)```", readme, re.S).group(1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(block, encoding="utf-8")
+    for name in [n for n in os.environ if n.startswith("DECAPROP_")]:
+        monkeypatch.delenv(name)
+    shown = cli.read_config_file(str(cfg))
+    loaded = dict(zip(cli._SECTIONS, cli.load_configs(str(cfg))))
+    for key, raw in shown.items():
+        section, _, name = key.partition(".")
+        assert getattr(loaded[section], name) == cli._parse_value(raw)
+
+    rest = re.search(r"Model keys not shown above: (.*?)\n\n", readme, re.S).group(1)
+    parts = dict(zip(("model", "train", "task"),
+                     re.split(r"Train keys:|Task keys:", rest)))
+    listed = [f"{section}.{name}" for section, text in parts.items()
+              for name in re.findall(r"`(\w+)`", text)]
+    documented = list(shown) + listed
+    assert len(documented) == len(set(documented))
+    assert set(documented) == {f"{section}.{f.name}" for section, cls in cli._SECTIONS.items()
+                               for f in fields(cls)}
 
 
 def test_cli_unknown_config_key(tmp_path, capsys):

@@ -1,0 +1,125 @@
+"""Seeded property test of the CLI contract on malformed data records.
+
+Generated JSONL files (fields dropped or mistyped, out-of-range and reversed
+spans, empty or whitespace-only text, non-ASCII text, lines that are no json
+object) go through ``decaprop eval`` and ``decaprop predict``.  Each run must
+exit 0 with parseable output, or exit 1 with exactly one ``error:<kind>:``
+line on stderr and no traceback.
+"""
+
+import json
+import random
+import re
+from collections import Counter
+
+import pytest
+
+from decaprop import cli
+from decaprop.encoder import Featurizer
+from decaprop.errors import DecapropError
+from decaprop.model import ModelConfig, build_model
+from decaprop.training import SyntheticTaskSpec, TrainConfig, gen_synthetic, train_model
+
+CASES = 300
+FIELDS = ("id", "passage", "question", "answer_start", "answer_end", "answers")
+WRONG_TYPES = (True, False, 1.5, {"k": "v"}, None, [1, 2], ["t001", None])
+TEXTS = ("t001 t002 t003 t004", "", "   ", "\t\n", "café naïve 東京 ☃ 😀", "Ω≈ç √∫ ˜µ ≤≥",
+         "a", "t005, t006. t007!", "  ", "x" * 40)
+NOT_OBJECTS = ("[1, 2]", "5", '"text"', "null", "true", "{not json", "[]", "1e999")
+ERROR_LINE = re.compile(r"^error:(%s): \S" % "|".join(
+    sorted({cls.kind for cls in [DecapropError, *DecapropError.__subclasses__()]})))
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """One tiny trained checkpoint shared by every case."""
+    task = SyntheticTaskSpec(vocab_size=20, passage_len=8, query_len=2, span_min=1,
+                             span_max=1, distractors=0, n_train=4, n_dev=0, seed=0)
+    cfg = ModelConfig(word_dim=4, char_dim=3, char_hidden=2, max_word_len=4, hidden=4,
+                      layers=1, fm_factors=2)
+    train = gen_synthetic(task, "train")
+    featurizer = Featurizer.build(train, cfg.max_word_len)
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.ckpt"
+    train_model(build_model(cfg, featurizer), featurizer, train, None,
+                TrainConfig(batch_size=4, max_epochs=1), checkpoint_path=str(path))
+    return str(path)
+
+
+def valid_record(r: random.Random) -> dict:
+    passage = r.choice([TEXTS[0], TEXTS[4], TEXTS[7], ["t001", "t002", "t003"]])
+    rec = {"id": f"r{r.randrange(1000)}", "passage": passage,
+           "question": r.choice(["t001 t002", ["t003"], "東京?"]),
+           "answer_start": 0, "answer_end": r.randrange(2)}
+    if r.random() < 0.5:
+        rec["answers"] = ["t001"]
+    return rec
+
+
+def mutated_record(r: random.Random) -> str:
+    """One json line: a valid record with one or two defects, or no object."""
+    if r.random() < 0.12:
+        return r.choice(NOT_OBJECTS)
+    rec = valid_record(r)
+    for _ in range(r.choice((1, 1, 2))):
+        how = r.choice(("drop", "mistype", "span", "text", "text"))
+        if how == "drop":
+            rec.pop(r.choice(FIELDS), None)
+        elif how == "mistype":
+            rec[r.choice(FIELDS)] = r.choice(WRONG_TYPES)
+        elif how == "span":
+            start, end = r.choice([(-1, 0), (0, 99), (3, 1), (0, -2), (2 ** 40, 2 ** 40),
+                                   (1, 1), (None, 0), (0, None)])
+            rec["answer_start"], rec["answer_end"] = start, end
+        else:
+            key = r.choice(("passage", "question"))
+            rec[key] = r.choice(TEXTS + ([], [""], [" "], ["é", "東京"]))
+        if r.random() < 0.2:
+            rec["answers"] = r.choice([[], ["ü"], [3], "t001", [None]])
+    return json.dumps(rec, ensure_ascii=r.random() < 0.5)
+
+
+def check_contract(rc: int, out: str, err: str, command: str, n_lines: int) -> str | None:
+    """None when the run kept the contract, else what broke it."""
+    if "Traceback" in err:
+        return "traceback on stderr"
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    if rc == 1:
+        if len(errors) != 1 or not ERROR_LINE.match(errors[0]):
+            return f"exit 1 with error lines {errors!r}"
+        return None
+    if rc != 0 or errors:
+        return f"exit {rc} with error lines {errors!r}"
+    try:
+        rows = [json.loads(line) for line in out.splitlines()]
+    except json.JSONDecodeError as exc:
+        return f"unparseable output: {exc}"
+    if command == "eval":
+        ok = len(rows) == 1 and set(rows[0]) == {"loss", "em", "f1", "n"}
+    else:
+        ok = 1 <= len(rows) <= n_lines and all(
+            set(row) == {"id", "start", "end", "text"} and 0 <= row["start"] <= row["end"]
+            for row in rows)
+    return None if ok else f"unexpected output {out[:200]!r}"
+
+
+def test_malformed_records_keep_the_cli_contract(checkpoint, tmp_path, capsys):
+    r = random.Random(20261018)
+    data = tmp_path / "data.jsonl"
+    broken, outcomes = [], Counter()
+    for case in range(CASES):
+        lines = [json.dumps(valid_record(r)) for _ in range(r.randrange(2))]
+        lines.insert(r.randrange(len(lines) + 1), mutated_record(r))
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for command in ("eval", "predict"):
+            try:
+                rc = cli.main([command, "--checkpoint", checkpoint, "--data", str(data)])
+            except Exception as exc:  # the contract allows no escaping exception
+                raise AssertionError(f"case {case} {command} raised on {lines!r}") from exc
+            captured = capsys.readouterr()
+            problem = check_contract(rc, captured.out, captured.err, command, len(lines))
+            outcomes[rc] += 1
+            if problem:
+                broken.append(f"case {case} {command}: {problem}; input {lines!r}")
+    assert not broken, f"{len(broken)} contract breaks, first: {broken[:3]}"
+    # the generator reaches both sides of the contract
+    assert outcomes[0] > 20 and outcomes[1] > 100

@@ -22,7 +22,7 @@ def test_gru_zero_params_halves_state(rng):
     store = ParamStore()
     cell = GRUCell(store, "g", 3, 2, rng)
     _zeroed(store)
-    h = cell.step(Tensor(np.zeros((1, 3))), Tensor(np.array([[2.0, 4.0]])))
+    h, = cell.step(Tensor(np.zeros((1, 3))), (Tensor(np.array([[2.0, 4.0]])),))
     np.testing.assert_allclose(h.data, [[1.0, 2.0]], atol=1e-15)
 
 
@@ -31,14 +31,14 @@ def test_gru_closed_update_gate_keeps_state(rng):
     cell = GRUCell(store, "g", 3, 2, rng)
     cell.b_z.data[:] = -50.0  # z ~ 0 everywhere
     h_prev = Tensor(rng.normal(size=(1, 2)))
-    h = cell.step(Tensor(rng.normal(size=(1, 3))), h_prev)
+    h, = cell.step(Tensor(rng.normal(size=(1, 3))), (h_prev,))
     np.testing.assert_allclose(h.data, h_prev.data, atol=1e-6)
 
 
 def test_gru_dim_mismatch(rng):
     cell = GRUCell(ParamStore(), "g", 3, 2, rng)
     with pytest.raises(ContractError):
-        cell.step(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 2))))
+        cell.step(Tensor(np.zeros((1, 4))), (Tensor(np.zeros((1, 2))),))
 
 
 def test_gru_grad(rng):
@@ -47,10 +47,10 @@ def test_gru_grad(rng):
     x = Tensor(rng.normal(size=(2, 3)))
 
     def forward():
-        h = cell.initial_state(2)
-        h = cell.step(x, h)
-        h = cell.step(x, h)
-        return sum_(h)
+        state = cell.initial_state(2)
+        state = cell.step(x, state)
+        state = cell.step(x, state)
+        return sum_(state[0])
 
     assert grad_check(forward, store) < 1e-4
 
@@ -137,8 +137,8 @@ def test_birnn_single_step_equals_cells(rng):
     rnn = BiRNN(store, "r", 4, 6, "gru", rng)
     x = Tensor(rng.normal(size=(1, 4)))
     out = rnn(Tensor(x.data[:, None]), np.ones((1, 1)))
-    h_f = rnn.fwd.step(x, rnn.fwd.initial_state(1))
-    h_b = rnn.bwd.step(x, rnn.bwd.initial_state(1))
+    h_f, = rnn.fwd.step(x, rnn.fwd.initial_state(1))
+    h_b, = rnn.bwd.step(x, rnn.bwd.initial_state(1))
     np.testing.assert_allclose(out.data[0, 0, :3], h_f.data[0], atol=1e-15)
     np.testing.assert_allclose(out.data[0, 0, 3:], h_b.data[0], atol=1e-15)
 

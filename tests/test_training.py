@@ -354,9 +354,33 @@ def test_train_model_stops_on_non_finite_gradient_norm(monkeypatch):
     model, fz, train, dev = tiny_setup()
     before = {name: p.data.copy() for name, p in model.store.items()}
     monkeypatch.setattr(training_module, "clip_gradients", lambda store, max_norm: np.inf)
-    with pytest.raises(NumericError, match="diverged at step 1: gradient norm inf"):
-        train_model(model, fz, train, dev, TrainConfig(batch_size=4, max_epochs=1))
-    assert all(np.array_equal(p.data, before[name]) for name, p in model.store.items())
+    # the guard runs whether or not the gradients are clipped
+    for clip_norm in (5.0, None):
+        with pytest.raises(NumericError, match="diverged at step 1: gradient norm inf"):
+            train_model(model, fz, train, dev,
+                        TrainConfig(batch_size=4, max_epochs=1, clip_norm=clip_norm))
+        assert all(np.array_equal(p.data, before[name]) for name, p in model.store.items())
+
+
+def test_clip_without_a_bound_only_measures():
+    store = ParamStore()
+    a = store.register("a", np.zeros(3))
+    a.grad = np.array([3.0, 4.0, 0.0])
+    assert clip_gradients(store, None) == 5.0
+    np.testing.assert_array_equal(a.grad, [3.0, 4.0, 0.0])
+
+
+def test_train_model_resume_refuses_another_optimizer(tmp_path, monkeypatch):
+    model, fz, train, dev = tiny_setup()
+    path = tmp_path / "model.ckpt"
+    tcfg = TrainConfig(lr=5e-3, batch_size=4, max_epochs=1, seed=0)
+    train_model(model, fz, train, dev, tcfg, checkpoint_path=str(path))
+    calls = count_forwards(monkeypatch)
+    with pytest.raises(ConfigError, match="train.optimizer is 'adadelta', but the "
+                                          "checkpoint was trained with 'adam'"):
+        train_model(model, fz, train, dev, replace(tcfg, optimizer="adadelta", max_epochs=2),
+                    resume=load_checkpoint(str(path)))
+    assert calls == []
 
 
 def test_restore_model_reproduces_trained_logits(tmp_path):
@@ -364,7 +388,9 @@ def test_restore_model_reproduces_trained_logits(tmp_path):
     path = tmp_path / "model.ckpt"
     tcfg = TrainConfig(lr=5e-3, batch_size=4, max_epochs=2, seed=0)
     train_model(model, fz, train, dev, tcfg, checkpoint_path=str(path))
-    restored, restored_fz = restore_model(load_checkpoint(str(path)), str(path))
+    ck = load_checkpoint(str(path))
+    assert set(ck["extra"]) == {"featurizer"}
+    restored, restored_fz = restore_model(ck, str(path))
     assert restored_fz.state() == fz.state()
     assert restored.config == model.config
     batch = collate([fz.example(ex) for ex in dev])
