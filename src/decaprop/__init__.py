@@ -13,8 +13,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import TokenizedExample, load_jsonl, load_squad, tokenize
 from .decacore import DecaCore, GatedAttention
 from .decaenc import DecaEnc, DecaEncOutput
-from .encoder import (Featurizer, InputEncoder, Vocab, binary_match, load_glove,
-                      norm_frequency, random_embeddings)
+from .encoder import (Featurizer, InputEncoder, Vocab, binary_match, norm_frequency,
+                      random_embeddings)
 from .errors import (ConfigError, ContractError, DataError, DecapropError,
                      IntegrityError, NumericError)
 from .gradcheck import SCENARIOS, run_gradcheck, threshold_for
@@ -40,7 +40,7 @@ __all__ = [
     "adam_step", "affinity", "apply_variant", "attend", "backward",
     "binary_match", "build_model", "clip_gradients", "collate", "decode_span",
     "em_f1", "evaluate", "gen_synthetic", "grad_check",
-    "load_checkpoint", "load_glove", "load_jsonl", "load_squad", "lr_schedule",
+    "load_checkpoint", "load_jsonl", "load_squad", "lr_schedule",
     "norm_frequency", "normalize_answer", "predict_batches", "random_embeddings",
     "restore_model", "run_ablation", "run_gradcheck", "save_checkpoint", "span_loss",
     "threshold_for", "tokenize", "train_model", "variational_dropout",

@@ -23,8 +23,9 @@ from .encoder import Featurizer
 from .errors import ConfigError, DecapropError, NumericError
 from .gradcheck import run_gradcheck, threshold_for
 from .model import VARIANTS, ModelConfig, apply_variant, build_model
-from .training import (SyntheticTaskSpec, TrainConfig, evaluate, gen_synthetic,
-                       predict_batches, restore_model, run_ablation, span_text, train_model)
+from .training import (SyntheticTaskSpec, TrainConfig, check_resume, evaluate,
+                       gen_synthetic, predict_batches, restore_model, run_ablation,
+                       span_text, train_model)
 
 log = logging.getLogger("decaprop")
 
@@ -99,21 +100,18 @@ def _load_dataset(path: str, fmt: str):
     raise ConfigError(f"unknown data format {fmt!r}; pick 'jsonl' or 'squad'")
 
 
-def _require_same_model(configured: ModelConfig, restored: ModelConfig, path: str) -> None:
-    """A resumed run keeps the checkpoint's architecture, so a configured
-    model (``--variant`` applied) that differs from it is refused."""
-    wanted, kept = configured.to_dict(), restored.to_dict()
-    for key in wanted:
-        if wanted[key] != kept[key]:
-            raise ConfigError(f"model.{key} is {wanted[key]!r}, but the checkpoint {path} "
-                              f"has {kept[key]!r}; a resumed run keeps its model")
-
-
 def cmd_train(args: argparse.Namespace) -> int:
-    model_cfg, train_cfg, task = load_configs(
-        args.config, train={"seed": args.seed, "ablation": args.variant},
-        task={"seed": args.seed})
-    model_cfg = apply_variant(model_cfg, train_cfg.ablation)
+    model_cfg, train_cfg, task = load_configs(args.config, train={"seed": args.seed},
+                                              task={"seed": args.seed})
+    model_cfg = apply_variant(model_cfg, args.variant)
+
+    resume = None
+    if args.resume:
+        if not args.checkpoint:
+            raise ConfigError("--resume needs --checkpoint")
+        resume = load_checkpoint(args.checkpoint)
+        model, featurizer = restore_model(resume, args.checkpoint)
+        check_resume(resume, model_cfg, train_cfg, args.checkpoint)
 
     if args.data:
         train_ex = _load_dataset(args.data, args.format)
@@ -123,14 +121,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         train_ex = gen_synthetic(task, "train")
         dev_ex = gen_synthetic(task, "dev")
 
-    resume = None
-    if args.resume:
-        if not args.checkpoint:
-            raise ConfigError("--resume needs --checkpoint")
-        resume = load_checkpoint(args.checkpoint)
-        model, featurizer = restore_model(resume, args.checkpoint)
-        _require_same_model(model_cfg, model.config, args.checkpoint)
-    else:
+    if resume is None:
         featurizer = Featurizer.build(train_ex + (dev_ex or []), model_cfg.max_word_len)
         model = build_model(model_cfg, featurizer, seed=train_cfg.seed)
     result = train_model(
@@ -240,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="checkpoint path, written every epoch")
     p.add_argument("--resume", action="store_true",
                    help="continue from an existing --checkpoint")
-    p.add_argument("--variant", choices=VARIANTS, help="ablation variant to train")
+    p.add_argument("--variant", choices=VARIANTS, default="full",
+                   help="ablation variant to train (default full)")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on a dataset")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .numerics import ParamStore, Tensor, concat, embedding_init, gather_rows, mul, narrow, reshape
 from .recurrent import BiRNN
 
@@ -46,36 +46,6 @@ class Vocab:
             for t in tokens:
                 seen.setdefault(t, None)
         return cls(sorted(seen))
-
-
-def load_glove(path: str, expected_dim: int | None = None) -> tuple[Vocab, np.ndarray]:
-    """Read a whitespace-separated embedding text file: token v1 ... vd per line.
-
-    Returns a Vocab and a matrix aligned with it.  PAD stays zero; UNK gets
-    the mean of all loaded vectors.
-    """
-    tokens: list[str] = []
-    rows: list[np.ndarray] = []
-    dim = expected_dim
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                raise DataError(f"{path}:{lineno}: malformed embedding line")
-            vec = np.asarray(parts[1:], dtype=np.float64)
-            if dim is None:
-                dim = vec.size
-            if vec.size != dim:
-                raise DataError(f"{path}:{lineno}: expected {dim} values, got {vec.size}")
-            tokens.append(parts[0])
-            rows.append(vec)
-    if not rows:
-        raise DataError(f"{path}: empty embedding file")
-    vocab = Vocab(tokens)
-    matrix = np.zeros((len(vocab), dim))
-    matrix[1] = np.mean(rows, axis=0)
-    matrix[2:] = np.stack(rows)
-    return vocab, matrix
 
 
 def random_embeddings(rng: np.random.Generator, vocab: Vocab, dim: int) -> np.ndarray:

@@ -220,14 +220,10 @@ class DecaProp:
         return self.decode(self.forward(inputs), batch["p_len"])
 
 
-def build_model(config: ModelConfig, featurizer: Featurizer, seed: int = 0,
-                word_matrix: np.ndarray | None = None) -> DecaProp:
-    """Construct a model sized to a featurizer's vocabularies.
-
-    Without an explicit matrix, frozen random word vectors are drawn from a
-    stream decoupled from the parameter init stream.
-    """
-    if word_matrix is None:
-        emb_rng = np.random.default_rng((seed, 0xE0B))
-        word_matrix = random_embeddings(emb_rng, featurizer.vocab, config.word_dim)
+def build_model(config: ModelConfig, featurizer: Featurizer, seed: int = 0) -> DecaProp:
+    """Construct a model sized to a featurizer's vocabularies, with frozen
+    random word vectors drawn from a stream decoupled from the parameter init
+    stream."""
+    emb_rng = np.random.default_rng((seed, 0xE0B))
+    word_matrix = random_embeddings(emb_rng, featurizer.vocab, config.word_dim)
     return DecaProp(config, word_matrix, len(featurizer.char_vocab), seed=seed)

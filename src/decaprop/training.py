@@ -6,6 +6,7 @@ resume and reproducibility guarantees lean on.
 from __future__ import annotations
 
 import csv
+import hashlib
 import re
 import string
 import time
@@ -190,6 +191,10 @@ def _find_key(passage: list[str], key: list[str]) -> list[int]:
     return hits
 
 
+# passages drawn per example before gen_synthetic gives up on a task shape
+_MAX_DRAWS = 1000
+
+
 def gen_synthetic(spec: SyntheticTaskSpec, split: str = "train") -> list[TokenizedExample]:
     """Passages of random tokens holding one key sequence followed by the
     answer span, plus partial-key distractors.  Splits draw from disjoint
@@ -204,7 +209,7 @@ def gen_synthetic(spec: SyntheticTaskSpec, split: str = "train") -> list[Tokeniz
 
     examples = []
     for idx in range(counts[split]):
-        while True:
+        for _ in range(_MAX_DRAWS):
             key = [tokens[i] for i in rng.choice(spec.vocab_size, size=spec.query_len, replace=False)]
             span_len = int(rng.integers(spec.span_min, spec.span_max + 1))
             total = spec.query_len + span_len
@@ -229,6 +234,12 @@ def gen_synthetic(spec: SyntheticTaskSpec, split: str = "train") -> list[Tokeniz
             # the key must occur exactly once, else the pointer target is ambiguous
             if _find_key(passage, key) == [pos]:
                 break
+        else:
+            raise ConfigError(
+                f"task.vocab_size {spec.vocab_size}, task.query_len {spec.query_len} and "
+                f"task.passage_len {spec.passage_len} gave no passage holding its key "
+                f"exactly once in {_MAX_DRAWS} draws; raise task.vocab_size or "
+                "task.query_len")
 
         start = pos + spec.query_len
         end = start + span_len - 1
@@ -291,13 +302,12 @@ class TrainConfig(Config):
     decay_factor: float = 2.0
     target_em: Optional[float] = None
     target_loss: Optional[float] = None
-    ablation: str = "full"
 
     section = "train"
     rules = {"optimizer": one_of(tuple(OPTIMIZERS)), "lr": POSITIVE,
              "batch_size": at_least(1), "max_epochs": at_least(1), "max_steps": at_least(1),
              "seed": at_least(0), "clip_norm": POSITIVE, "patience": at_least(1),
-             "decay_factor": POSITIVE, "ablation": one_of(tuple(VARIANTS))}
+             "decay_factor": POSITIVE}
 
 
 CSV_COLUMNS = ("epoch", "split", "loss", "em", "f1", "lr", "wall_seconds")
@@ -366,6 +376,40 @@ def evaluate(model: DecaProp, featurizer: Featurizer, examples: list[TokenizedEx
             100.0 * float(np.mean(ems)), 100.0 * float(np.mean(f1s)), spans)
 
 
+def check_resume(ck: dict, model_config: ModelConfig, tcfg: TrainConfig,
+                 path: str | None = None) -> None:
+    """Refuse to resume checkpoint ``ck`` (read from ``path``, if given) with a
+    model or optimizer other than its own: a resumed run keeps both."""
+    name = "the checkpoint" if path is None else f"the checkpoint {path}"
+    kept = ModelConfig.from_dict(ck["model_config"]).to_dict()
+    for key, value in model_config.to_dict().items():
+        if value != kept[key]:
+            raise ConfigError(f"model.{key} is {value!r}, but {name} has {kept[key]!r}; "
+                              "a resumed run keeps its model")
+    kind = ck["optimizer"].get("kind")
+    if kind != tcfg.optimizer:
+        raise ConfigError(f"train.optimizer is {tcfg.optimizer!r}, but the checkpoint "
+                          f"was trained with {kind!r}")
+
+
+def _examples_sha256(*splits: list[TokenizedExample]) -> str:
+    """Digest of every field of every example, split by split."""
+    rows = [[(ex.id, ex.passage_tokens, ex.question_tokens, ex.answer_start,
+              ex.answer_end, ex.answer_texts) for ex in split] for split in splits]
+    return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
+
+
+def _done(tcfg: TrainConfig, step: int, losses: list[float], history: list[float]) -> bool:
+    """Whether a run at ``step``, with step ``losses`` and dev EM ``history``,
+    has met a stop rule: ``max_steps`` taken, the last loss under
+    ``target_loss`` or the last dev EM at ``target_em``."""
+    return ((tcfg.max_steps is not None and step >= tcfg.max_steps)
+            or (tcfg.target_loss is not None and bool(losses)
+                and losses[-1] < tcfg.target_loss)
+            or (tcfg.target_em is not None and bool(history)
+                and history[-1] >= tcfg.target_em))
+
+
 def train_model(model: DecaProp, featurizer: Featurizer,
                 train_examples: list[TokenizedExample],
                 dev_examples: list[TokenizedExample] | None,
@@ -381,11 +425,21 @@ def train_model(model: DecaProp, featurizer: Featurizer,
     loss, EM, and F1.  With ``checkpoint_path`` the full state, featurizer
     included, is saved after every epoch, so any of those checkpoints can be
     evaluated or resumed; ``resume`` (a loaded checkpoint dict) continues
-    seamlessly, and is refused when its optimizer is not ``tcfg.optimizer``.
+    seamlessly.  A resume is refused (``check_resume``) for another model or
+    optimizer, and for other training or dev examples.  Before every epoch
+    and every step the run stops once a stop rule (``_done``) holds, so a
+    resumed run that met ``max_steps`` or ``target_em`` takes no step.
     """
     if not train_examples:
         raise DataError("training on an empty dataset")
     _require_labels(train_examples + (dev_examples or []), "training")
+    data_sha256 = _examples_sha256(train_examples, dev_examples or [])
+    if resume is not None:
+        check_resume(resume, model.config, tcfg)
+        # checkpoints written before the digest was kept resume unchecked
+        if resume["train_state"].get("data_sha256", data_sha256) != data_sha256:
+            raise ConfigError("the training or dev examples differ from those the "
+                              "checkpoint was trained on; a resumed run keeps its data")
     feats = [featurizer.example(ex) for ex in train_examples]
 
     rng = np.random.default_rng((tcfg.seed, 0x10AD))
@@ -396,10 +450,6 @@ def train_model(model: DecaProp, featurizer: Featurizer,
     if resume is None:
         opt_state = init_optimizer_state(tcfg.optimizer, model.store)
     else:
-        kind = resume["optimizer"].get("kind")
-        if kind != tcfg.optimizer:
-            raise ConfigError(f"train.optimizer is {tcfg.optimizer!r}, but the checkpoint "
-                              f"was trained with {kind!r}")
         model.store.load_values(resume["params"])
         opt_state = resume["optimizer"]
         rng.bit_generator.state = resume["rng_state"]
@@ -428,12 +478,15 @@ def train_model(model: DecaProp, featurizer: Featurizer,
             log(f"epoch {epoch} {split}: loss={loss:.4f}"
                 + (f" em={em:.2f} f1={f1:.2f}" if em != "" and em is not None else ""))
 
-    stop = False
     try:
         for epoch in range(start_epoch + 1, tcfg.max_epochs + 1):
+            if _done(tcfg, step, result.step_losses, history):
+                break
             order = rng.permutation(len(feats))
             epoch_losses = []
             for lo in range(0, len(order), tcfg.batch_size):
+                if _done(tcfg, step, result.step_losses, history):
+                    break
                 batch = collate([feats[i] for i in order[lo:lo + tcfg.batch_size]])
                 # a diverging step overflows; the checks below report it
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -453,12 +506,6 @@ def train_model(model: DecaProp, featurizer: Featurizer,
                 step += 1
                 epoch_losses.append(loss_value)
                 result.step_losses.append(loss_value)
-                if tcfg.target_loss is not None and loss_value < tcfg.target_loss:
-                    stop = True
-                if tcfg.max_steps is not None and step >= tcfg.max_steps:
-                    stop = True
-                if stop:
-                    break
 
             emit(epoch, "train", float(np.mean(epoch_losses)), "", "")
             if dev_examples:
@@ -468,18 +515,15 @@ def train_model(model: DecaProp, featurizer: Featurizer,
                 result.final_f1 = f1
                 emit(epoch, "dev", dev_loss, em, f1)
                 lr = lr_schedule(history, lr, tcfg.patience, tcfg.decay_factor)
-                if tcfg.target_em is not None and em >= tcfg.target_em:
-                    stop = True
 
             if checkpoint_path is not None:
                 # restore_model reads what this writes
                 save_checkpoint(
                     checkpoint_path, model.store, model.config.to_dict(), opt_state,
                     rng.bit_generator.state,
-                    {"epoch": epoch, "step": step, "lr": lr, "history": history},
+                    {"epoch": epoch, "step": step, "lr": lr, "history": history,
+                     "data_sha256": data_sha256},
                     extra={"featurizer": featurizer.state()})
-            if stop:
-                break
     finally:
         if csv_handle is not None:
             csv_handle.close()

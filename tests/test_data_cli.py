@@ -505,11 +505,13 @@ def trained_checkpoint(tmp_path, tiny_config) -> Path:
     (["--variant", "no_gated"], {}, "model.gated_attention is False, but the checkpoint"),
     ([], {"DECAPROP_MODEL_HIDDEN": "6"}, "model.hidden is 6, but the checkpoint"),
 ], ids=["variant", "model-key"])
-def test_cli_resume_refuses_a_different_model(tmp_path, tiny_config, capsys, monkeypatch,
-                                              flags, env, message):
+def test_cli_resume_refuses_a_different_model(tmp_path, tiny_config, capsys, caplog,
+                                              monkeypatch, flags, env, message):
     ckpt = trained_checkpoint(tmp_path, tiny_config)
     before = ckpt.read_bytes()
     capsys.readouterr()
+    caplog.clear()
+    caplog.set_level("INFO", logger="decaprop")
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     monkeypatch.setenv("DECAPROP_TRAIN_MAX_EPOCHS", "2")
@@ -518,13 +520,18 @@ def test_cli_resume_refuses_a_different_model(tmp_path, tiny_config, capsys, mon
     err = capsys.readouterr().err.splitlines()
     assert err[-1].startswith(f"error:config: {message}")
     assert "Traceback" not in "\n".join(err)
+    # refused before any data is loaded or generated
+    assert caplog.messages == []
     assert ckpt.read_bytes() == before
 
 
-def test_cli_resume_refuses_a_different_optimizer(tmp_path, tiny_config, capsys, monkeypatch):
+def test_cli_resume_refuses_a_different_optimizer(tmp_path, tiny_config, capsys, caplog,
+                                                  monkeypatch):
     ckpt = trained_checkpoint(tmp_path, tiny_config)
     before = ckpt.read_bytes()
     capsys.readouterr()
+    caplog.clear()
+    caplog.set_level("INFO", logger="decaprop")
     monkeypatch.setenv("DECAPROP_TRAIN_OPTIMIZER", "adadelta")
     monkeypatch.setenv("DECAPROP_TRAIN_MAX_EPOCHS", "2")
     assert cli.main(["train", "--config", tiny_config, "--checkpoint", str(ckpt),
@@ -532,6 +539,20 @@ def test_cli_resume_refuses_a_different_optimizer(tmp_path, tiny_config, capsys,
     assert capsys.readouterr().err.splitlines()[-1] == (
         "error:config: train.optimizer is 'adadelta', but the checkpoint was trained "
         "with 'adam'")
+    assert caplog.messages == []
+    assert ckpt.read_bytes() == before
+
+
+def test_cli_resume_refuses_another_task_seed(tmp_path, tiny_config, capsys, monkeypatch):
+    ckpt = trained_checkpoint(tmp_path, tiny_config)
+    before = ckpt.read_bytes()
+    capsys.readouterr()
+    monkeypatch.setenv("DECAPROP_TRAIN_MAX_EPOCHS", "2")
+    assert cli.main(["train", "--config", tiny_config, "--checkpoint", str(ckpt),
+                     "--resume", "--seed", "7"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error:config: the training or dev examples differ from those the checkpoint "
+        "was trained on; a resumed run keeps its data")
     assert ckpt.read_bytes() == before
 
 
@@ -717,6 +738,32 @@ def test_readme_config_reference_is_complete(tmp_path, monkeypatch):
                                for f in fields(cls)}
 
 
+def test_cli_train_ablation_is_an_unknown_key(tmp_path, tiny_config, monkeypatch, capsys):
+    """The architecture comes from the model keys and --variant alone."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CONFIG + "train.ablation = no_gated\n", encoding="utf-8")
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    from_file = capsys.readouterr().err
+    monkeypatch.setenv("DECAPROP_TRAIN_ABLATION", "full")
+    assert cli.main(["train", "--config", tiny_config]) == 1
+    for err in (from_file, capsys.readouterr().err):
+        assert err == "error:config: unknown config key 'train.ablation'\n"
+
+
+def test_cli_synth_refuses_a_task_it_cannot_draw(tmp_path, monkeypatch, capsys):
+    """A one-token key over two tokens almost never occurs exactly once in a
+    40-token passage; the draw gives up instead of looping."""
+    monkeypatch.setenv("DECAPROP_TASK_VOCAB_SIZE", "2")
+    monkeypatch.setenv("DECAPROP_TASK_QUERY_LEN", "1")
+    out = tmp_path / "synth.jsonl"
+    assert cli.main(["synth", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error:config: task.vocab_size 2, task.query_len 1 and task.passage_len 40 gave no "
+        "passage holding its key exactly once in 1000 draws")
+    assert not out.exists()
+
+
 def test_cli_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("model.bogus = 1\n", encoding="utf-8")
@@ -778,7 +825,7 @@ OUT_OF_RANGE = {
               "dropout": "1.0", "connector": "bilinear", "max_span_len": "0"},
     "train": {"optimizer": "sgd", "lr": "0", "batch_size": "0", "max_epochs": "0",
               "max_steps": "0", "seed": "-1", "clip_norm": "-1.5", "patience": "0",
-              "decay_factor": "0", "ablation": "bogus"},
+              "decay_factor": "0"},
     "task": {"query_len": "0", "span_min": "0", "span_max": "1", "vocab_size": "3",
              "passage_len": "5", "distractors": "-1", "n_train": "-1", "n_dev": "-1",
              "seed": "-1"},

@@ -1,4 +1,4 @@
-"""Input featurization: vocabularies, embedding files, char composition,
+"""Input featurization: vocabularies, word vectors, char composition,
 match/frequency features, and padding invariants."""
 
 import numpy as np
@@ -6,8 +6,8 @@ import pytest
 
 from decaprop.data import TokenizedExample
 from decaprop.encoder import (Featurizer, InputEncoder, Vocab, binary_match,
-                              load_glove, norm_frequency, random_embeddings)
-from decaprop.errors import ConfigError, DataError
+                              norm_frequency, random_embeddings)
+from decaprop.errors import ConfigError
 from decaprop.numerics import ParamStore
 from decaprop.training import collate
 
@@ -44,24 +44,7 @@ def test_vocab_duplicate_rejected():
 
 
 # ---------------------------------------------------------------------------
-# embedding files
-
-
-def test_load_glove_roundtrip(tmp_path):
-    path = tmp_path / "vectors.txt"
-    path.write_text("cat 1.0 2.0\ndog 3.0 4.0\n")
-    vocab, matrix = load_glove(str(path), expected_dim=2)
-    assert matrix.shape == (4, 2)
-    np.testing.assert_allclose(matrix[0], [0.0, 0.0])          # pad
-    np.testing.assert_allclose(matrix[1], [2.0, 3.0])          # unk = mean
-    np.testing.assert_allclose(matrix[vocab.encode("cat")], [1.0, 2.0])
-
-
-def test_load_glove_dim_mismatch(tmp_path):
-    path = tmp_path / "vectors.txt"
-    path.write_text("cat 1.0 2.0\ndog 3.0\n")
-    with pytest.raises(DataError, match=r":2: expected 2 values"):
-        load_glove(str(path))
+# word vectors
 
 
 def test_random_embeddings_pad_zero(rng):

@@ -383,6 +383,57 @@ def test_train_model_resume_refuses_another_optimizer(tmp_path, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("rule", [dict(max_steps=3), dict(target_em=40.0)],
+                         ids=["max_steps", "target_em"])
+def test_resume_of_a_finished_run_takes_no_step(tmp_path, monkeypatch, rule):
+    """A checkpoint that already met a stop rule is left as it is."""
+    model, fz, train, dev = tiny_setup()
+    path = tmp_path / "model.ckpt"
+    tcfg = TrainConfig(lr=5e-3, batch_size=4, max_epochs=5, seed=0, **rule)
+    first = train_model(model, fz, train, dev, tcfg, checkpoint_path=str(path))
+    ck = load_checkpoint(str(path))
+    assert first.steps == ck["train_state"]["step"] == 3
+    assert "target_em" not in rule or ck["train_state"]["history"][-1] >= 40.0
+    before = path.read_bytes()
+    calls = count_forwards(monkeypatch)
+    res = train_model(build_model(model.config, fz, seed=0), fz, train, dev, tcfg,
+                      checkpoint_path=str(path), resume=ck)
+    assert calls == [] and res.steps == 3 and res.step_losses == []
+    assert path.read_bytes() == before
+
+
+def test_train_model_resume_refuses_another_model(tmp_path, monkeypatch):
+    model, fz, train, dev = tiny_setup()
+    path = tmp_path / "model.ckpt"
+    tcfg = TrainConfig(lr=5e-3, batch_size=4, max_epochs=1, seed=0)
+    train_model(model, fz, train, dev, tcfg, checkpoint_path=str(path))
+    other = build_model(replace(model.config, dropout=0.1), fz, seed=0)
+    calls = count_forwards(monkeypatch)
+    with pytest.raises(ConfigError, match=r"^model.dropout is 0.1, but the checkpoint has "
+                                          r"0.0; a resumed run keeps its model$"):
+        train_model(other, fz, train, dev, replace(tcfg, max_epochs=2),
+                    resume=load_checkpoint(str(path)))
+    assert calls == []
+
+
+def test_train_model_resume_refuses_other_examples(tmp_path, monkeypatch):
+    model, fz, train, dev = tiny_setup()
+    path = tmp_path / "model.ckpt"
+    tcfg = TrainConfig(lr=5e-3, batch_size=4, max_epochs=1, seed=0)
+    train_model(model, fz, train, dev, tcfg, checkpoint_path=str(path))
+    ck = load_checkpoint(str(path))
+    calls = count_forwards(monkeypatch)
+    relabeled = [replace(dev[0], answer_texts=["other"])] + dev[1:]
+    for train_ex, dev_ex in ((train[1:], dev), (train, relabeled), (train, None)):
+        with pytest.raises(ConfigError, match="examples differ from those the checkpoint"):
+            train_model(model, fz, train_ex, dev_ex, replace(tcfg, max_epochs=2), resume=ck)
+    assert calls == []
+    # a checkpoint written before the digest was kept resumes unchecked
+    del ck["train_state"]["data_sha256"]
+    res = train_model(model, fz, train[1:], dev, replace(tcfg, max_epochs=2), resume=ck)
+    assert len(calls) > 0 and res.steps == 6
+
+
 def test_restore_model_reproduces_trained_logits(tmp_path):
     model, fz, train, dev = tiny_setup()
     path = tmp_path / "model.ckpt"
@@ -489,8 +540,8 @@ def test_train_config_validation():
         TrainConfig(optimizer="sgd")
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(ablation="nonsense")
+    with pytest.raises(ConfigError, match="unknown config key 'train.ablation'"):
+        TrainConfig.from_dict({"ablation": "full"})
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"lr": 0.1, "bogus": 1})
     for bad in (dict(seed=-1), dict(decay_factor=0.0), dict(patience=0), dict(max_steps=0)):
