@@ -70,11 +70,11 @@ def _cell_scenario(kind: str, seed: int, tag: int):
     return store, forward
 
 
-def _scenario_birnn(seed: int):
-    rng = _rng(seed, 5)
+def _birnn_scenario(cell: str, seed: int, tag: int):
+    rng = _rng(seed, tag)
     store = ParamStore()
     # odd output width exercises the ceil/floor split across directions
-    rnn = BiRNN(store, "birnn", 4, 5, "gru", rng)
+    rnn = BiRNN(store, "birnn", 4, 5, cell, rng)
     x = Tensor(rng.normal(0.0, 0.8, size=(2, 4, 4)))
     mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0]], dtype=np.float64)
 
@@ -168,7 +168,8 @@ SCENARIOS: dict[str, Callable[[int], tuple]] = {
     "masked_softmax": _scenario_softmax,
     "gru_cell": lambda seed: _cell_scenario("gru", seed, 3),
     "lstm_cell": lambda seed: _cell_scenario("lstm", seed, 4),
-    "birnn_masked": _scenario_birnn,
+    "birnn_masked": lambda seed: _birnn_scenario("gru", seed, 5),
+    "birnn_lstm_masked": lambda seed: _birnn_scenario("lstm", seed, 11),
     "fm_kernel": _scenario_fm,
     "bac_two_sided": lambda seed: _bac_scenario(seed, 7, False),
     "bac_one_sided": lambda seed: _bac_scenario(seed, 8, True),

@@ -7,9 +7,9 @@ additively, so a tensor used twice receives the sum of both contributions.
 Outside any tape the same ops run as plain NumPy, which is how inference and
 finite-difference probes stay cheap.
 
-Gradient arrays are only ever rebound, never mutated in place.  Several
-backward rules hand out views of the upstream gradient (concat, stack), and
-rebinding keeps those aliases safe.
+Gradient arrays are only ever rebound, never mutated in place.  The concat
+backward rule hands out views of the upstream gradient, and rebinding keeps
+those aliases safe.
 """
 
 from __future__ import annotations
@@ -190,10 +190,15 @@ def relu(a) -> Tensor:
     return out
 
 
+def logistic(a: np.ndarray) -> np.ndarray:
+    """The sigmoid on plain arrays, in the overflow-free form every gate uses."""
+    y = 1.0 / (1.0 + np.exp(-np.abs(a)))
+    return np.where(a >= 0.0, y, 1.0 - y)
+
+
 def sigmoid(a) -> Tensor:
     a = _ensure(a)
-    y = 1.0 / (1.0 + np.exp(-np.abs(a.data)))
-    y = np.where(a.data >= 0.0, y, 1.0 - y)
+    y = logistic(a.data)
     out = Tensor(y)
 
     def bw():
@@ -319,36 +324,6 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
         _acc(a, buf)
 
     _record((a,), (out,), bw)
-    return out
-
-
-def unstack(a, axis: int = 1) -> list[Tensor]:
-    """Split ``a`` into views along ``axis``; one tape record for the group."""
-    a = _ensure(a)
-    ax = _check_axis(a, axis)
-    views = np.moveaxis(a.data, ax, 0)
-    outs = [Tensor(views[i]) for i in range(views.shape[0])]
-
-    def bw():
-        gs = [o.grad if o.grad is not None else np.zeros(o.data.shape) for o in outs]
-        _acc(a, np.stack(gs, axis=ax))
-
-    _record((a,), tuple(outs), bw)
-    return outs
-
-
-def stack(tensors, axis: int = 1) -> Tensor:
-    parts = [_ensure(t) for t in tensors]
-    if not parts:
-        raise ContractError("stack of an empty sequence")
-    out = Tensor(np.stack([p.data for p in parts], axis=axis))
-
-    def bw():
-        g = np.moveaxis(out.grad, axis, 0)
-        for i, p in enumerate(parts):
-            _acc(p, g[i])
-
-    _record(tuple(parts), (out,), bw)
     return out
 
 

@@ -326,7 +326,8 @@ class TrainResult:
     steps: int = 0
     step_losses: list[float] = field(default_factory=list)
     best_em: float = 0.0
-    final_f1: float = 0.0
+    # dev F1 of this call's last epoch; None when it evaluated no dev set
+    final_f1: float | None = None
 
 
 def _require_labels(examples: list[TokenizedExample], use: str) -> None:
@@ -565,5 +566,6 @@ def run_ablation(base: ModelConfig, tcfg: TrainConfig, task: SyntheticTaskSpec,
                "steps": res.steps, "final_loss": res.step_losses[-1] if res.step_losses else None}
         rows.append(row)
         if log is not None:
-            log(f"{variant}: em={row['em']:.2f} f1={row['f1']:.2f} steps={row['steps']}")
+            f1 = "n/a" if row["f1"] is None else f"{row['f1']:.2f}"
+            log(f"{variant}: em={row['em']:.2f} f1={f1} steps={row['steps']}")
     return rows

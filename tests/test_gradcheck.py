@@ -11,7 +11,7 @@ from decaprop.gradcheck import (DEFAULT_THRESHOLD, SCENARIOS, run_gradcheck,
 def test_registry_covers_every_layer_type():
     assert set(SCENARIOS) == {
         "dense_relu", "masked_softmax", "gru_cell", "lstm_cell", "birnn_masked",
-        "fm_kernel", "bac_two_sided", "bac_one_sided", "gated_attention",
+        "birnn_lstm_masked", "fm_kernel", "bac_two_sided", "bac_one_sided", "gated_attention",
         "pointer_span_loss", "micro_model"}
 
 

@@ -171,13 +171,9 @@ def test_dropout_training_needs_rng(tiny_batch):
                                   no_drop.forward(batch).start_logits.data)
 
 
-@pytest.mark.parametrize("cell,layers,loss,calls", [
-    ("gru", 2, 7.3927780413093656, 8), ("lstm", 4, 7.3807419392282725, 24)],
-    ids=["gru_n2", "lstm_n4"])
-def test_golden_first_step(cell, layers, loss, calls):
+def _c6_first_forward(cell: str, layers: int):
     """First training-mode forward of the criterion-6 model (seed 0) on the 32
-    seed-0 examples of the criterion-6 task: the same loss the benchmark
-    checks its first step against, and n^2 + 2n connector calls."""
+    seed-0 examples of the criterion-6 task, and the tape it recorded."""
     spec = SyntheticTaskSpec(vocab_size=100, passage_len=40, query_len=3, span_min=2,
                              span_max=2, distractors=1, n_train=32, seed=0)
     examples = gen_synthetic(spec, "train")
@@ -186,10 +182,29 @@ def test_golden_first_step(cell, layers, loss, calls):
     featurizer = Featurizer.build(examples, cfg.max_word_len)
     model = build_model(cfg, featurizer, seed=0)
     batch = collate([featurizer.example(ex) for ex in examples])
-    with Tape():
+    with Tape() as tape:
         out = model.forward(batch, training=True, rng=np.random.default_rng(0))
+    return out, tape
+
+
+@pytest.mark.parametrize("cell,layers,loss,calls", [
+    ("gru", 2, 7.3927780413093656, 8), ("lstm", 4, 7.3807419392282725, 24)],
+    ids=["gru_n2", "lstm_n4"])
+def test_golden_first_step(cell, layers, loss, calls):
+    """The same loss the benchmark checks its first step against, and
+    n^2 + 2n connector calls."""
+    out, _ = _c6_first_forward(cell, layers)
     assert abs(out.loss.item() - loss) <= 1e-9
     assert out.connector_calls == calls
+
+
+@pytest.mark.parametrize("cell,layers,max_records", [("gru", 2, 1000), ("lstm", 4, 2500)],
+                         ids=["gru_n2", "lstm_n4"])
+def test_training_forward_tape_records(cell, layers, max_records):
+    """Each BiRNN direction is one tape record: per-timestep ops would put
+    the criterion-6 forward at about 9.8k (GRU n2) and 18.3k (LSTM n4)."""
+    _, tape = _c6_first_forward(cell, layers)
+    assert len(tape) < max_records
 
 
 def test_predict_spans_within_length(tiny_batch):

@@ -8,8 +8,8 @@ from decaprop.errors import ConfigError, ContractError
 from decaprop.numerics import (Dense, ParamStore, Tape, Tensor, add, backward,
                                concat, gather_rows, glorot, grad_check, log_softmax,
                                masked_softmax, matmul, mul, narrow, pick,
-                               relu, reshape, sigmoid, softmax, stack, sub, sum_, tanh,
-                               transpose_last, unstack)
+                               relu, reshape, sigmoid, softmax, sub, sum_, tanh,
+                               transpose_last)
 
 
 def check_op(build, shapes, seed=0, scale=0.8, tol=1e-6):
@@ -136,28 +136,6 @@ def test_concat_narrow_grads():
     check_op(lambda a, b: sum_(mul(concat([a, b], axis=-1), concat([b, a], axis=-1))),
              [(2, 3), (2, 3)])
     check_op(lambda a: sum_(mul(narrow(a, 1, 1, 2), narrow(a, 1, 0, 2))), [(3, 4)])
-
-
-def test_stack_unstack_roundtrip(rng):
-    x = Tensor(rng.normal(size=(3, 4)))
-    parts = unstack(x, axis=0)
-    assert len(parts) == 3
-    np.testing.assert_allclose(stack(parts, axis=0).data, x.data)
-
-
-def test_unstack_grad():
-    def f(a):
-        parts = unstack(a, axis=1)
-        return sum_(mul(parts[0], parts[2]))
-
-    check_op(f, [(2, 3)])
-
-
-def test_stack_grad():
-    def f(a, b):
-        return sum_(mul(stack([a, b], axis=0), stack([b, a], axis=0)))
-
-    check_op(f, [(2, 3), (2, 3)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Recurrent cells: hand-evaluated fixed points, gate-forcing identities,
-mask semantics, direction symmetry, and dropout mask sharing."""
+mask semantics, direction symmetry, fused sweeps against the stepwise cells,
+and dropout mask sharing."""
 
 import numpy as np
 import pytest
 
 from decaprop.errors import ConfigError, ContractError
-from decaprop.numerics import ParamStore, Tensor, grad_check, sum_
+from decaprop.numerics import (ParamStore, Tape, Tensor, add, backward, concat, grad_check,
+                               mul, narrow, reshape, sum_)
 from decaprop.recurrent import BiRNN, GRUCell, LSTMCell, variational_dropout
 
 
@@ -108,6 +110,12 @@ def test_birnn_shapes(rng):
             rnn(Tensor(bad), np.ones(bad.shape[:-1]))
         with pytest.raises(ContractError):
             rnn.final_states(Tensor(bad), np.ones(bad.shape[:-1]))
+    # a mask must name every (row, step) of the input, not broadcast onto it
+    for bad_mask in (np.ones((1, 5)), np.ones((2, 4)), np.ones(5)):
+        with pytest.raises(ContractError, match="mask shape"):
+            rnn(Tensor(np.zeros((2, 5, 10))), bad_mask)
+        with pytest.raises(ContractError, match="mask shape"):
+            rnn.final_states(Tensor(np.zeros((2, 5, 10))), bad_mask)
 
 
 def test_birnn_odd_width_splits_ceil_floor(rng):
@@ -204,6 +212,114 @@ def test_birnn_grad_with_mask(rng):
     x = Tensor(rng.normal(size=(2, 3, 3)))
     mask = np.array([[1, 1, 1], [1, 0, 0]], dtype=np.float64)
     assert grad_check(lambda: sum_(rnn(x, mask)), store) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# hand-written ops against their tape-composed references
+
+
+def _stepwise_direction(cell, x: Tensor, mask: np.ndarray, order) -> dict:
+    """``cell.step`` over the visited steps with the mask blend: the state
+    after each step, keyed by time."""
+    batch, _, width = x.shape
+    state = cell.initial_state(batch)
+    hs = {}
+    for t in order:
+        new = cell.step(reshape(narrow(x, 1, t, 1), (batch, width)), state)
+        m = mask[:, t:t + 1]
+        state = tuple(add(mul(Tensor(m), n), mul(Tensor(1.0 - m), old))
+                      for n, old in zip(new, state))
+        hs[t] = state[0]
+    return hs
+
+
+def _stepwise_birnn(rnn: BiRNN, x: Tensor, mask: np.ndarray, last_only: bool) -> Tensor:
+    length = x.shape[1]
+    fwd = _stepwise_direction(rnn.fwd, x, mask, range(length))
+    bwd = _stepwise_direction(rnn.bwd, x, mask, range(length - 1, -1, -1))
+    if last_only:
+        return concat([fwd[length - 1], bwd[0]], -1)
+    return concat([reshape(concat([fwd[t], bwd[t]], -1), (x.shape[0], 1, -1))
+                   for t in range(length)], 1)
+
+
+def _lengths_mask(lengths: list[int], length: int) -> np.ndarray:
+    return (np.arange(length)[None, :] < np.array(lengths)[:, None]).astype(np.float64)
+
+
+# row lengths, padded length, input width, output width
+BIRNN_EDGES = {
+    "mixed_lengths": ([5, 2, 4], 5, 4, 6),
+    "odd_width": ([3, 1], 3, 3, 7),
+    "length_1": ([1, 1], 1, 4, 6),
+    "batch_1": ([4], 4, 3, 5),
+    "all_masked_row": ([3, 0], 3, 4, 6),
+}
+
+
+def _birnn_case(cell: str):
+    def make(edge, rng):
+        lengths, length, d_in, width = edge
+        store = ParamStore()
+        rnn = BiRNN(store, "r", d_in, width, cell, rng)
+        x = rng.normal(0.0, 0.8, size=(len(lengths), length, d_in))
+        return store, rnn, x, _lengths_mask(lengths, length)
+    return make
+
+
+# op name: (make, hand-written op, tape-composed reference, edge shapes), where
+# make(edge, rng) returns (store, module, input array, mask) for one edge shape.
+FUSED_OPS = {
+    "gru_birnn": (_birnn_case("gru"), BiRNN.__call__,
+                  lambda rnn, x, m: _stepwise_birnn(rnn, x, m, False), BIRNN_EDGES),
+    "gru_final_states": (_birnn_case("gru"), BiRNN.final_states,
+                         lambda rnn, x, m: _stepwise_birnn(rnn, x, m, True), BIRNN_EDGES),
+    "lstm_birnn": (_birnn_case("lstm"), BiRNN.__call__,
+                   lambda rnn, x, m: _stepwise_birnn(rnn, x, m, False), BIRNN_EDGES),
+    "lstm_final_states": (_birnn_case("lstm"), BiRNN.final_states,
+                          lambda rnn, x, m: _stepwise_birnn(rnn, x, m, True), BIRNN_EDGES),
+}
+FUSED_CASES = [(op, edge) for op, row in FUSED_OPS.items() for edge in row[3]]
+
+
+def _run_with_grads(fn, store: ParamStore, module, x_data: np.ndarray, mask: np.ndarray,
+                    coef: np.ndarray) -> dict[str, np.ndarray]:
+    """The op's output and the gradients of a weighted sum of it with
+    respect to the input and every parameter."""
+    store.zero_grads()
+    x = Tensor(x_data, requires_grad=True)
+    with Tape() as tape:
+        out = fn(module, x, mask)
+        loss = sum_(mul(out, Tensor(coef)))
+    backward(tape, loss)
+    values = {"output": out.data.copy(), "x.grad": x.grad}
+    values.update((f"{name}.grad", p.grad.copy()) for name, p in store.items())
+    return values
+
+
+def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
+    scale = np.abs(b).max()
+    diff = np.abs(a - b).max()
+    return 0.0 if diff == 0.0 else diff / scale
+
+
+@pytest.mark.parametrize("op,edge", FUSED_CASES, ids=[f"{op}-{edge}" for op, edge in FUSED_CASES])
+def test_fused_op_matches_tape_reference(op, edge):
+    make, fused, reference, edges = FUSED_OPS[op]
+    rng = np.random.default_rng(11)
+    store, module, x, mask = make(edges[edge], rng)
+    coef = rng.normal(size=fused(module, Tensor(x), mask).shape)
+    got = _run_with_grads(fused, store, module, x, mask, coef)
+    want = _run_with_grads(reference, store, module, x, mask, coef)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].shape == want[key].shape, key
+        assert _rel_err(got[key], want[key]) <= 1e-12, key
+    # no comparison is vacuous: over two or more steps every weight and bias
+    # takes part (in one step from a zero state the recurrent rows do not)
+    assert np.abs(want["x.grad"]).max() > 0.0
+    if x.shape[1] > 1:
+        assert all(np.abs(want[f"{name}.grad"]).max() > 0.0 for name, _ in store.items())
 
 
 # ---------------------------------------------------------------------------

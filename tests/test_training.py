@@ -19,7 +19,7 @@ from decaprop.training import (SyntheticTaskSpec, TrainConfig, adadelta_step,
                                adam_step, clip_gradients, collate, em_f1, evaluate,
                                gen_synthetic, init_optimizer_state, lr_schedule,
                                normalize_answer, predict_batches, restore_model,
-                               train_model)
+                               run_ablation, train_model)
 
 
 def scalar_store(value=0.0, grad=1.0):
@@ -400,6 +400,22 @@ def test_resume_of_a_finished_run_takes_no_step(tmp_path, monkeypatch, rule):
                       checkpoint_path=str(path), resume=ck)
     assert calls == [] and res.steps == 3 and res.step_losses == []
     assert path.read_bytes() == before
+    # the resume measured no dev F1; the checkpoint keeps only the EM history
+    assert first.final_f1 is not None and res.final_f1 is None
+    assert res.best_em == first.best_em
+
+
+def test_final_f1_is_unset_without_a_dev_set():
+    model, fz, train, _ = tiny_setup()
+    res = train_model(model, fz, train, None, TrainConfig(lr=5e-3, batch_size=4, max_epochs=1))
+    assert res.steps == 3 and res.final_f1 is None
+    task = SyntheticTaskSpec(vocab_size=20, passage_len=8, query_len=2, span_min=1,
+                             span_max=1, distractors=0, n_train=4, n_dev=0, seed=0)
+    lines = []
+    rows = run_ablation(model.config, TrainConfig(batch_size=4, max_epochs=1), task,
+                        variants=("full",), log=lines.append)
+    assert rows[0]["f1"] is None and rows[0]["steps"] == 1
+    assert lines == ["full: em=0.00 f1=n/a steps=1"]
 
 
 def test_train_model_resume_refuses_another_model(tmp_path, monkeypatch):
