@@ -7,6 +7,10 @@ concatenation, difference, and elementwise product.  The 3-wide outputs are
 what gets propagated between layers, so connector cost stays negligible
 next to the encoders.  Every attention call takes the (batch, len) mask of
 its keys; padded keys get no weight.
+
+The FM score, ``affinity`` and ``attend`` are each one tape record with a
+closed-form backward.  Their forward values round exactly like the taped
+compositions they replace, which the tests keep as their reference.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .numerics import (
-    Dense, ParamStore, Tensor, add, concat, glorot, masked_softmax, matmul,
-    mul, sub, sum_, transpose_last,
+    NEG_INF, Dense, ParamStore, Tensor, _acc, _record, _unbroadcast, concat, glorot,
+    mul, sub, transpose_last,
 )
 
 
@@ -38,13 +42,37 @@ class FMKernel:
         self.v = store.register(f"{name}.v", glorot(rng, input_dim, factors))
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.input_dim:
+        """Scores (..., n) -> (..., 1) as one tape record.  The backward is
+        the closed form of the identity: with g the upstream gradient,
+        dx = g (w + xV Vᵀ - x ⊙ Σ_f V²), dV = Xᵀ(g ⊙ xV) - (X²ᵀ g) ⊙ V,
+        dw = Xᵀ g and dw0 = Σ g; it reuses xV from the forward."""
+        if x.ndim < 2 or x.shape[-1] != self.input_dim:
             raise ContractError(f"fm kernel expects width {self.input_dim}, got shape {x.shape}")
-        linear = matmul(x, self.w)
-        xv = matmul(x, self.v)
-        x2v2 = matmul(mul(x, x), mul(self.v, self.v))
-        pair = sub(sum_(mul(xv, xv), axis=-1, keepdims=True), sum_(x2v2, axis=-1, keepdims=True))
-        return add(add(self.w0, linear), mul(pair, 0.5))
+        w0, w, v = self.w0, self.w, self.v
+        xv = x.data @ v.data
+        x2v2 = (x.data * x.data) @ (v.data * v.data)
+        pair = (xv * xv).sum(axis=-1, keepdims=True) - x2v2.sum(axis=-1, keepdims=True)
+        out = Tensor((w0.data + x.data @ w.data) + pair * 0.5)
+
+        def bw():
+            k = self.factors
+            flat_x = x.data.reshape(-1, self.input_dim)
+            g = out.grad.reshape(-1, 1)
+            # [g ⊙ xV, g] meets [V, w] in one GEMM for dx and in one for (dV, dw)
+            g_xv = np.concatenate([g * xv.reshape(-1, k), g], axis=1)
+            gx = g * flat_x
+            d_vw = flat_x.T @ g_xv
+            _acc(v, d_vw[:, :k] - np.einsum("ri,ri->i", gx, flat_x)[:, None] * v.data)
+            _acc(w, d_vw[:, k:])
+            _acc(w0, _unbroadcast(out.grad, w0.shape))
+            if x.requires_grad:
+                dx = g_xv @ np.concatenate([v.data, w.data], axis=1).T
+                gx *= (v.data * v.data).sum(axis=1)
+                dx -= gx
+                _acc(x, dx.reshape(x.shape))
+
+        _record((x, w0, w, v), (out,), bw)
+        return out
 
 
 class MLPScorer:
@@ -72,15 +100,55 @@ def make_scorer(store: ParamStore, name: str, input_dim: int, kind: str, factors
 
 
 def affinity(fp: Tensor, fq: Tensor) -> Tensor:
-    """Scaled dot product of every pair of already-projected rows: (..., lp, lq)."""
-    return mul(matmul(fp, transpose_last(fq)), 1.0 / np.sqrt(fp.shape[-1]))
+    """Scaled dot product of every pair of already-projected rows, (..., lp, lq),
+    as one tape record."""
+    if fp.ndim < 2 or fq.ndim < 2 or fp.shape[-1] != fq.shape[-1]:
+        raise ContractError(f"affinity needs rows of one width, got {fp.shape} and {fq.shape}")
+    scale = 1.0 / np.sqrt(fp.shape[-1])
+    e = fp.data @ np.swapaxes(fq.data, -1, -2)
+    e *= scale
+    out = Tensor(e)
+
+    def bw():
+        g = out.grad * scale
+        if fp.requires_grad:
+            _acc(fp, _unbroadcast(g @ fq.data, fp.shape))
+        if fq.requires_grad:
+            _acc(fq, _unbroadcast(np.swapaxes(g, -1, -2) @ fp.data, fq.shape))
+
+    _record((fp, fq), (out,), bw)
+    return out
 
 
 def attend(e: Tensor, values: Tensor, mask: np.ndarray) -> Tensor:
     """Masked softmax of ``e`` over its last axis, then the weighted sum of
-    ``values`` rows; ``mask`` (..., lk) zeroes the weight of padded keys."""
-    m = np.asarray(mask, dtype=np.float64)[..., None, :]
-    return matmul(masked_softmax(e, m, axis=-1), values)
+    ``values`` rows; ``mask`` (..., lk) zeroes the weight of padded keys.
+
+    One tape record.  The softmax is built in one (..., lq, lk) buffer
+    (mask, shift by the row max, exp and normalise in place), which the
+    backward keeps as y: dvalues = yᵀ g and de = y ⊙ (gy - Σ gy ⊙ y) with
+    gy = g valuesᵀ.
+    """
+    if values.ndim < 2 or e.shape[-1] != values.shape[-2]:
+        raise ContractError(f"attend: weights over {e.shape[-1]} keys, values shape {values.shape}")
+    y = e.data + (1.0 - np.asarray(mask, dtype=np.float64)[..., None, :]) * NEG_INF
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    out = Tensor(y @ values.data)
+
+    def bw():
+        g = out.grad
+        if values.requires_grad:
+            _acc(values, _unbroadcast(np.swapaxes(y, -1, -2) @ g, values.shape))
+        if e.requires_grad:
+            gy = g @ np.swapaxes(values.data, -1, -2)
+            gy -= (gy * y).sum(axis=-1, keepdims=True)
+            gy *= y
+            _acc(e, _unbroadcast(gy, e.shape))
+
+    _record((e, values), (out,), bw)
+    return out
 
 
 class BAC:

@@ -13,11 +13,11 @@ from typing import Callable
 import numpy as np
 
 from .answer import PointerLayer, span_loss
-from .bac import BAC, FMKernel
+from .bac import BAC, FMKernel, attend
 from .decacore import GatedAttention
 from .errors import ConfigError
 from .model import ModelConfig, build_model
-from .numerics import Dense, ParamStore, Tensor, add, grad_check, masked_softmax, mul, sum_
+from .numerics import Dense, ParamStore, Tensor, add, grad_check, sum_
 from .recurrent import BiRNN, GRUCell, LSTMCell
 from .training import SyntheticTaskSpec, collate, gen_synthetic
 from .encoder import Featurizer
@@ -40,16 +40,18 @@ def _scenario_dense(seed: int):
 
 
 def _scenario_softmax(seed: int):
+    # bac.attend with one query row per example and the coefficients as its
+    # value column: the masked softmax the model runs, and its matmul
     rng = _rng(seed, 2)
     store = ParamStore()
-    w = store.register("w", rng.normal(0.0, 0.5, size=(3, 6)))
+    w = store.register("w", rng.normal(0.0, 0.5, size=(3, 1, 6)))
     mask = np.array([[1, 1, 1, 1, 0, 0],
                      [1, 1, 1, 1, 1, 1],
                      [1, 1, 0, 0, 0, 0]], dtype=np.float64)
-    coef = Tensor(rng.normal(0.0, 1.0, size=(3, 6)))
+    coef = store.register("coef", rng.normal(0.0, 1.0, size=(3, 6, 1)))
 
     def forward() -> Tensor:
-        return sum_(mul(masked_softmax(w, mask, axis=-1), coef))
+        return sum_(attend(w, coef, mask))
 
     return store, forward
 

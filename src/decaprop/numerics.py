@@ -256,12 +256,6 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return out
 
 
-def masked_softmax(a, mask: np.ndarray, axis: int = -1) -> Tensor:
-    """Softmax where positions with ``mask == 0`` receive (numerically) zero mass."""
-    a = add(a, Tensor((1.0 - np.asarray(mask, dtype=np.float64)) * NEG_INF))
-    return softmax(a, axis)
-
-
 # ---------------------------------------------------------------------------
 # shape and indexing ops
 

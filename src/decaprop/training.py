@@ -161,6 +161,15 @@ def em_f1(prediction: str, golds: list[str]) -> tuple[int, float]:
 # synthetic span-recovery task
 
 
+# Every split is drawn up front and held in memory, at about 70 µs and 1 KB
+# per example for the default task shape: about 70 s and 1 GB at this bound.
+# A count far past it would run for days and exhaust memory before the first
+# training step, so it is refused when the config is read.
+MAX_EXAMPLES = 1_000_000
+_EXAMPLE_COUNT = ((lambda v, cfg: 0 <= v <= MAX_EXAMPLES),
+                  f"must be >= 0 and <= {MAX_EXAMPLES}")
+
+
 @dataclass(frozen=True)
 class SyntheticTaskSpec(Config):
     vocab_size: int = 100
@@ -179,7 +188,7 @@ class SyntheticTaskSpec(Config):
              "vocab_size": (lambda v, cfg: v > cfg.query_len, "must be > query_len"),
              "passage_len": (lambda v, cfg: v > cfg.query_len + cfg.span_max,
                              "must be > query_len + span_max to hold key + answer"),
-             "distractors": at_least(0), "n_train": at_least(0), "n_dev": at_least(0),
+             "distractors": at_least(0), "n_train": _EXAMPLE_COUNT, "n_dev": _EXAMPLE_COUNT,
              "seed": at_least(0)}
 
 

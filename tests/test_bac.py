@@ -1,6 +1,7 @@
 """Attention connectors: the factorization-machine fast path against a naive
 double loop, the attention primitive against a plain numpy oracle and on
-analytic cases, and compression contracts."""
+analytic cases, the one-record connector ops against their taped
+references, and compression contracts."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from decaprop.bac import BAC, FMKernel, MLPScorer, affinity, attend, make_scorer
 from decaprop.decacore import GatedAttention
 from decaprop.errors import ConfigError, ContractError
-from decaprop.numerics import Dense, ParamStore, Tensor, add, grad_check, sum_, transpose_last
+from decaprop.numerics import (NEG_INF, Dense, ParamStore, Tape, Tensor, add, backward,
+                               grad_check, matmul, mul, softmax, sub, sum_, transpose_last)
 
 
 def naive_fm(x: np.ndarray, w0: float, w: np.ndarray, v: np.ndarray) -> float:
@@ -191,6 +193,136 @@ def test_align_hard_attention_selects_row(rng):
 def test_align_shape_contract(rng):
     with pytest.raises(ContractError):
         attend(transpose_last(Tensor(np.zeros((3, 2)))), Tensor(np.zeros((4, 5))), np.ones(3))
+
+
+def test_attend_zeroes_masked_keys(rng):
+    e = rng.normal(size=(2, 1, 5))
+    mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=np.float64)
+    weights = attend(Tensor(e), Tensor(np.eye(5)), mask).data[:, 0]
+    assert np.all(weights[0, 3:] < 1e-200)
+    np.testing.assert_allclose(weights.sum(axis=-1), np.ones(2), atol=1e-12)
+    # masked keys do not influence the real ones
+    e[0, 0, 3:] = 99.0
+    np.testing.assert_allclose(attend(Tensor(e), Tensor(np.eye(5)), mask).data[0, 0, :3],
+                               weights[0, :3], atol=1e-12)
+
+
+def test_attend_grad(rng):
+    store = ParamStore()
+    e = store.register("e", 0.8 * rng.normal(size=(2, 3, 4)))
+    values = store.register("values", 0.8 * rng.normal(size=(2, 4, 2)))
+    mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]], dtype=np.float64)
+    coef = Tensor(rng.normal(size=(2, 3, 2)))
+    assert grad_check(lambda: sum_(mul(attend(e, values, mask), coef)), store) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# one-record connector ops against their tape-composed references
+
+
+def taped_fm(kernel: FMKernel, x: Tensor) -> Tensor:
+    linear = matmul(x, kernel.w)
+    xv = matmul(x, kernel.v)
+    x2v2 = matmul(mul(x, x), mul(kernel.v, kernel.v))
+    pair = sub(sum_(mul(xv, xv), axis=-1, keepdims=True), sum_(x2v2, axis=-1, keepdims=True))
+    return add(add(kernel.w0, linear), mul(pair, 0.5))
+
+
+def taped_attend(e: Tensor, values: Tensor, mask: np.ndarray) -> Tensor:
+    penalty = (1.0 - mask[..., None, :]) * NEG_INF
+    return matmul(softmax(add(e, Tensor(penalty)), -1), values)
+
+
+def taped_affinity(fp: Tensor, fq: Tensor) -> Tensor:
+    return mul(matmul(fp, transpose_last(fq)), 1.0 / np.sqrt(fp.shape[-1]))
+
+
+def _fm_case(edge, rng):
+    shape, factors = edge
+    store = ParamStore()
+    kernel = FMKernel(store, "fm", shape[-1], factors, rng)
+    kernel.w0.data[:] = rng.normal()
+    return (store, [rng.normal(size=shape)], kernel.__call__,
+            lambda x: taped_fm(kernel, x))
+
+
+def _attend_case(edge, rng):
+    """``lengths`` are the real keys of each example; with ``transposed`` the
+    scores arrive as ``transpose_last`` of a (keys, queries) tensor, as the
+    passage side of ``BAC.__call__`` passes them."""
+    lengths, queries, keys, width, transposed = edge
+    batch = (len(lengths),) if lengths else ()
+    mask = (np.arange(keys) < np.array(lengths or keys)[..., None]).astype(np.float64)
+    scores = rng.normal(size=batch + ((keys, queries) if transposed else (queries, keys)))
+    arrays = [scores, rng.normal(size=batch + (keys, width))]
+
+    def call(op):
+        return lambda e, values: op(transpose_last(e) if transposed else e, values, mask)
+    return ParamStore(), arrays, call(attend), call(taped_attend)
+
+
+def _affinity_case(edge, rng):
+    p_shape, q_rows = edge
+    arrays = [rng.normal(size=p_shape), rng.normal(size=p_shape[:-2] + (q_rows, p_shape[-1]))]
+    return ParamStore(), arrays, affinity, taped_affinity
+
+
+# op name: (make, edge shapes), where make(edge, rng) returns (store, input
+# arrays, one-record op, taped reference) for one edge shape
+CONNECTOR_OPS = {
+    # input shape, factors
+    "fm": (_fm_case, {"2d": ((5, 6), 3), "3d": ((2, 4, 6), 3), "factors_1": ((3, 4), 1),
+                      "width_1": ((2, 3, 1), 2), "one_row": ((1, 6), 3)}),
+    # key lengths per example ([] for a 2-d call), queries, keys, value width, transposed
+    "attend": (_attend_case, {"2d": ([], 3, 4, 2, False), "3d_padded": ([4, 2], 3, 4, 5, False),
+                              "one_real_key": ([3, 1], 2, 3, 4, False),
+                              "lk_1": ([1, 1], 3, 1, 2, False), "one_row": ([3], 1, 3, 2, False),
+                              "transposed": ([4, 2], 3, 4, 5, True)}),
+    # passage shape, question rows
+    "affinity": (_affinity_case, {"2d": ((3, 5), 4), "3d": ((2, 3, 5), 4),
+                                  "width_1": ((2, 3, 1), 2), "one_row": ((1, 1, 4), 3)}),
+}
+CONNECTOR_CASES = [(op, edge) for op, (_, edges) in CONNECTOR_OPS.items() for edge in edges]
+# gradients that are zero in exact arithmetic: at width 1 the FM's pairwise
+# term is x²v² - x²v², and a softmax over one key is constant
+VANISHING = {("fm", "width_1"): {"fm.v.grad"}, ("attend", "lk_1"): {"input0.grad"}}
+
+
+def _outputs_and_grads(fn, store: ParamStore, arrays: list, coef: np.ndarray) -> dict:
+    """The op's output and the gradients of a weighted sum of it with
+    respect to every input and parameter."""
+    store.zero_grads()
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = fn(*inputs)
+        loss = sum_(mul(out, Tensor(coef)))
+    backward(tape, loss)
+    values = {"output": out.data.copy()}
+    values.update((f"input{i}.grad", t.grad) for i, t in enumerate(inputs))
+    values.update((f"{name}.grad", p.grad.copy()) for name, p in store.items())
+    return values
+
+
+@pytest.mark.parametrize("op,edge", CONNECTOR_CASES,
+                         ids=[f"{op}-{edge}" for op, edge in CONNECTOR_CASES])
+def test_connector_op_matches_tape_reference(op, edge):
+    make, edges = CONNECTOR_OPS[op]
+    rng = np.random.default_rng(12)
+    store, arrays, fused, reference = make(edges[edge], rng)
+    coef = rng.normal(size=fused(*map(Tensor, arrays)).shape)
+    got = _outputs_and_grads(fused, store, arrays, coef)
+    want = _outputs_and_grads(reference, store, arrays, coef)
+    assert got.keys() == want.keys()
+    vanishing = VANISHING.get((op, edge), set())
+    for key in want:
+        assert got[key].shape == want[key].shape, key
+        if key in vanishing:
+            # both sides at rounding level of the O(1) terms that cancel
+            assert max(np.abs(got[key]).max(), np.abs(want[key]).max()) <= 1e-14, key
+            continue
+        scale = np.abs(want[key]).max()
+        assert scale > 0.0, key  # no comparison is vacuous
+        assert np.abs(got[key] - want[key]).max() <= 1e-12 * scale, key
 
 
 # ---------------------------------------------------------------------------

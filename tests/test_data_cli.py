@@ -764,6 +764,20 @@ def test_cli_synth_refuses_a_task_it_cannot_draw(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["n_train", "n_dev"])
+def test_cli_synth_refuses_a_size_over_the_bound(tmp_path, monkeypatch, capsys, key):
+    """A count that passes every other check would loop for years in the draw."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"task.{key} = 1000000000000\n", encoding="utf-8")
+    assert cli.main(["synth", "--config", str(cfg), "--out", "synth.jsonl"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        f"error:config: task.{key} must be >= 0 and <= 1000000, got 1000000000000"]
+    assert not (tmp_path / "synth.jsonl").exists()
+
+
 def test_cli_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("model.bogus = 1\n", encoding="utf-8")

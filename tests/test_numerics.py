@@ -7,7 +7,7 @@ import pytest
 from decaprop.errors import ConfigError, ContractError
 from decaprop.numerics import (Dense, ParamStore, Tape, Tensor, add, backward,
                                concat, gather_rows, glorot, grad_check, log_softmax,
-                               masked_softmax, matmul, mul, narrow, pick,
+                               matmul, mul, narrow, pick,
                                relu, reshape, sigmoid, softmax, sub, sum_, tanh,
                                transpose_last)
 
@@ -102,25 +102,6 @@ def test_log_softmax_matches_log_of_softmax(rng):
 
 def test_log_softmax_grad():
     check_op(lambda a, c: sum_(mul(log_softmax(a, axis=-1), c)), [(3, 5), (3, 5)])
-
-
-def test_masked_softmax_zeroes_masked_positions(rng):
-    x = Tensor(rng.normal(size=(2, 5)))
-    mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=np.float64)
-    y = masked_softmax(x, mask, axis=-1)
-    assert np.all(y.data[0, 3:] < 1e-200)
-    np.testing.assert_allclose(y.data.sum(axis=-1), np.ones(2), atol=1e-12)
-    # masked entries do not influence the surviving ones
-    x2 = Tensor(np.array(x.data))
-    x2.data[0, 3:] = 99.0
-    np.testing.assert_allclose(masked_softmax(x2, mask, axis=-1).data[0, :3],
-                               y.data[0, :3], atol=1e-12)
-
-
-def test_masked_softmax_grad():
-    mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]], dtype=np.float64)
-    check_op(lambda a, c: sum_(mul(masked_softmax(a, mask, axis=-1), c)),
-             [(2, 4), (2, 4)])
 
 
 # ---------------------------------------------------------------------------
