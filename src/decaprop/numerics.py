@@ -190,10 +190,26 @@ def relu(a) -> Tensor:
     return out
 
 
-def logistic(a: np.ndarray) -> np.ndarray:
-    """The sigmoid on plain arrays, in the overflow-free form every gate uses."""
-    y = 1.0 / (1.0 + np.exp(-np.abs(a)))
-    return np.where(a >= 0.0, y, 1.0 - y)
+def logistic(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sigmoid on plain arrays, in the overflow-free form every gate uses:
+    ``y = 1 / (1 + exp(-|a|))``, and ``1 - y`` where ``a < 0``.  With ``out``
+    (which may be ``a`` itself) it is computed in place there.
+
+    The mirror is ``0.5 + sign(a) * (y - 0.5)`` instead of a masked select,
+    which is several times slower on large arrays.  It rounds the same:
+    ``y`` is in [0.5, 1], so ``y - 0.5`` is exact, and ``0.5 - (y - 0.5)``
+    is the one rounding of ``1 - y``.
+    """
+    sign = np.sign(a)
+    out = np.abs(a, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    out -= 0.5
+    out *= sign
+    out += 0.5
+    return out
 
 
 def sigmoid(a) -> Tensor:

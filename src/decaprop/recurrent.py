@@ -5,13 +5,24 @@ tuple whose first entry is the hidden output: ``(h,)`` for a GRU, ``(h, c)``
 for an LSTM.  ``step`` composes the gate math from taped ops; it is the
 reference that the fused sweeps are tested against.
 
-``BiRNN`` drives each direction as one fused op (``_sweep``): one GEMM
-projects the input of every timestep, the loop does only the recurrent
-matmuls in numpy, and a hand-written backpropagation through time is
-recorded on the tape as a single record.  The gate math rounds like
-``step`` does.  A (batch, len) padding mask is required: a masked step keeps
-the previous state, so the states at real positions are bit-identical to
-running each sequence unpadded; an all-ones mask runs every step.
+``BiRNN`` runs both directions as one fused op (``_birnn``) with one tape
+record.  One GEMM projects the input of every timestep for both directions.
+Only that projection is then laid out time-major, ``(len, 2, batch, G*h)``
+for G gates: index 0 of the direction axis is the forward direction at time
+``s`` and index 1 the backward direction at time ``len - 1 - s``, so step
+``s`` of one loop advances both.  A step is one ``(2, batch, h) @ (2, h,
+G*h)`` matmul and in-place elementwise work on contiguous buffers; the
+activations are kept gate by gate, ``(len, G, 2, batch, h)``, so each gate
+of a step is one contiguous block.  The cells' ``scan`` and ``bptt`` are
+that loop and its hand-written backpropagation through time, which returns
+the input gradients batch-major again for one ``dx`` and one ``dW_x`` GEMM.
+A narrower direction (odd widths) is padded with zero weight columns; its
+padded unit stays exactly zero.
+
+The gate math rounds like ``step`` does.  A (batch, len) 0/1 padding mask is
+required: a masked step keeps the previous state, so the states at real
+positions are bit-identical to running each sequence unpadded; an all-ones
+mask runs every step.
 """
 
 from __future__ import annotations
@@ -57,60 +68,101 @@ class GRUCell:
         # (1 - z) * h + z * cand, written to reuse h
         return (add(h, mul(z, sub(cand, h))),)
 
-    def scan(self, xp: np.ndarray, mask: np.ndarray, order: range,
-             us: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-        """The forward loop of a fused sweep: the state after every step,
-        (batch, len, h), followed by what else ``bptt`` needs.  ``xp`` holds
-        the projected input plus biases for every step, ``us`` the recurrent
-        weight rows of each gate."""
-        n = self.hidden_dim
-        u_zr, u_h = np.concatenate(us[:2], axis=1), us[2]
-        batch, length, _ = xp.shape
-        hs, cand = np.empty((batch, length, n)), np.empty((batch, length, n))
-        zr = np.empty((batch, length, 2 * n))
-        h = np.zeros((batch, n))
-        for t in order:
-            gates = logistic(xp[:, t, :2 * n] + h @ u_zr)
-            z, r = gates[:, :n], gates[:, n:]
-            c = np.tanh(xp[:, t, 2 * n:] + (r * h) @ u_h)
-            zr[:, t], cand[:, t] = gates, c
-            # (1 - z) * h + z * cand, written to reuse h
-            h = _blend(mask[:, t:t + 1], h + z * (c - h), h)
-            hs[:, t] = h
-        return hs, zr, cand
+    @staticmethod
+    def scan(xp: np.ndarray, mask: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The forward loop of a stacked sweep.  ``xp`` is the projected
+        input plus biases, (len, 2, batch, 3h); ``mask`` the 0/1 mask,
+        (len, 2, batch, 1); ``u`` the recurrent rows of both directions,
+        (2, h, 3h).  Returns the states, (len + 1, 2, batch, h) with the zero
+        initial state first, and the activations z, r and candidate, gate by
+        gate, (len, 3, 2, batch, h)."""
+        length, _, batch, _ = mask.shape
+        n = u.shape[1]
+        xp, mask = _gate_major(xp, 3), _wide(mask, n)
+        u_zr, u_h = np.ascontiguousarray(u[..., :2 * n]), np.ascontiguousarray(u[..., 2 * n:])
+        hs = np.zeros((length + 1, 2, batch, n))
+        acts = np.empty((length, 3, 2, batch, n))
+        # the recurrent product of z and r as GEMM rows, and seen gate by gate
+        rec = np.empty((2, batch, 2, n))
+        rec_rows, rec_gates = rec.reshape(2, batch, 2 * n), rec.transpose(2, 0, 1, 3)
+        rh = np.empty((2, batch, n))
+        for s in range(length):
+            h, zr, c, h_new = hs[s], acts[s, :2], acts[s, 2], hs[s + 1]
+            np.matmul(h, u_zr, out=rec_rows)
+            np.add(xp[s, :2], rec_gates, out=zr)
+            logistic(zr, out=zr)
+            np.multiply(zr[1], h, out=rh)
+            np.matmul(rh, u_h, out=c)
+            c += xp[s, 2]
+            np.tanh(c, out=c)
+            # h + z * (c - h) on real steps; the mask is exact 0/1, so a masked
+            # step adds an exact zero and keeps h
+            np.subtract(c, h, out=h_new)
+            h_new *= zr[0]
+            h_new *= mask[s]
+            h_new += h
+        return hs, acts
 
-    def bptt(self, saved: tuple, mask: np.ndarray, order: range, us: list[np.ndarray],
-             g_seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def bptt(saved: tuple, mask: np.ndarray, u: np.ndarray,
+             g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Backpropagation through ``scan``: the gradients of the projected
-        input, (batch, len, 3h), and of the recurrent rows, (h, 3h), given
-        ``g_seq``, the gradient of the state after every step."""
-        hs, zr, cand = saved
-        n = self.hidden_dim
-        h_prev = _shifted(hs, order)
-        z, r = zr[:, :, :n], zr[:, :, n:]
-        # the factors that do not depend on the incoming gradient, for all steps at once
-        k_h = z * (1.0 - cand * cand)
-        k_z = (cand - h_prev) * z * (1.0 - z)
-        k_r = h_prev * r * (1.0 - r)
-        keep = 1.0 - z
-        u_zr_t, u_h_t = np.concatenate(us[:2], axis=1).T, us[2].T
-        dxp = np.empty(zr.shape[:2] + (3 * n,))
-        dh = np.zeros_like(g_seq[:, 0])
-        for t in reversed(order):
-            dh = dh + g_seq[:, t]
-            m = mask[:, t:t + 1]
-            dn = m * dh
-            da = dxp[:, t]
-            np.multiply(dn, k_h[:, t], out=da[:, 2 * n:])
-            d_rh = da[:, 2 * n:] @ u_h_t
-            np.multiply(dn, k_z[:, t], out=da[:, :n])
-            np.multiply(d_rh, k_r[:, t], out=da[:, n:2 * n])
-            d_prev = dn * keep[:, t] + d_rh * r[:, t] + da[:, :2 * n] @ u_zr_t
-            dh = (1.0 - m) * dh + d_prev
-        du = np.concatenate([h_prev.reshape(-1, n).T @ dxp[:, :, :2 * n].reshape(-1, 2 * n),
-                             (r * h_prev).reshape(-1, n).T @ dxp[:, :, 2 * n:].reshape(-1, n)],
-                            axis=1)
-        return dxp, du
+        input, (batch, len, 2, 3, h), and of the recurrent rows, (2, h, 3h),
+        given ``g``, the gradient of the state after every step, (len, 2,
+        batch, h), or after the last step alone, (2, batch, h).
+
+        It runs once per forward, as ``Tape.backward`` does: it overwrites
+        the saved activations and returns its input gradients in their buffer.
+        """
+        hs, acts = saved
+        length, _, _, batch, n = acts.shape
+        h_prev = hs[:-1]
+        z, r, cand = acts[:, 0], acts[:, 1], acts[:, 2]
+        # the factors that do not depend on the incoming gradient, for all
+        # steps at once, in the buffer the loop turns into the gradients;
+        # 1 - z takes the place of z
+        dxp = np.empty_like(acts)
+        k_z, k_r, k_h = dxp[:, 0], dxp[:, 1], dxp[:, 2]
+        rh = r * h_prev
+        np.subtract(cand, h_prev, out=k_z)
+        k_z *= z
+        np.subtract(1.0, r, out=k_r)
+        k_r *= rh
+        np.multiply(cand, cand, out=k_h)
+        np.subtract(1.0, k_h, out=k_h)
+        k_h *= z
+        keep = np.subtract(1.0, z, out=z)
+        k_z *= keep
+        mask = _wide(mask, n)
+        u_zr_t, u_h_t = u[..., :2 * n].swapaxes(1, 2), u[..., 2 * n:].swapaxes(1, 2)
+        per_step = g.ndim == 4
+        dh = np.zeros(g.shape[1:]) if per_step else g.copy()
+        dn, d_rh, d_prev, tmp = (np.empty_like(dh) for _ in range(4))
+        da_zr = np.empty((2, batch, 2, n))
+        da_rows, da_gates = da_zr.reshape(2, batch, 2 * n), da_zr.transpose(2, 0, 1, 3)
+        for s in range(length - 1, -1, -1):
+            if per_step:
+                dh += g[s]
+            np.multiply(dh, mask[s], out=dn)
+            dh -= dn  # (1 - m) * dh, exactly, for a 0/1 mask
+            da = dxp[s]
+            da[2] *= dn
+            np.matmul(da[2], u_h_t, out=d_rh)
+            da[0] *= dn
+            da[1] *= d_rh
+            np.multiply(dn, keep[s], out=d_prev)
+            np.multiply(d_rh, r[s], out=tmp)
+            d_prev += tmp
+            da_gates[...] = da[:2]
+            np.matmul(da_rows, u_zr_t, out=tmp)
+            d_prev += tmp
+            dh += d_prev
+        del mask
+        dproj = _batch_major(dxp, out=acts)
+        del dxp
+        du = np.concatenate([_outer(_batch_major(h_prev), dproj[..., :2, :]),
+                             _outer(_batch_major(rh), dproj[..., 2:, :])], axis=2)
+        return dproj, du
 
 
 class LSTMCell:
@@ -144,70 +196,127 @@ class LSTMCell:
         h_new = mul(o, tanh(c_new))
         return h_new, c_new
 
-    def scan(self, xp: np.ndarray, mask: np.ndarray, order: range,
-             us: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-        """The forward loop of a fused sweep; see ``GRUCell.scan``."""
-        n = self.hidden_dim
-        u = np.concatenate(us, axis=1)
-        batch, length, _ = xp.shape
-        hs, cs, tanh_c = (np.empty((batch, length, n)) for _ in range(3))
-        acts = np.empty((batch, length, 4 * n))
-        h, c = np.zeros((batch, n)), np.zeros((batch, n))
-        for t in order:
-            a = xp[:, t] + h @ u
-            acts[:, t, :3 * n] = logistic(a[:, :3 * n])
-            acts[:, t, 3 * n:] = np.tanh(a[:, 3 * n:])
-            i, f, o, cand = (acts[:, t, k * n:(k + 1) * n] for k in range(4))
-            c_new = f * c + i * cand
-            tanh_c[:, t] = tc = np.tanh(c_new)
-            m = mask[:, t:t + 1]
-            h, c = _blend(m, o * tc, h), _blend(m, c_new, c)
-            hs[:, t], cs[:, t] = h, c
+    @staticmethod
+    def scan(xp: np.ndarray, mask: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The forward loop of a stacked sweep; see ``GRUCell.scan``.  The
+        states and cells come first, each (len + 1, 2, batch, h)."""
+        length, _, batch, _ = mask.shape
+        n = u.shape[1]
+        xp = _gate_major(xp, 4)
+        hs, cs = np.zeros((length + 1, 2, batch, n)), np.zeros((length + 1, 2, batch, n))
+        acts, tanh_c = np.empty((length, 4, 2, batch, n)), np.empty((length, 2, batch, n))
+        masked = _wide(mask, n) == 0.0
+        rec = np.empty((2, batch, 4, n))
+        rec_rows, rec_gates = rec.reshape(2, batch, 4 * n), rec.transpose(2, 0, 1, 3)
+        ic = np.empty((2, batch, n))
+        for s in range(length):
+            a, tc, h_new, c_new = acts[s], tanh_c[s], hs[s + 1], cs[s + 1]
+            np.matmul(hs[s], u, out=rec_rows)
+            np.add(xp[s], rec_gates, out=a)
+            logistic(a[:3], out=a[:3])
+            np.tanh(a[3], out=a[3])
+            np.multiply(a[1], cs[s], out=c_new)
+            np.multiply(a[0], a[3], out=ic)
+            c_new += ic
+            np.tanh(c_new, out=tc)
+            np.multiply(a[2], tc, out=h_new)
+            np.copyto(h_new, hs[s], where=masked[s])
+            np.copyto(c_new, cs[s], where=masked[s])
         return hs, cs, acts, tanh_c
 
-    def bptt(self, saved: tuple, mask: np.ndarray, order: range, us: list[np.ndarray],
-             g_seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Backpropagation through ``scan``; see ``GRUCell.bptt``."""
+    @staticmethod
+    def bptt(saved: tuple, mask: np.ndarray, u: np.ndarray,
+             g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Backpropagation through ``scan``; see ``GRUCell.bptt``.  It too
+        returns its input gradients in the buffer of the activations."""
         hs, cs, acts, tanh_c = saved
-        n = self.hidden_dim
-        c_prev = _shifted(cs, order)
-        i, f, o, cand = (acts[:, :, k * n:(k + 1) * n] for k in range(4))
+        length, _, batch, n = tanh_c.shape
+        i, f, o, cand = (acts[:, k] for k in range(4))
         # the factors that do not depend on the incoming gradient, for all
         # steps at once: d(pre-activation) per d(cell) for i, f and c, per
-        # d(h) for o, and d(cell) per d(h)
-        k_gates = np.concatenate([cand * i * (1.0 - i), c_prev * f * (1.0 - f),
-                                  tanh_c * o * (1.0 - o), i * (1.0 - cand * cand)], axis=2)
-        k_c = o * (1.0 - tanh_c * tanh_c)
-        u_t = np.concatenate(us, axis=1).T
+        # d(h) for o, and d(cell) per d(h); the loop turns the gate factors
+        # into the gradients in place
         dxp = np.empty_like(acts)
-        dh = np.zeros_like(g_seq[:, 0])
-        dc = np.zeros_like(dh)
-        for t in reversed(order):
-            dh = dh + g_seq[:, t]
-            m = mask[:, t:t + 1]
-            dhn = m * dh
-            dcn = m * dc + dhn * k_c[:, t]
-            da = np.multiply(np.concatenate([dcn, dcn, dhn, dcn], axis=1), k_gates[:, t],
-                             out=dxp[:, t])
-            dh, dc = (1.0 - m) * dh + da @ u_t, (1.0 - m) * dc + dcn * f[:, t]
-        return dxp, _shifted(hs, order).reshape(-1, n).T @ dxp.reshape(-1, 4 * n)
+        tmp = np.empty_like(tanh_c)
+        for k, other in enumerate((cand, cs[:-1], tanh_c)):
+            np.multiply(other, acts[:, k], out=dxp[:, k])
+            dxp[:, k] *= np.subtract(1.0, acts[:, k], out=tmp)
+        np.multiply(cand, cand, out=tmp)
+        np.multiply(i, np.subtract(1.0, tmp, out=tmp), out=dxp[:, 3])
+        k_c = np.multiply(tanh_c, tanh_c, out=tmp)
+        np.subtract(1.0, k_c, out=k_c)
+        k_c *= o
+        mask = _wide(mask, n)
+        u_t = u.swapaxes(1, 2)
+        per_step = g.ndim == 4
+        dh = np.zeros(g.shape[1:]) if per_step else g.copy()
+        dc, dhn, dcn, d_next = (np.zeros_like(dh) for _ in range(4))
+        da_t = np.empty((2, batch, 4, n))
+        da_rows, da_gates = da_t.reshape(2, batch, 4 * n), da_t.transpose(2, 0, 1, 3)
+        for s in range(length - 1, -1, -1):
+            if per_step:
+                dh += g[s]
+            # dh and dc keep (1 - m) times themselves, exactly, for a 0/1 mask
+            np.multiply(dh, mask[s], out=dhn)
+            dh -= dhn
+            np.multiply(dc, mask[s], out=dcn)
+            dc -= dcn
+            np.multiply(dhn, k_c[s], out=d_next)
+            dcn += d_next
+            da = dxp[s]
+            da[:2] *= dcn
+            da[2] *= dhn
+            da[3] *= dcn
+            da_gates[...] = da
+            np.matmul(da_rows, u_t, out=d_next)
+            dh += d_next
+            np.multiply(dcn, f[s], out=d_next)
+            dc += d_next
+        del k_c, tmp, mask
+        dproj = _batch_major(dxp, out=acts)
+        del dxp
+        return dproj, _outer(_batch_major(hs[:-1]), dproj)
 
 
-def _blend(m: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """The padding rule for a (batch, 1) mask column: a masked row keeps its
-    old state."""
-    return m * new + (1.0 - m) * old
+def _time_major(a: np.ndarray) -> np.ndarray:
+    """(batch, len, 2, ..., w) -> (len, ..., 2, batch, w), with the second
+    direction time-reversed: step s holds time s of the forward direction and
+    time len - 1 - s of the backward one."""
+    out = np.empty((a.shape[1],) + a.shape[3:-1] + (2, a.shape[0], a.shape[-1]))
+    out[..., 0, :, :] = np.moveaxis(a[:, :, 0], 0, -2)
+    out[..., 1, :, :] = np.moveaxis(a[:, ::-1, 1], 0, -2)
+    return out
 
 
-def _shifted(states: np.ndarray, order: range) -> np.ndarray:
-    """The state each step of a sweep starts from: the state after the step
-    visited before it, zeros at the first."""
-    prev = np.zeros_like(states)
-    if order.step > 0:
-        prev[:, 1:] = states[:, :-1]
-    else:
-        prev[:, :-1] = states[:, 1:]
-    return prev
+def _wide(mask: np.ndarray, n: int) -> np.ndarray:
+    """A (..., 1) mask repeated to width ``n``: elementwise ops with it are
+    several times faster than with the broadcast column."""
+    return np.repeat(mask, n, axis=-1)
+
+
+def _gate_major(a: np.ndarray, gates: int) -> np.ndarray:
+    """A (..., 2, batch, gates * h) view as (..., gates, 2, batch, h)."""
+    a = a.reshape(a.shape[:-1] + (gates, -1))
+    return np.moveaxis(a, -2, -4)
+
+
+def _batch_major(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The inverse of ``_time_major``, written into the memory of ``out``
+    (any contiguous array of the same size) if it is given."""
+    shape = (a.shape[-2], a.shape[0], 2) + a.shape[1:-3] + (a.shape[-1],)
+    out = np.empty(shape) if out is None else out.reshape(shape)
+    out[:, :, 0] = np.moveaxis(a[..., 0, :, :], -2, 0)
+    out[:, :, 1] = np.moveaxis(a[::-1, ..., 1, :, :], -2, 0)
+    return out
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per direction, the sum over (row, step) of ``a^T b`` for batch-major
+    (batch, len, 2, h) states ``a`` and gate gradients ``b``, (batch, len, 2,
+    k, h): the gradient of the recurrent rows that act on ``a``, (2, h, k*h)."""
+    rows = a.shape[0] * a.shape[1]
+    return np.matmul(a.reshape(rows, 2, -1).transpose(1, 2, 0),
+                     b.reshape(rows, 2, -1).transpose(1, 0, 2))
 
 
 _CELLS = {"gru": GRUCell, "lstm": LSTMCell}
@@ -219,7 +328,8 @@ class BiRNN:
     ``output_dim`` is split ceil/floor across the directions, so odd widths
     are allowed.  Initial states are zero.  The (batch, len) ``mask`` freezes
     the state at padded steps, which also makes the backward pass start from
-    zero until the first real token is reached from the right.
+    zero until the first real token is reached from the right.  It must hold
+    only 0/1 values.
     """
 
     def __init__(self, store: ParamStore, name: str, input_dim: int, output_dim: int,
@@ -236,10 +346,7 @@ class BiRNN:
         self.fwd = _CELLS[cell](store, f"{name}.fwd", input_dim, fwd_dim, rng)
         self.bwd = _CELLS[cell](store, f"{name}.bwd", input_dim, bwd_dim, rng)
 
-    def _sweeps(self, x: Tensor, mask: np.ndarray, last_only: bool) -> tuple[Tensor, Tensor]:
-        """Both directions over a (batch, len, d_in) input: the forward and
-        the backward states in time order, or with ``last_only`` the state
-        after each direction's last step."""
+    def _run(self, x: Tensor, mask: np.ndarray, last_only: bool) -> Tensor:
         if x.ndim != 3:
             raise ContractError(f"birnn expects a 3-d (batch, len, width) input, got shape {x.shape}")
         if x.shape[1] == 0:
@@ -249,59 +356,99 @@ class BiRNN:
         mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != x.shape[:2]:
             raise ContractError(f"birnn mask shape {mask.shape} does not match input shape {x.shape}")
-        return (_sweep(self.fwd, x, mask, False, last_only),
-                _sweep(self.bwd, x, mask, True, last_only))
+        # the fused op keeps or replaces a state; it does not blend weights
+        if ((mask != 0.0) & (mask != 1.0)).any():
+            raise ContractError("birnn mask must hold only 0/1 values")
+        return _birnn(self, x, mask, last_only)
 
     def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
         """Map (batch, len, d_in) -> (batch, len, d_out); ``mask`` is (batch, len)."""
-        return concat(self._sweeps(x, mask, False), -1)
+        return self._run(x, mask, False)
 
     def final_states(self, x: Tensor, mask: np.ndarray) -> Tensor:
         """Concat of the forward state at the last real step and the backward
         state at the first step: (batch, d_out).  An all-masked row yields zeros."""
-        return concat(self._sweeps(x, mask, True), -1)
+        return self._run(x, mask, True)
 
 
-def _sweep(cell, x: Tensor, mask: np.ndarray, reverse: bool, last_only: bool) -> Tensor:
-    """One direction of a BiRNN as one tape record: the state after every
-    step, (batch, len, h) in time order, or with ``last_only`` the state after
-    the last step visited, (batch, h).
+def _stacked_weights(rnn: BiRNN) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The input rows, (d_in, 2*G*h), recurrent rows, (2, h, G*h), and biases,
+    (2*G*h,), of both directions, gate by gate, with the narrower direction
+    padded by zeros to the wider one's h.
 
     Each gate weight is a (d_in + h, h) matrix: its first d_in rows act on the
-    input, the rest on the state.  They are sliced on every call, because the
+    input, the rest on the state.  They are copied on every call, because the
     optimizer and checkpoint loads write parameters in place.
     """
-    d_in, n = cell.input_dim, cell.hidden_dim
-    weights = [getattr(cell, f"w_{g}") for g in cell.gates]
-    biases = [getattr(cell, f"b_{g}") for g in cell.gates]
-    w_x = np.concatenate([w.data[:d_in] for w in weights], axis=1)
-    us = [w.data[d_in:] for w in weights]
-    batch, length, _ = x.shape
+    d_in, n, gates = rnn.input_dim, rnn.fwd.hidden_dim, rnn.fwd.gates
+    w_x = np.zeros((d_in, 2, len(gates), n))
+    u = np.zeros((2, n, len(gates), n))
+    b = np.zeros((2, len(gates), n))
+    for d, cell in enumerate((rnn.fwd, rnn.bwd)):
+        h = cell.hidden_dim
+        for k, gate in enumerate(gates):
+            w = getattr(cell, f"w_{gate}").data
+            w_x[:, d, k, :h], u[d, :h, k, :h] = w[:d_in], w[d_in:]
+            b[d, k, :h] = getattr(cell, f"b_{gate}").data
+    return w_x.reshape(d_in, -1), u.reshape(2, n, -1), b.reshape(-1)
+
+
+def _birnn(rnn: BiRNN, x: Tensor, mask: np.ndarray, last_only: bool) -> Tensor:
+    """Both directions of a BiRNN as one tape record: the concatenated states
+    after every step, (batch, len, d_out) in time order, or with
+    ``last_only`` after each direction's last step, (batch, d_out)."""
+    cells = (rnn.fwd, rnn.bwd)
+    n, h_b = rnn.fwd.hidden_dim, rnn.bwd.hidden_dim
+    weights = [getattr(c, f"w_{g}") for c in cells for g in c.gates]
+    biases = [getattr(c, f"b_{g}") for c in cells for g in c.gates]
+    w_x, u, b = _stacked_weights(rnn)
+    batch, length, d_in = x.shape
     flat_x = x.data.reshape(batch * length, d_in)
-    xp = (flat_x @ w_x + np.concatenate([b.data for b in biases])).reshape(batch, length, -1)
-    order = range(length - 1, -1, -1) if reverse else range(length)
-    saved = cell.scan(xp, mask, order, us)
+    proj = flat_x @ w_x
+    proj += b
+    m = _time_major(np.broadcast_to(mask[:, :, None, None], (batch, length, 2, 1)))
+    xp = _time_major(proj.reshape(batch, length, 2, -1))
+    del proj
+    saved = rnn.fwd.scan(xp, m, u)
+    del xp
     hs = saved[0]
-    out = Tensor(hs[:, order[-1]] if last_only else hs)
+    out = Tensor(_join(hs[-1].transpose(1, 0, 2) if last_only else _batch_major(hs[1:]), h_b))
 
     def bw():
-        if last_only:
-            g_seq = np.zeros_like(hs)
-            g_seq[:, order[-1]] = out.grad
-        else:
-            g_seq = out.grad
-        dxp, du = cell.bptt(saved, mask, order, us, g_seq)
-        flat = dxp.reshape(batch * length, -1)
+        g = _split(out.grad, n)
+        g = g.transpose(1, 0, 2) if last_only else _time_major(g)
+        dproj, du = rnn.fwd.bptt(saved, m, u, g)
+        flat = dproj.reshape(batch * length, -1)
         if x.requires_grad:
             _acc(x, (flat @ w_x.T).reshape(x.shape))
-        dw_x = flat_x.T @ flat
-        db = flat.sum(axis=0)
-        for k, (w, b) in enumerate(zip(weights, biases)):
-            cols = slice(k * n, (k + 1) * n)
-            _acc(w, np.concatenate([dw_x[:, cols], du[:, cols]]))
-            _acc(b, db[cols])
+        dw_x = (flat_x.T @ flat).reshape(d_in, 2, -1, n)
+        db = flat.sum(axis=0).reshape(2, -1, n)
+        du = du.reshape(2, n, -1, n)
+        for d, c in enumerate(cells):
+            h = c.hidden_dim
+            for k, gate in enumerate(c.gates):
+                _acc(getattr(c, f"w_{gate}"), np.concatenate([dw_x[:, d, k, :h], du[d, :h, k, :h]]))
+                _acc(getattr(c, f"b_{gate}"), db[d, k, :h])
 
     _record((x, *weights, *biases), (out,), bw)
+    return out
+
+
+def _join(states: np.ndarray, h_b: int) -> np.ndarray:
+    """(..., 2, h) states of both directions -> (..., h + h_b), dropping the
+    backward direction's padded unit if it has one."""
+    if h_b == states.shape[-1]:
+        return states.reshape(states.shape[:-2] + (-1,))
+    return np.concatenate([states[..., 0, :], states[..., 1, :h_b]], axis=-1)
+
+
+def _split(grad: np.ndarray, n: int) -> np.ndarray:
+    """The inverse of ``_join``: (..., d_out) -> (..., 2, n), zero at a
+    padded unit."""
+    if grad.shape[-1] == 2 * n:
+        return grad.reshape(grad.shape[:-1] + (2, n))
+    out = np.zeros(grad.shape[:-1] + (2, n))
+    out[..., 0, :], out[..., 1, :n - 1] = grad[..., :n], grad[..., n:]
     return out
 
 

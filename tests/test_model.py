@@ -198,12 +198,13 @@ def test_golden_first_step(cell, layers, loss, calls):
     assert out.connector_calls == calls
 
 
-@pytest.mark.parametrize("cell,layers,max_records", [("gru", 2, 250), ("lstm", 4, 620)],
+@pytest.mark.parametrize("cell,layers,max_records", [("gru", 2, 230), ("lstm", 4, 590)],
                          ids=["gru_n2", "lstm_n4"])
 def test_training_forward_tape_records(cell, layers, max_records):
-    """Each BiRNN direction, FM score, affinity and attend is one tape record:
-    the forward records 238 (GRU n2) and 602 (LSTM n4) entries.  Per-timestep
-    RNN ops would put it at about 9.8k and 18.3k, stepwise FM scorers at 634
+    """Each BiRNN (both directions), FM score, affinity and attend is one tape
+    record: the forward records 220 (GRU n2) and 576 (LSTM n4) entries.  One
+    record per BiRNN direction plus a concat would put it at 238 and 602,
+    per-timestep RNN ops at about 9.8k and 18.3k, stepwise FM scorers at 634
     and 1,922, a taped affinity at 258 and 654, a taped attend at 266 and 686."""
     _, tape = _c6_first_forward(cell, layers)
     assert len(tape) < max_records

@@ -1,6 +1,6 @@
 """Recurrent cells: hand-evaluated fixed points, gate-forcing identities,
-mask semantics, direction symmetry, fused sweeps against the stepwise cells,
-and dropout mask sharing."""
+mask semantics, direction symmetry, the fused BiRNN op against the stepwise
+cells, saturated gates, and dropout mask sharing."""
 
 import numpy as np
 import pytest
@@ -116,6 +116,12 @@ def test_birnn_shapes(rng):
             rnn(Tensor(np.zeros((2, 5, 10))), bad_mask)
         with pytest.raises(ContractError, match="mask shape"):
             rnn.final_states(Tensor(np.zeros((2, 5, 10))), bad_mask)
+    # a padding mask, not a weighting
+    for bad_mask in (np.full((2, 5), 0.5), np.full((2, 5), np.nan)):
+        with pytest.raises(ContractError, match="0/1"):
+            rnn(Tensor(np.zeros((2, 5, 10))), bad_mask)
+        with pytest.raises(ContractError, match="0/1"):
+            rnn.final_states(Tensor(np.zeros((2, 5, 10))), bad_mask)
 
 
 def test_birnn_odd_width_splits_ceil_floor(rng):
@@ -214,6 +220,43 @@ def test_birnn_grad_with_mask(rng):
     assert grad_check(lambda: sum_(rnn(x, mask)), store) < 1e-4
 
 
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_birnn_final_states_grad_with_mask(cell, rng):
+    """Finite differences of ``final_states`` with an odd width (a padded
+    backward unit), a partly masked row and an all-masked row."""
+    store = ParamStore()
+    rnn = BiRNN(store, "r", 3, 5, cell, rng)
+    x = Tensor(rng.normal(size=(3, 4, 3)))
+    mask = _lengths_mask([4, 2, 0], 4)
+    coef = Tensor(rng.normal(size=(3, 5)))
+    assert grad_check(lambda: sum_(mul(rnn.final_states(x, mask), coef)), store) < 1e-4
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_birnn_saturated_gates_stay_finite(cell, rng):
+    """Inputs scaled so that gate pre-activations reach beyond +-1e3: the
+    sigmoid's exp never overflows (a RuntimeWarning fails the test), states
+    stay in [-1, 1] and every gradient is finite."""
+    store = ParamStore()
+    rnn = BiRNN(store, "r", 4, 7, cell, rng)
+    x = Tensor(rng.normal(size=(3, 5, 4)) * 1e4, requires_grad=True)
+    mask = _lengths_mask([5, 2, 0], 5)
+    w_x = np.concatenate([getattr(c, f"w_{g}").data[:4] for c in (rnn.fwd, rnn.bwd)
+                          for g in c.gates], axis=1)
+    assert np.abs(x.data.reshape(-1, 4) @ w_x).max() > 1e3
+    for run in (BiRNN.__call__, BiRNN.final_states):
+        store.zero_grads()
+        x.grad = None
+        with Tape() as tape:
+            out = run(rnn, x, mask)
+            loss = sum_(mul(out, Tensor(rng.normal(size=out.shape))))
+        backward(tape, loss)
+        assert np.isfinite(out.data).all() and np.abs(out.data).max() <= 1.0
+        assert np.isfinite(x.grad).all()
+        assert all(np.isfinite(p.grad).all() for _, p in store.items())
+    np.testing.assert_array_equal(out.data[2], np.zeros(7))
+
+
 # ---------------------------------------------------------------------------
 # hand-written ops against their tape-composed references
 
@@ -254,6 +297,10 @@ BIRNN_EDGES = {
     "length_1": ([1, 1], 1, 4, 6),
     "batch_1": ([4], 4, 3, 5),
     "all_masked_row": ([3, 0], 3, 4, 6),
+    # a 2/1 split: the backward direction runs with a padded unit
+    "narrow_backward": ([3, 2], 3, 4, 3),
+    # the time reversal over many steps, next to a length-1 and an all-masked row
+    "long_mixed": ([9, 4, 1, 0], 9, 3, 6),
 }
 
 
