@@ -71,7 +71,7 @@ class FMKernel:
                 dx -= gx
                 _acc(x, dx.reshape(x.shape))
 
-        _record((x, w0, w, v), (out,), bw)
+        _record((x, w0, w, v), out, bw)
         return out
 
 
@@ -116,7 +116,7 @@ def affinity(fp: Tensor, fq: Tensor) -> Tensor:
         if fq.requires_grad:
             _acc(fq, _unbroadcast(np.swapaxes(g, -1, -2) @ fp.data, fq.shape))
 
-    _record((fp, fq), (out,), bw)
+    _record((fp, fq), out, bw)
     return out
 
 
@@ -147,7 +147,7 @@ def attend(e: Tensor, values: Tensor, mask: np.ndarray) -> Tensor:
             gy *= y
             _acc(e, _unbroadcast(gy, e.shape))
 
-    _record((e, values), (out,), bw)
+    _record((e, values), out, bw)
     return out
 
 

@@ -141,12 +141,11 @@ def _char_to_token_span(offsets: list[tuple[int, int]],
     return start_tok, end_tok
 
 
-def load_squad(path: str, max_passage_len: int | None = None,
-               max_question_len: int | None = None) -> tuple[list[TokenizedExample], int]:
+def load_squad(path: str) -> tuple[list[TokenizedExample], int]:
     """Flatten the nested article/paragraph/qas layout.  Answers arrive as
     character offsets into the raw context; the first answer that maps onto a
-    token span (surviving any passage cap) becomes the target.  Returns the
-    examples and the count of dropped questions.
+    token span becomes the target.  Returns the examples and the count of
+    dropped questions.
     """
     try:
         payload = json.loads(_read_text(path))
@@ -166,9 +165,6 @@ def load_squad(path: str, max_passage_len: int | None = None,
             para = _typed(para, dict, "paragraph", para_at)
             p_tokens, offsets = tokenize(_typed(para.get("context", ""), str, "context", para_at))
             qas = _typed(para.get("qas", []), list, "qas", para_at)
-            if max_passage_len is not None:
-                p_tokens = p_tokens[:max_passage_len]
-                offsets = offsets[:max_passage_len]
             if not p_tokens:
                 dropped += len(qas)
                 continue
@@ -177,8 +173,6 @@ def load_squad(path: str, max_passage_len: int | None = None,
                 qa_id = str(qa.get("id", f"qa-{len(examples)}"))
                 qa_at = f"{path}: qa {qa_id}"
                 q_tokens, _ = tokenize(_typed(qa.get("question", ""), str, "question", qa_at))
-                if max_question_len is not None:
-                    q_tokens = q_tokens[:max_question_len]
                 texts = []
                 span = None
                 for a in _typed(qa.get("answers", []), list, "answers", qa_at):

@@ -3,7 +3,11 @@ frequency indicators.
 
 Each position becomes a row of width ``word_dim + char_hidden + 2``.  Word
 vectors are frozen; the char embedding and char RNN train normally.  Padding
-rows come out exactly zero.
+rows come out zero without a mask multiply: the PAD word vector is zero, an
+all-masked char row leaves the char RNN at its zero state, and ``collate``
+pads match and frequency with zeros.  No layer reads them either: their one
+reader, DecaEnc's first BiRNN, keeps its state at masked steps and gives
+those rows exact zero gradients.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import ParamStore, Tensor, concat, embedding_init, gather_rows, mul, narrow, reshape
+from .numerics import ParamStore, Tensor, concat, embedding_init, gather_rows, narrow, reshape
 from .recurrent import BiRNN
 
 PAD = "<pad>"
@@ -173,8 +177,5 @@ class InputEncoder:
             word = gather_rows(self.word_emb, batch[f"{prefix}_word"])
             match = Tensor(batch[f"{prefix}_match"][..., None])
             freq = Tensor(batch[f"{prefix}_freq"][..., None])
-            x = concat([word, ch_side, match, freq], -1)
-            # zero out padding rows entirely
-            x = mul(x, Tensor(batch[f"{prefix}_mask"][..., None]))
-            sides.append(x)
+            sides.append(concat([word, ch_side, match, freq], -1))
         return sides[0], sides[1]

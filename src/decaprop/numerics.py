@@ -54,7 +54,8 @@ class Tape:
     """Execution record of one forward pass, replayed in reverse by backward()."""
 
     def __init__(self):
-        self._records: list[tuple[tuple[Tensor, ...], object]] = []
+        self._records: list[tuple[Tensor, object]] = []
+        self._replayed = False
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -67,12 +68,17 @@ class Tape:
         return len(self._records)
 
     def backward(self, loss: Tensor) -> None:
-        """Seed d(loss)/d(loss) = 1 and propagate through the tape in reverse."""
+        """Seed d(loss)/d(loss) = 1 and propagate through the tape in reverse,
+        once: a second pass would add every gradient again, and the fused
+        sweeps' backward overwrites the activations it reads."""
         if loss.data.ndim != 0:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        if self._replayed:
+            raise ContractError("backward on a tape that was already replayed; record a new forward")
+        self._replayed = True
         loss.grad = np.ones((), dtype=np.float64)
-        for outputs, fn in reversed(self._records):
-            if any(o.grad is not None for o in outputs):
+        for out, fn in reversed(self._records):
+            if out.grad is not None:
                 fn()
 
 
@@ -90,14 +96,13 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
         t.grad = g if t.grad is None else t.grad + g
 
 
-def _record(parents: tuple, outputs: tuple, fn) -> None:
+def _record(parents: tuple, out: Tensor, fn) -> None:
     if not _TAPES:
         return
     if not any(p.requires_grad for p in parents):
         return
-    for o in outputs:
-        o.requires_grad = True
-    _TAPES[-1]._records.append((outputs, fn))
+    out.requires_grad = True
+    _TAPES[-1]._records.append((out, fn))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -132,7 +137,7 @@ def add(a, b) -> Tensor:
         _acc(a, _unbroadcast(g, a.data.shape))
         _acc(b, _unbroadcast(g, b.data.shape))
 
-    _record((a, b), (out,), bw)
+    _record((a, b), out, bw)
     return out
 
 
@@ -145,7 +150,7 @@ def sub(a, b) -> Tensor:
         _acc(a, _unbroadcast(g, a.data.shape))
         _acc(b, _unbroadcast(-g, b.data.shape))
 
-    _record((a, b), (out,), bw)
+    _record((a, b), out, bw)
     return out
 
 
@@ -158,7 +163,7 @@ def mul(a, b) -> Tensor:
         _acc(a, _unbroadcast(g * b.data, a.data.shape))
         _acc(b, _unbroadcast(g * a.data, b.data.shape))
 
-    _record((a, b), (out,), bw)
+    _record((a, b), out, bw)
     return out
 
 
@@ -175,7 +180,7 @@ def matmul(a, b) -> Tensor:
         _acc(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         _acc(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
-    _record((a, b), (out,), bw)
+    _record((a, b), out, bw)
     return out
 
 
@@ -186,29 +191,18 @@ def relu(a) -> Tensor:
     def bw():
         _acc(a, out.grad * (a.data > 0.0))
 
-    _record((a,), (out,), bw)
+    _record((a,), out, bw)
     return out
 
 
 def logistic(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The sigmoid on plain arrays, in the overflow-free form every gate uses:
-    ``y = 1 / (1 + exp(-|a|))``, and ``1 - y`` where ``a < 0``.  With ``out``
-    (which may be ``a`` itself) it is computed in place there.
-
-    The mirror is ``0.5 + sign(a) * (y - 0.5)`` instead of a masked select,
-    which is several times slower on large arrays.  It rounds the same:
-    ``y`` is in [0.5, 1], so ``y - 0.5`` is exact, and ``0.5 - (y - 0.5)``
-    is the one rounding of ``1 - y``.
-    """
-    sign = np.sign(a)
-    out = np.abs(a, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
+    """The sigmoid on plain arrays, as ``(1 + tanh(a / 2)) / 2``: no ``exp``,
+    so no overflow.  With ``out`` (which may be ``a`` itself) it is computed
+    in place there."""
+    out = np.multiply(a, 0.5, out=out)
+    np.tanh(out, out=out)
     out += 1.0
-    np.divide(1.0, out, out=out)
-    out -= 0.5
-    out *= sign
-    out += 0.5
+    out *= 0.5
     return out
 
 
@@ -220,7 +214,7 @@ def sigmoid(a) -> Tensor:
     def bw():
         _acc(a, out.grad * y * (1.0 - y))
 
-    _record((a,), (out,), bw)
+    _record((a,), out, bw)
     return out
 
 
@@ -232,7 +226,7 @@ def tanh(a) -> Tensor:
     def bw():
         _acc(a, out.grad * (1.0 - y * y))
 
-    _record((a,), (out,), bw)
+    _record((a,), out, bw)
     return out
 
 
@@ -253,7 +247,7 @@ def softmax(a, axis: int = -1) -> Tensor:
         g = out.grad
         _acc(a, y * (g - (g * y).sum(axis=ax, keepdims=True)))
 
-    _record((a,), (out,), bw)
+    _record((a,), out, bw)
     return out
 
 
@@ -268,7 +262,7 @@ def log_softmax(a, axis: int = -1) -> Tensor:
         g = out.grad
         _acc(a, g - np.exp(y) * g.sum(axis=ax, keepdims=True))
 
-    _record((a,), (out,), bw)
+    _record((a,), out, bw)
     return out
 
 
@@ -283,7 +277,7 @@ def reshape(a, shape: tuple) -> Tensor:
     def bw():
         _acc(a, out.grad.reshape(a.data.shape))
 
-    _record((a,), (out,), bw)
+    _record((a,), out, bw)
     return out
 
 
@@ -297,7 +291,7 @@ def transpose_last(a) -> Tensor:
     def bw():
         _acc(a, np.swapaxes(out.grad, -1, -2))
 
-    _record((a,), (out,), bw)
+    _record((a,), out, bw)
     return out
 
 
@@ -315,7 +309,7 @@ def concat(tensors, axis: int = -1) -> Tensor:
         for p, piece in zip(parts, pieces):
             _acc(p, piece)
 
-    _record(tuple(parts), (out,), bw)
+    _record(tuple(parts), out, bw)
     return out
 
 
@@ -333,7 +327,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
         buf[key] = out.grad
         _acc(a, buf)
 
-    _record((a,), (out,), bw)
+    _record((a,), out, bw)
     return out
 
 
@@ -347,7 +341,7 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         _acc(a, np.broadcast_to(g, a.data.shape))
 
-    _record((a,), (out,), bw)
+    _record((a,), out, bw)
     return out
 
 
@@ -364,7 +358,7 @@ def gather_rows(a, indices) -> Tensor:
         np.add.at(buf, idx, out.grad)
         _acc(a, buf)
 
-    _record((a,), (out,), bw)
+    _record((a,), out, bw)
     return out
 
 
@@ -386,7 +380,7 @@ def pick(a, indices) -> Tensor:
         np.add.at(buf, (rows, idx), out.grad)
         _acc(a, buf)
 
-    _record((a,), (out,), bw)
+    _record((a,), out, bw)
     return out
 
 
@@ -407,7 +401,8 @@ def embedding_init(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 
 
 class ParamStore:
-    """Named parameters with persistent gradient buffers.
+    """Named parameters, each with a gradient slot that ``zero_grads`` rebinds
+    to fresh zeros before every step.
 
     Registration order is stable and drives checkpoint layout, so model
     construction must touch parameters in a deterministic order.
@@ -459,7 +454,7 @@ class ParamStore:
             p.data[...] = arr
 
 
-_ACTIVATIONS = {"none": None, "relu": relu, "sigmoid": sigmoid, "tanh": tanh}
+_ACTIVATIONS = {"none": None, "relu": relu, "sigmoid": sigmoid}
 
 
 class Dense:

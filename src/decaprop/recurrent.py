@@ -340,7 +340,6 @@ class BiRNN:
             raise ConfigError(f"birnn output width must be >= 2, got {output_dim}")
         self.input_dim = input_dim
         self.output_dim = output_dim
-        self.cell_kind = cell
         fwd_dim = (output_dim + 1) // 2
         bwd_dim = output_dim // 2
         self.fwd = _CELLS[cell](store, f"{name}.fwd", input_dim, fwd_dim, rng)
@@ -430,7 +429,7 @@ def _birnn(rnn: BiRNN, x: Tensor, mask: np.ndarray, last_only: bool) -> Tensor:
                 _acc(getattr(c, f"w_{gate}"), np.concatenate([dw_x[:, d, k, :h], du[d, :h, k, :h]]))
                 _acc(getattr(c, f"b_{gate}"), db[d, k, :h])
 
-    _record((x, *weights, *biases), (out,), bw)
+    _record((x, *weights, *biases), out, bw)
     return out
 
 

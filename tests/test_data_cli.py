@@ -199,15 +199,6 @@ def test_load_squad_maps_offsets_and_counts_drops(tmp_path):
     assert by_id["q4"].answer_texts == ["zebra", "two"]
 
 
-def test_load_squad_passage_cap_drops_late_answers(tmp_path):
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps(squad_payload()), encoding="utf-8")
-    examples, dropped = load_squad(str(path), max_passage_len=3)
-    assert [e.id for e in examples] == ["q4"]
-    assert dropped == 3
-    assert examples[0].passage_tokens == ["one", "two", "three"]
-
-
 def test_load_squad_requires_data_field(tmp_path):
     path = tmp_path / "s.json"
     path.write_text("{}", encoding="utf-8")

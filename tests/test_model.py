@@ -198,16 +198,58 @@ def test_golden_first_step(cell, layers, loss, calls):
     assert out.connector_calls == calls
 
 
-@pytest.mark.parametrize("cell,layers,max_records", [("gru", 2, 230), ("lstm", 4, 590)],
+@pytest.mark.parametrize("cell,layers,max_records", [("gru", 2, 225), ("lstm", 4, 580)],
                          ids=["gru_n2", "lstm_n4"])
 def test_training_forward_tape_records(cell, layers, max_records):
     """Each BiRNN (both directions), FM score, affinity and attend is one tape
-    record: the forward records 220 (GRU n2) and 576 (LSTM n4) entries.  One
-    record per BiRNN direction plus a concat would put it at 238 and 602,
-    per-timestep RNN ops at about 9.8k and 18.3k, stepwise FM scorers at 634
-    and 1,922, a taped affinity at 258 and 654, a taped attend at 266 and 686."""
+    record, and the input encoder does not mask its padding rows: the forward
+    records 218 (GRU n2) and 574 (LSTM n4) entries.  A pad-row multiply would
+    put it at 220 and 576, one record per BiRNN direction plus a concat at 238
+    and 602, per-timestep RNN ops at about 9.8k and 18.3k, stepwise FM scorers
+    at 634 and 1,922, a taped affinity at 258 and 654, a taped attend at 266
+    and 686."""
     _, tape = _c6_first_forward(cell, layers)
     assert len(tape) < max_records
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_padding_rows_reach_nothing(cell):
+    """Padded positions feed only masked BiRNN steps, so the input encoder
+    need not zero them: nonzero PAD word and char vectors and nonzero padded
+    match and frequency entries leave the loss, the logits at real positions
+    and every trainable gradient bit-equal, with dropout on."""
+    spec = SyntheticTaskSpec(vocab_size=15, passage_len=9, query_len=2, span_min=1,
+                             span_max=2, distractors=0, n_train=4, seed=3)
+    examples = gen_synthetic(spec, "train")
+    for k, ex in enumerate(examples[1:], start=1):
+        ex.passage_tokens = ex.passage_tokens[:max(ex.answer_end + 1, 9 - 2 * k)]
+    examples[-1].question_tokens = examples[-1].question_tokens[:1]
+    featurizer = Featurizer.build(examples, 4)
+    batch = collate([featurizer.example(ex) for ex in examples])
+    assert (batch["p_mask"] == 0.0).any() and (batch["q_mask"] == 0.0).any()
+
+    runs = []
+    for pad in (0.0, 3.0):
+        model = build_model(tiny_cfg(cell=cell, layers=2, dropout=0.2), featurizer, seed=0)
+        model.input.word_emb.data[0] = model.input.char_emb.data[0] = pad
+        fed = dict(batch)
+        for side in "pq":
+            real = batch[f"{side}_mask"] == 1.0
+            for name in ("match", "freq"):
+                fed[f"{side}_{name}"] = np.where(real, batch[f"{side}_{name}"], pad)
+        with Tape() as tape:
+            out = model.forward(fed, training=True, rng=np.random.default_rng(5))
+        backward(tape, out.loss)
+        runs.append((out, model.store.trainable_items()))
+
+    (zero, zero_grads), (nonzero, nonzero_grads) = runs
+    assert zero.loss.item() == nonzero.loss.item()
+    for i, n in enumerate(batch["p_len"]):
+        for a, b in ((zero.start_logits, nonzero.start_logits),
+                     (zero.end_logits, nonzero.end_logits)):
+            np.testing.assert_array_equal(a.data[i, :n], b.data[i, :n])
+    for (name, a), (_, b) in zip(zero_grads, nonzero_grads):
+        np.testing.assert_array_equal(a.grad, b.grad, err_msg=name)
 
 
 def test_predict_spans_within_length(tiny_batch):

@@ -172,6 +172,18 @@ def test_no_tape_records_nothing():
     assert tape._records == []
 
 
+def test_tape_replays_once():
+    """A second backward would double every intermediate gradient; it is
+    refused, and the first pass's gradients stand."""
+    x = Tensor(np.full((2, 2), 3.0), requires_grad=True)
+    with Tape() as tape:
+        loss = sum_(mul(x, x))
+    backward(tape, loss)
+    with pytest.raises(ContractError, match="already replayed"):
+        backward(tape, loss)
+    np.testing.assert_array_equal(x.grad, np.full((2, 2), 6.0))
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with Tape() as tape:
