@@ -8,9 +8,11 @@ what gets propagated between layers, so connector cost stays negligible
 next to the encoders.  Every attention call takes the (batch, len) mask of
 its keys; padded keys get no weight.
 
-The FM score, ``affinity`` and ``attend`` are each one tape record with a
-closed-form backward.  Their forward values round exactly like the taped
-compositions they replace, which the tests keep as their reference.
+The FM score, a connector's compression with FM scorers (``fm_compress``),
+``affinity`` and ``attend`` are each one tape record with a closed-form
+backward.  The tests hold each against a taped composition as reference;
+the FM score, ``affinity`` and ``attend`` round exactly like theirs, and
+``fm_compress``, whose reference is ``compress``, to within rounding.
 """
 
 from __future__ import annotations
@@ -22,6 +24,15 @@ from .numerics import (
     NEG_INF, Dense, ParamStore, Tensor, _acc, _record, _unbroadcast, concat, glorot,
     mul, sub, transpose_last,
 )
+
+
+def _with_rows(xs: list):
+    """Each 2-d column block of an input laid side by side, with the slice
+    of a weight's rows it meets."""
+    start = 0
+    for x in xs:
+        yield x, slice(start, start + x.shape[1])
+        start += x.shape[1]
 
 
 class FMKernel:
@@ -41,37 +52,66 @@ class FMKernel:
         self.w = store.register(f"{name}.w", glorot(rng, input_dim, 1))
         self.v = store.register(f"{name}.v", glorot(rng, input_dim, factors))
 
+    def scores(self, xs: list) -> tuple[np.ndarray, np.ndarray]:
+        """Scores, (rows, 1), of rows whose input is the 2-d column blocks
+        ``xs`` side by side, and the xV (rows, k) that ``backward`` reuses.
+        Each block meets its own rows of V and w, so the input is never
+        concatenated."""
+        v, w = self.v.data, self.w.data
+        for i, (x, rows) in enumerate(_with_rows(xs)):
+            vb = v[rows]
+            if i == 0:
+                xv, x2v2, linear = x @ vb, (x * x) @ (vb * vb), x @ w[rows]
+            else:
+                xv += x @ vb
+                x2v2 += (x * x) @ (vb * vb)
+                linear += x @ w[rows]
+        pair = (xv * xv).sum(axis=-1, keepdims=True) - x2v2.sum(axis=-1, keepdims=True)
+        return (self.w0.data + linear) + pair * 0.5, xv
+
+    def backward(self, xs: list, xv: np.ndarray, g: np.ndarray,
+                 need_dx: bool) -> list | None:
+        """The closed form of ``scores``' backward for the blocks ``xs``, their
+        xV and the upstream gradient g (rows, 1): dV = Xᵀ(g ⊙ xV) - (X²ᵀ g) ⊙ V,
+        dw = Xᵀ g and dw0 = Σ g are accumulated, and with ``need_dx`` the
+        blocks of dx = g (w + xV Vᵀ - x ⊙ Σ_f V²) are returned."""
+        v, w = self.v.data, self.w.data
+        k = self.factors
+        # [g ⊙ xV, g] meets [V, w] in one GEMM per block for dx and for (dV, dw)
+        g_xv = np.concatenate([g * xv, g], axis=1)
+        vw = np.concatenate([v, w], axis=1)
+        d_vw = np.empty_like(vw)
+        dxs = []
+        for x, rows in _with_rows(xs):
+            gx = g * x
+            np.matmul(x.T, g_xv, out=d_vw[rows])
+            d_vw[rows, :k] -= np.einsum("ri,ri->i", gx, x)[:, None] * v[rows]
+            if need_dx:
+                dx = g_xv @ vw[rows].T
+                gx *= (v[rows] * v[rows]).sum(axis=1)
+                dx -= gx
+                dxs.append(dx)
+        _acc(self.v, d_vw[:, :k])
+        _acc(self.w, d_vw[:, k:])
+        _acc(self.w0, g.sum(axis=0))
+        return dxs if need_dx else None
+
     def __call__(self, x: Tensor) -> Tensor:
-        """Scores (..., n) -> (..., 1) as one tape record.  The backward is
-        the closed form of the identity: with g the upstream gradient,
-        dx = g (w + xV Vᵀ - x ⊙ Σ_f V²), dV = Xᵀ(g ⊙ xV) - (X²ᵀ g) ⊙ V,
-        dw = Xᵀ g and dw0 = Σ g; it reuses xV from the forward."""
+        """Scores (..., n) -> (..., 1) as one tape record, from ``scores``
+        and ``backward`` on the rows of x as one block."""
         if x.ndim < 2 or x.shape[-1] != self.input_dim:
             raise ContractError(f"fm kernel expects width {self.input_dim}, got shape {x.shape}")
-        w0, w, v = self.w0, self.w, self.v
-        xv = x.data @ v.data
-        x2v2 = (x.data * x.data) @ (v.data * v.data)
-        pair = (xv * xv).sum(axis=-1, keepdims=True) - x2v2.sum(axis=-1, keepdims=True)
-        out = Tensor((w0.data + x.data @ w.data) + pair * 0.5)
+        n = self.input_dim
+        y, xv = self.scores([x.data.reshape(-1, n)])
+        out = Tensor(y.reshape(x.shape[:-1] + (1,)))
 
         def bw():
-            k = self.factors
-            flat_x = x.data.reshape(-1, self.input_dim)
-            g = out.grad.reshape(-1, 1)
-            # [g ⊙ xV, g] meets [V, w] in one GEMM for dx and in one for (dV, dw)
-            g_xv = np.concatenate([g * xv.reshape(-1, k), g], axis=1)
-            gx = g * flat_x
-            d_vw = flat_x.T @ g_xv
-            _acc(v, d_vw[:, :k] - np.einsum("ri,ri->i", gx, flat_x)[:, None] * v.data)
-            _acc(w, d_vw[:, k:])
-            _acc(w0, _unbroadcast(out.grad, w0.shape))
-            if x.requires_grad:
-                dx = g_xv @ np.concatenate([v.data, w.data], axis=1).T
-                gx *= (v.data * v.data).sum(axis=1)
-                dx -= gx
-                _acc(x, dx.reshape(x.shape))
+            dxs = self.backward([x.data.reshape(-1, n)], xv, out.grad.reshape(-1, 1),
+                                x.requires_grad)
+            if dxs is not None:
+                _acc(x, dxs[0].reshape(x.shape))
 
-        _record((x, w0, w, v), out, bw)
+        _record((x, self.w0, self.w, self.v), out, bw)
         return out
 
 
@@ -97,6 +137,64 @@ def make_scorer(store: ParamStore, name: str, input_dim: int, kind: str, factors
     if kind == "nonlinear":
         return MLPScorer(store, name, input_dim, rng)
     raise ConfigError(f"unknown connector scorer {kind!r}; pick one of ['fm', 'linear', 'nonlinear']")
+
+
+def compress(aligned: Tensor, original: Tensor, scorers: tuple) -> Tensor:
+    """The three scores of each (aligned, original) row pair, (..., 3):
+    ``g_cat([a; o])``, ``g_sub(a - o)`` and ``g_mul(a ⊙ o)`` for the scorers
+    (g_cat, g_sub, g_mul), composed from taped ops.  The ``linear`` and
+    ``nonlinear`` stand-ins run it, and it is the reference of
+    ``fm_compress``."""
+    g_cat, g_sub, g_mul = scorers
+    both = concat([aligned, original], -1)
+    diff = sub(aligned, original)
+    prod = mul(aligned, original)
+    return concat([g_cat(both), g_sub(diff), g_mul(prod)], -1)
+
+
+def _compress_inputs(a: np.ndarray, o: np.ndarray) -> tuple:
+    """The FM kernels' inputs as column blocks of rows: ([a, o], [a - o],
+    [a ⊙ o])."""
+    d = a.shape[-1]
+    a, o = a.reshape(-1, d), o.reshape(-1, d)
+    return [a, o], [a - o], [a * o]
+
+
+def fm_compress(aligned: Tensor, original: Tensor, kernels: tuple) -> Tensor:
+    """``compress`` with FM kernels, as one tape record.  Each kernel scores
+    its own blocks with its own GEMMs; the record keeps the three xV and
+    the two inputs, and the backward rebuilds a - o and a ⊙ o.  With
+    ([dcat_a, dcat_o], dsub, dmul) the kernels' input gradients,
+    da = dcat_a + dsub + dmul ⊙ o and do = dcat_o - dsub + dmul ⊙ a."""
+    a, o = aligned, original
+    d = a.shape[-1]
+    if a.shape != o.shape or [k.input_dim for k in kernels] != [2 * d, d, d]:
+        raise ContractError(f"compress: aligned {a.shape} and original {o.shape} do not fit "
+                            f"kernels of widths {[k.input_dim for k in kernels]}")
+    scored = [k.scores(xs) for k, xs in zip(kernels, _compress_inputs(a.data, o.data))]
+    out = Tensor(np.concatenate([y for y, _ in scored], axis=1).reshape(a.shape[:-1] + (3,)))
+    xvs = [xv for _, xv in scored]
+
+    def bw():
+        g = out.grad.reshape(-1, 3)
+        need = a.requires_grad or o.requires_grad
+        dxs = [k.backward(xs, xv, g[:, j:j + 1], need) for j, (k, xs, xv)
+               in enumerate(zip(kernels, _compress_inputs(a.data, o.data), xvs))]
+        if not need:
+            return
+        (da, do), (dsub,), (dmul,) = dxs
+        if a.requires_grad:
+            da += dsub
+            da += dmul * o.data.reshape(-1, d)
+            _acc(a, da.reshape(a.shape))
+        if o.requires_grad:
+            do -= dsub
+            dmul *= a.data.reshape(-1, d)
+            do += dmul
+            _acc(o, do.reshape(o.shape))
+
+    _record((a, o) + tuple(p for k in kernels for p in (k.w0, k.w, k.v)), out, bw)
+    return out
 
 
 def affinity(fp: Tensor, fq: Tensor) -> Tensor:
@@ -170,10 +268,9 @@ class BAC:
         self.g_mul = make_scorer(store, f"{name}.g_mul", dim, scorer, factors, rng)
 
     def _compress(self, aligned: Tensor, original: Tensor) -> Tensor:
-        both = concat([aligned, original], -1)
-        diff = sub(aligned, original)
-        prod = mul(aligned, original)
-        return concat([self.g_cat(both), self.g_sub(diff), self.g_mul(prod)], -1)
+        scorers = (self.g_cat, self.g_sub, self.g_mul)
+        fused = isinstance(self.g_cat, FMKernel)
+        return (fm_compress if fused else compress)(aligned, original, scorers)
 
     def __call__(self, p: Tensor, q: Tensor,
                  p_mask: np.ndarray, q_mask: np.ndarray) -> tuple[Tensor, Tensor]:

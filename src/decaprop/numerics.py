@@ -4,7 +4,10 @@ A forward pass runs inside a ``with Tape() as tape:`` block; every operation
 whose inputs require gradients appends a record to the tape.  ``backward``
 replays the records in exact reverse execution order, accumulating gradients
 additively, so a tensor used twice receives the sum of both contributions.
-Outside any tape the same ops run as plain NumPy, which is how inference and
+It pops each record as it replays it: a record's closure, and the
+activations that closure saved, are freed as soon as its gradients are out,
+so a training step never holds much more than its forward did.  Outside any
+tape the same ops run as plain NumPy, which is how inference and
 finite-difference probes stay cheap.
 
 Gradient arrays are only ever rebound, never mutated in place.  The concat
@@ -70,14 +73,18 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Seed d(loss)/d(loss) = 1 and propagate through the tape in reverse,
         once: a second pass would add every gradient again, and the fused
-        sweeps' backward overwrites the activations it reads."""
+        sweeps' backward overwrites the activations it reads.  Each record is
+        popped before it runs, so the tape ends empty and what a record saved
+        dies with it."""
         if loss.data.ndim != 0:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         if self._replayed:
             raise ContractError("backward on a tape that was already replayed; record a new forward")
         self._replayed = True
         loss.grad = np.ones((), dtype=np.float64)
-        for out, fn in reversed(self._records):
+        records = self._records
+        while records:
+            out, fn = records.pop()
             if out.grad is not None:
                 fn()
 
@@ -401,8 +408,10 @@ def embedding_init(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 
 
 class ParamStore:
-    """Named parameters, each with a gradient slot that ``zero_grads`` rebinds
-    to fresh zeros before every step.
+    """Named parameters.  A trainable one has a gradient slot that
+    ``zero_grads`` rebinds to fresh zeros before every step; a frozen one
+    (``trainable=False``, such as fixed word vectors) has none: its ``grad``
+    stays ``None``.
 
     Registration order is stable and drives checkpoint layout, so model
     construction must touch parameters in a deterministic order.
@@ -415,7 +424,8 @@ class ParamStore:
         if name in self._params:
             raise ContractError(f"parameter {name!r} registered twice")
         t = Tensor(np.array(data, dtype=np.float64), requires_grad=trainable)
-        t.grad = np.zeros_like(t.data)
+        if trainable:
+            t.grad = np.zeros_like(t.data)
         self._params[name] = t
         return t
 
@@ -439,7 +449,8 @@ class ParamStore:
 
     def zero_grads(self) -> None:
         for p in self._params.values():
-            p.grad = np.zeros_like(p.data)
+            if p.requires_grad:
+                p.grad = np.zeros_like(p.data)
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         """Overwrite parameter data in place; names and shapes must match exactly."""
@@ -454,11 +465,11 @@ class ParamStore:
             p.data[...] = arr
 
 
-_ACTIVATIONS = {"none": None, "relu": relu, "sigmoid": sigmoid}
+_ACTIVATIONS = ("none", "relu", "sigmoid")
 
 
 class Dense:
-    """Affine map with an optional pointwise activation."""
+    """Affine map with an optional pointwise activation, as one tape record."""
 
     def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int,
                  activation: str, rng: np.random.Generator):
@@ -472,13 +483,36 @@ class Dense:
         self.b = store.register(f"{name}.b", np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
+        """y = act(x W + b) from one GEMM over the rows of x, with the bias
+        and the activation applied in place.  The backward keeps only y and
+        x: with g the upstream gradient times act'(y) (1[y > 0] or
+        y (1 - y)), dW = Xᵀg, db = Σ g and dx = g Wᵀ."""
         x = _ensure(x)
         if x.ndim < 2 or x.shape[-1] != self.d_in:
             raise ContractError(
                 f"dense {self.name!r}: input shape {x.shape} incompatible with weight shape {self.w.shape}")
-        y = add(matmul(x, self.w), self.b)
-        act = _ACTIVATIONS[self.activation]
-        return y if act is None else act(y)
+        w, b, activation = self.w, self.b, self.activation
+        y = x.data.reshape(-1, self.d_in) @ w.data
+        y += b.data
+        if activation == "relu":
+            np.maximum(y, 0.0, out=y)
+        elif activation == "sigmoid":
+            logistic(y, out=y)
+        out = Tensor(y.reshape(x.shape[:-1] + (self.d_out,)))
+
+        def bw():
+            g = out.grad.reshape(-1, self.d_out)
+            if activation == "relu":
+                g = g * (y > 0.0)
+            elif activation == "sigmoid":
+                g = g * y * (1.0 - y)
+            _acc(w, x.data.reshape(-1, self.d_in).T @ g)
+            _acc(b, g.sum(axis=0))
+            if x.requires_grad:
+                _acc(x, (g @ w.data.T).reshape(x.shape))
+
+        _record((x, w, b), out, bw)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Attention connectors: the factorization-machine fast path against a naive
 double loop, the attention primitive against a plain numpy oracle and on
-analytic cases, the one-record connector ops against their taped
-references, and compression contracts."""
+analytic cases, the one-record connector ops (and the one-record ``Dense``
+they project with) against their taped references, and compression
+contracts."""
 
 import numpy as np
 import pytest
 
-from decaprop.bac import BAC, FMKernel, MLPScorer, affinity, attend, make_scorer
+from decaprop.bac import (BAC, FMKernel, MLPScorer, affinity, attend, compress, fm_compress,
+                          make_scorer)
 from decaprop.decacore import GatedAttention
 from decaprop.errors import ConfigError, ContractError
 from decaprop.numerics import (NEG_INF, Dense, ParamStore, Tape, Tensor, add, backward,
-                               grad_check, matmul, mul, softmax, sub, sum_, transpose_last)
+                               grad_check, matmul, mul, relu, sigmoid, softmax, sub, sum_,
+                               transpose_last)
 
 
 def naive_fm(x: np.ndarray, w0: float, w: np.ndarray, v: np.ndarray) -> float:
@@ -267,6 +270,52 @@ def _affinity_case(edge, rng):
     return ParamStore(), arrays, affinity, taped_affinity
 
 
+def _constant(op, arrays: list, frozen: int):
+    """``op`` with its input ``frozen`` fixed to a tensor that needs no
+    gradient; the other inputs stay arguments."""
+    fixed = Tensor(arrays[frozen])
+    return lambda *args: op(*args[:frozen], fixed, *args[frozen:])
+
+
+def _dense_case(edge, rng):
+    """Against ``add(matmul(x, w), b)`` and the taped activation; with
+    ``frozen`` set, x needs no gradient."""
+    shape, activation, frozen = edge
+    store = ParamStore()
+    layer = Dense(store, "dense", shape[-1], 4, activation, rng)
+    layer.b.data[:] = rng.normal(size=4)
+    act = {"none": lambda y: y, "relu": relu, "sigmoid": sigmoid}[activation]
+
+    def taped(x):
+        return act(add(matmul(x, layer.w), layer.b))
+
+    arrays = [rng.normal(size=shape)]
+    if frozen:
+        return store, [], _constant(layer, arrays, 0), _constant(taped, arrays, 0)
+    return store, arrays, layer, taped
+
+
+def _compress_case(edge, rng):
+    """``fm_compress`` against ``compress``, the taped concat, sub, mul and
+    ``FMKernel`` calls; ``frozen`` names an input (0 aligned, 1 original)
+    that needs no gradient."""
+    shape, factors, frozen = edge
+    store = ParamStore()
+    width = shape[-1]
+    kernels = tuple(FMKernel(store, f"c.{name}", n, factors, rng)
+                    for name, n in (("g_cat", 2 * width), ("g_sub", width), ("g_mul", width)))
+    for kernel in kernels:
+        kernel.w0.data[:] = rng.normal()
+    arrays = [rng.normal(size=shape), rng.normal(size=shape)]
+
+    def call(op):
+        return lambda a, o: op(a, o, kernels)
+    if frozen is None:
+        return store, arrays, call(fm_compress), call(compress)
+    return (store, [arrays[1 - frozen]], _constant(call(fm_compress), arrays, frozen),
+            _constant(call(compress), arrays, frozen))
+
+
 # op name: (make, edge shapes), where make(edge, rng) returns (store, input
 # arrays, one-record op, taped reference) for one edge shape
 CONNECTOR_OPS = {
@@ -281,16 +330,30 @@ CONNECTOR_OPS = {
     # passage shape, question rows
     "affinity": (_affinity_case, {"2d": ((3, 5), 4), "3d": ((2, 3, 5), 4),
                                   "width_1": ((2, 3, 1), 2), "one_row": ((1, 1, 4), 3)}),
+    # input shape, activation, x needs no gradient
+    "dense": (_dense_case, {"none_2d": ((5, 3), "none", False), "relu_2d": ((6, 3), "relu", False),
+                            "relu_3d": ((2, 4, 3), "relu", False),
+                            "sigmoid_3d": ((2, 4, 3), "sigmoid", False),
+                            "no_x_grad": ((2, 4, 3), "relu", True),
+                            "one_row": ((1, 3), "sigmoid", False)}),
+    # input shape, factors, the input that needs no gradient (None: neither)
+    "compress": (_compress_case, {"2d": ((5, 4), 3, None), "3d": ((2, 4, 5), 3, None),
+                                  "factors_1": ((3, 4), 1, None),
+                                  "width_1": ((2, 3, 1), 2, None), "one_row": ((1, 4), 2, None),
+                                  "no_aligned_grad": ((2, 3, 4), 2, 0),
+                                  "no_original_grad": ((2, 3, 4), 2, 1)}),
 }
 CONNECTOR_CASES = [(op, edge) for op, (_, edges) in CONNECTOR_OPS.items() for edge in edges]
 # gradients that are zero in exact arithmetic: at width 1 the FM's pairwise
 # term is x²v² - x²v², and a softmax over one key is constant
-VANISHING = {("fm", "width_1"): {"fm.v.grad"}, ("attend", "lk_1"): {"input0.grad"}}
+VANISHING = {("fm", "width_1"): {"fm.v.grad"}, ("attend", "lk_1"): {"input0.grad"},
+             ("compress", "width_1"): {"c.g_sub.v.grad", "c.g_mul.v.grad"}}
 
 
 def _outputs_and_grads(fn, store: ParamStore, arrays: list, coef: np.ndarray) -> dict:
     """The op's output and the gradients of a weighted sum of it with
-    respect to every input and parameter."""
+    respect to every input and parameter.  Every input needs a gradient;
+    an op closes over those that do not."""
     store.zero_grads()
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
     with Tape() as tape:

@@ -1,6 +1,8 @@
 """Whole-model assembly: config handling, ablation transforms, forward
 contract, and the connector-call ledger."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,9 +173,9 @@ def test_dropout_training_needs_rng(tiny_batch):
                                   no_drop.forward(batch).start_logits.data)
 
 
-def _c6_first_forward(cell: str, layers: int):
-    """First training-mode forward of the criterion-6 model (seed 0) on the 32
-    seed-0 examples of the criterion-6 task, and the tape it recorded."""
+def _c6_model(cell: str, layers: int):
+    """The criterion-6 model (seed 0) and a batch of the 32 seed-0 examples of
+    the criterion-6 task."""
     spec = SyntheticTaskSpec(vocab_size=100, passage_len=40, query_len=3, span_min=2,
                              span_max=2, distractors=1, n_train=32, seed=0)
     examples = gen_synthetic(spec, "train")
@@ -181,7 +183,13 @@ def _c6_first_forward(cell: str, layers: int):
                       layers=layers, fm_factors=8, cell=cell)
     featurizer = Featurizer.build(examples, cfg.max_word_len)
     model = build_model(cfg, featurizer, seed=0)
-    batch = collate([featurizer.example(ex) for ex in examples])
+    return model, collate([featurizer.example(ex) for ex in examples])
+
+
+def _c6_first_forward(cell: str, layers: int):
+    """First training-mode forward of the criterion-6 model on its batch, and
+    the tape it recorded."""
+    model, batch = _c6_model(cell, layers)
     with Tape() as tape:
         out = model.forward(batch, training=True, rng=np.random.default_rng(0))
     return out, tape
@@ -198,18 +206,39 @@ def test_golden_first_step(cell, layers, loss, calls):
     assert out.connector_calls == calls
 
 
-@pytest.mark.parametrize("cell,layers,max_records", [("gru", 2, 225), ("lstm", 4, 580)],
+@pytest.mark.parametrize("cell,layers,max_records", [("gru", 2, 110), ("lstm", 4, 235)],
                          ids=["gru_n2", "lstm_n4"])
 def test_training_forward_tape_records(cell, layers, max_records):
-    """Each BiRNN (both directions), FM score, affinity and attend is one tape
-    record, and the input encoder does not mask its padding rows: the forward
-    records 218 (GRU n2) and 574 (LSTM n4) entries.  A pad-row multiply would
-    put it at 220 and 576, one record per BiRNN direction plus a concat at 238
-    and 602, per-timestep RNN ops at about 9.8k and 18.3k, stepwise FM scorers
-    at 634 and 1,922, a taped affinity at 258 and 654, a taped attend at 266
-    and 686."""
+    """Each BiRNN (both directions), Dense, connector compression, affinity
+    and attend is one tape record, and the input encoder does not mask its
+    padding rows: the forward records 102 (GRU n2) and 226 (LSTM n4)
+    entries.  A three-record Dense and a seven-record compression would put
+    it at 218 and 574, a pad-row multiply as well at 220 and 576, one record
+    per BiRNN direction plus a concat at 238 and 602, per-timestep RNN ops at
+    about 9.8k and 18.3k, stepwise FM scorers at 634 and 1,922, a taped
+    affinity at 258 and 654, a taped attend at 266 and 686."""
     _, tape = _c6_first_forward(cell, layers)
     assert len(tape) < max_records
+
+
+def test_backward_peak_stays_near_the_forward_live_set():
+    """Backward frees each record as it replays it, so a criterion-6 GRU n2
+    step's backward peaks (tracemalloc) at most 1.15x the memory its forward
+    left live: 1.10 measured, against 1.67 when the tape held every record
+    until the backward ended."""
+    model, batch = _c6_model("gru", 2)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            out = model.forward(batch, training=True, rng=np.random.default_rng(0))
+        live = tracemalloc.get_traced_memory()[0]
+        model.store.zero_grads()
+        tracemalloc.reset_peak()
+        backward(tape, out.loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * live, f"backward peak {peak / live:.3f}x the forward's live memory"
 
 
 @pytest.mark.parametrize("cell", ["gru", "lstm"])

@@ -1,11 +1,13 @@
 """Autodiff core: every op's gradient against central differences, tape
 mechanics, parameter store contracts, and initializer ranges."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from decaprop.errors import ConfigError, ContractError
-from decaprop.numerics import (Dense, ParamStore, Tape, Tensor, add, backward,
+from decaprop.numerics import (Dense, ParamStore, Tape, Tensor, _acc, _record, add, backward,
                                concat, gather_rows, glorot, grad_check, log_softmax,
                                matmul, mul, narrow, pick,
                                relu, reshape, sigmoid, softmax, sub, sum_, tanh,
@@ -184,6 +186,35 @@ def test_tape_replays_once():
     np.testing.assert_array_equal(x.grad, np.full((2, 2), 6.0))
 
 
+def test_backward_releases_each_record():
+    """backward pops each record before it runs: the tape ends empty, and an
+    array a late op saved is freed before the earliest record's backward."""
+    seen = []
+
+    def probe(a):
+        out = Tensor(a.data * 2.0)
+
+        def bw():
+            seen.append(saved() is None)
+            _acc(a, out.grad * 2.0)
+
+        _record((a,), out, bw)
+        return out
+
+    x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+    with Tape() as tape:
+        y = sigmoid(probe(x))  # sigmoid's backward keeps its output
+        saved = weakref.ref(y.data)
+        loss = sum_(y)
+    del y
+    assert len(tape) == 3
+    backward(tape, loss)
+    assert len(tape) == 0
+    assert seen == [True]
+    s = 1.0 / (1.0 + np.exp(-2.0 * np.array([0.5, -1.0])))
+    np.testing.assert_allclose(x.grad, 2.0 * s * (1.0 - s), rtol=1e-15)
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with Tape() as tape:
@@ -232,6 +263,17 @@ def test_grad_check_rejects_nondeterministic_forward():
 
 # ---------------------------------------------------------------------------
 # parameter store and dense layer
+
+
+def test_frozen_parameter_has_no_gradient():
+    store = ParamStore()
+    frozen = store.register("frozen", np.ones(3), trainable=False)
+    w = store.register("w", np.ones(3))
+    assert frozen.grad is None
+    store.zero_grads()
+    assert frozen.grad is None
+    np.testing.assert_array_equal(w.grad, np.zeros(3))
+    assert [name for name, _ in store.trainable_items()] == ["w"]
 
 
 def test_store_duplicate_name_rejected():

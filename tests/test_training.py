@@ -125,6 +125,32 @@ def test_clip_leaves_small_gradients_alone():
     np.testing.assert_allclose(a.grad, [0.3, 0.4], atol=1e-15)
 
 
+def test_frozen_parameters_leave_clipping_and_adam_unchanged():
+    """A frozen parameter carries no gradient array; clipping and Adam see
+    only the trainable ones, exactly as in a store without it."""
+    def run(with_frozen):
+        store = ParamStore()
+        if with_frozen:
+            frozen = store.register("frozen", np.ones(2), trainable=False)
+        w = store.register("w", np.zeros(2))
+        state = init_optimizer_state("adam", store)
+        norms = []
+        for g in ([3.0, 4.0], [0.5, -1.0]):
+            store.zero_grads()
+            w.grad = w.grad + np.array(g)
+            norms.append(clip_gradients(store, 2.5))
+            adam_step(store, state, lr=1e-2)
+        if with_frozen:
+            assert frozen.grad is None
+            np.testing.assert_array_equal(frozen.data, np.ones(2))
+        return norms, w.data.copy(), w.grad.copy()
+
+    plain, with_frozen = run(False), run(True)
+    assert plain[0] == with_frozen[0]
+    np.testing.assert_array_equal(plain[1], with_frozen[1])
+    np.testing.assert_array_equal(plain[2], with_frozen[2])
+
+
 def test_lr_schedule_spec_trace():
     history = [50.0, 50.1, 50.05, 50.0, 49.9]
     assert lr_schedule(history, 1.0, patience=3) == pytest.approx(0.5)
@@ -340,6 +366,14 @@ def test_train_model_adadelta_runs():
     res = train_model(model, fz, train, dev, tcfg)
     assert res.steps == 2
     assert np.isfinite(res.step_losses).all()
+
+
+def test_word_vectors_get_no_gradient_in_training():
+    model, fz, train, _ = tiny_setup()
+    tcfg = TrainConfig(optimizer="adam", lr=5e-3, batch_size=6, max_epochs=1, seed=0)
+    train_model(model, fz, train, None, tcfg)
+    assert model.input.word_emb.grad is None
+    assert all(p.grad.shape == p.data.shape for _, p in model.store.trainable_items())
 
 
 def test_train_model_max_steps_stops_early():
