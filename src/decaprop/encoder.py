@@ -8,14 +8,21 @@ all-masked char row leaves the char RNN at its zero state, and ``collate``
 pads match and frequency with zeros.  No layer reads them either: their one
 reader, DecaEnc's first BiRNN, keeps its state at masked steps and gives
 those rows exact zero gradients.
+
+A token's char row depends only on its spelling, and its char state only on
+that row and the parameters.  So the char work is done once per spelling:
+``Featurizer`` looks char rows up in a table with one row per vocabulary id
+(only UNK positions spell their token out), and ``InputEncoder`` runs the
+char BiRNN once per distinct row of the batch and gathers the states back to
+the positions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
-from .numerics import ParamStore, Tensor, concat, embedding_init, gather_rows, narrow, reshape
+from .errors import ConfigError, ContractError
+from .numerics import ParamStore, Tensor, concat, embedding_init, gather_rows
 from .recurrent import BiRNN
 
 PAD = "<pad>"
@@ -78,12 +85,27 @@ def norm_frequency(tokens: list[str]) -> np.ndarray:
 
 
 class Featurizer:
-    """Turns token lists into the integer/float arrays the model consumes."""
+    """Turns token lists into the integer/float arrays the model consumes.
+
+    ``char_table`` holds the char ids of every vocabulary token, row ``i``
+    for ``vocab.tokens[i]`` (row 0 spells the literal ``<pad>``), built once
+    here: |vocab| x ``max_word_len`` int64s, fixed for the featurizer's
+    life.  ``side`` takes a token's chars from it by word id.  A position
+    whose word id is UNK (an out-of-vocabulary token, or a literal
+    ``<unk>``) is spelled out by ``char_ids`` instead.  A char id is never 0
+    at a real character (unknown characters are UNK, 1), so the char mask is
+    ``chars != 0``.
+    """
 
     def __init__(self, vocab: Vocab, char_vocab: Vocab, max_word_len: int = 16):
         self.vocab = vocab
         self.char_vocab = char_vocab
+        if not isinstance(max_word_len, (int, np.integer)) or max_word_len < 1:
+            raise ConfigError(f"max_word_len must be an integer >= 1, got {max_word_len!r}")
         self.max_word_len = max_word_len
+        self.char_table = np.zeros((len(vocab), max_word_len), dtype=np.int64)
+        for row, token in zip(self.char_table, vocab.tokens):
+            row[:] = self.char_ids(token)[0]
 
     def char_ids(self, token: str) -> tuple[np.ndarray, np.ndarray]:
         ids = np.zeros(self.max_word_len, dtype=np.int64)
@@ -94,15 +116,14 @@ class Featurizer:
         return ids, mask
 
     def side(self, tokens: list[str], other: list[str]) -> dict:
-        n = len(tokens)
-        chars = np.zeros((n, self.max_word_len), dtype=np.int64)
-        cmask = np.zeros((n, self.max_word_len))
-        for i, t in enumerate(tokens):
-            chars[i], cmask[i] = self.char_ids(t)
+        word = self.vocab.encode_all(tokens)
+        chars = self.char_table[word]
+        for i in np.flatnonzero(word == 1):
+            chars[i] = self.char_ids(tokens[i])[0]
         return {
-            "word": self.vocab.encode_all(tokens),
+            "word": word,
             "chars": chars,
-            "char_mask": cmask,
+            "char_mask": (chars != 0).astype(np.float64),
             "match": binary_match(tokens, other),
             "freq": norm_frequency(tokens),
         }
@@ -139,6 +160,20 @@ class Featurizer:
         return cls(vocab, Vocab(sorted(chars)), max_word_len)
 
 
+def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d integer array: ``(first, inv)``, with
+    ``keys[first]`` the distinct rows in lexicographic order and
+    ``keys[first][inv] == keys``.  A lexsort and one row compare; much
+    cheaper than ``np.unique(keys, axis=0)``."""
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inv = np.empty(len(keys), dtype=np.int64)
+    inv[order] = np.cumsum(new) - 1
+    return order[new], inv
+
+
 class InputEncoder:
     """Builds the per-position representation [word; char; match; freq]."""
 
@@ -163,14 +198,21 @@ class InputEncoder:
         lq = batch["q_word"].shape[1]
         wl = batch["p_chars"].shape[-1]
 
-        # one char-RNN run across every token of both sides
+        # one char-RNN run over the distinct (ids, mask) rows of both sides;
+        # gather_rows' scatter-add backward sums the repeats' gradients
         all_ids = np.concatenate(
             [batch["p_chars"].reshape(-1, wl), batch["q_chars"].reshape(-1, wl)])
         all_mask = np.concatenate(
             [batch["p_char_mask"].reshape(-1, wl), batch["q_char_mask"].reshape(-1, wl)])
-        ch = self.char_rnn.final_states(gather_rows(self.char_emb, all_ids), all_mask)
-        ch_p = reshape(narrow(ch, 0, 0, bsz * lp), (bsz, lp, self.char_hidden))
-        ch_q = reshape(narrow(ch, 0, bsz * lp, bsz * lq), (bsz, lq, self.char_hidden))
+        # the key 2*id + mask tells rows apart only for 0/1 masks, and the
+        # char RNN then sees only the distinct rows' masks
+        if ((all_mask != 0.0) & (all_mask != 1.0)).any():
+            raise ContractError("char mask must hold only 0/1 values")
+        first, inv = distinct_rows(2 * all_ids + (all_mask != 0))
+        ch = self.char_rnn.final_states(gather_rows(self.char_emb, all_ids[first]),
+                                        all_mask[first])
+        ch_p = gather_rows(ch, inv[:bsz * lp].reshape(bsz, lp))
+        ch_q = gather_rows(ch, inv[bsz * lp:].reshape(bsz, lq))
 
         sides = []
         for prefix, ch_side in (("p", ch_p), ("q", ch_q)):

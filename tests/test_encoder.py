@@ -1,14 +1,17 @@
 """Input featurization: vocabularies, word vectors, char composition,
-match/frequency features, and padding invariants."""
+match/frequency features, padding invariants, and the per-spelling char
+path (the featurizer's char table, the encoder's distinct-row char BiRNN)
+against the per-position one."""
 
 import numpy as np
 import pytest
 
 from decaprop.data import TokenizedExample
-from decaprop.encoder import (Featurizer, InputEncoder, Vocab, binary_match,
+from decaprop.encoder import (Featurizer, InputEncoder, Vocab, binary_match, distinct_rows,
                               norm_frequency, random_embeddings)
-from decaprop.errors import ConfigError
-from decaprop.numerics import ParamStore
+from decaprop.errors import ConfigError, ContractError
+from decaprop.numerics import (ParamStore, Tape, Tensor, add, backward, gather_rows, mul,
+                               narrow, reshape, sum_)
 from decaprop.training import collate
 
 
@@ -89,6 +92,56 @@ def test_featurizer_truncates_long_words():
     np.testing.assert_allclose(mask, np.ones(3))
 
 
+def test_featurizer_rejects_a_word_length_under_one():
+    for bad in (0, -1, 2.0):
+        with pytest.raises(ConfigError):
+            Featurizer(Vocab(["a"]), Vocab(["a"]), max_word_len=bad)
+
+
+def _per_token_chars(fz, tokens):
+    """Char rows spelled out token by token with ``char_ids``: the reference
+    for the featurizer's table lookup."""
+    chars = np.zeros((len(tokens), fz.max_word_len), dtype=np.int64)
+    mask = np.zeros((len(tokens), fz.max_word_len))
+    for i, t in enumerate(tokens):
+        chars[i], mask[i] = fz.char_ids(t)
+    return chars, mask
+
+
+def test_char_table_matches_per_token_char_ids():
+    """Table rows by word id, and ``char_ids`` at UNK positions, give the
+    per-token rows byte for byte: in-vocab and out-of-vocabulary tokens, the
+    literal ``<pad>`` and ``<unk>``, characters outside the char vocabulary
+    and words longer than ``max_word_len``, in vocab and out."""
+    rng = np.random.default_rng(16)
+    letters = list("abcdefgh<>")
+
+    def word(longest):
+        return "".join(rng.choice(letters, size=int(rng.integers(1, longest + 1))))
+
+    known = sorted({word(11) for _ in range(40)})
+    # 'g' and 'h' are missing from the char vocabulary
+    fz = Featurizer(Vocab(known), Vocab(list("abcdef<>")), max_word_len=6)
+    unknown = [w for w in (word(14) for _ in range(30)) if w not in fz.vocab]
+    fixed = ["<pad>", "<unk>", "<PAD>", "ghgh", "abcdefabcdef", known[0], max(known, key=len)]
+    for _ in range(6):
+        pool = known + unknown
+        drawn = [pool[i] for i in rng.integers(0, len(pool), size=int(rng.integers(0, 25)))]
+        tokens = drawn + fixed
+        order = rng.permutation(len(tokens))
+        tokens = [tokens[i] for i in order]
+        side = fz.side(tokens, known[:3])
+        assert (side["word"] == 1).sum() >= 3 and (side["word"] > 1).sum() >= 2
+        chars, mask = _per_token_chars(fz, tokens)
+        for name, want in (("chars", chars), ("char_mask", mask)):
+            got = side[name]
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+    empty = fz.side([], known[:1])
+    assert empty["chars"].shape == (0, 6) and empty["chars"].dtype == np.int64
+    assert empty["char_mask"].shape == (0, 6) and empty["char_mask"].dtype == np.float64
+
+
 def test_featurizer_example_targets():
     fz = Featurizer.build([example()], max_word_len=4)
     feat = fz.example(example())
@@ -167,3 +220,104 @@ def test_encoder_batch_matches_single():
     p_alone, q_alone = enc(alone)
     np.testing.assert_allclose(p_both.data[0], p_alone.data[0], atol=1e-12)
     np.testing.assert_allclose(q_both.data[0], q_alone.data[0], atol=1e-12)
+
+
+def test_distinct_rows_round_trips():
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 2, 57):
+        keys = rng.integers(0, 3, size=(n, 4))
+        first, inv = distinct_rows(keys)
+        np.testing.assert_array_equal(keys[first][inv], keys)
+        assert len({tuple(row) for row in keys[first]}) == len(first)
+        assert len(first) == len({tuple(row) for row in keys})
+
+
+def _per_position_char_states(enc, batch):
+    """The char BiRNN run at every position of both sides: the reference for
+    the encoder's one run per distinct (ids, mask) row."""
+    bsz, lp = batch["p_word"].shape
+    lq = batch["q_word"].shape[1]
+    wl = batch["p_chars"].shape[-1]
+    ids = np.concatenate([batch["p_chars"].reshape(-1, wl), batch["q_chars"].reshape(-1, wl)])
+    mask = np.concatenate([batch["p_char_mask"].reshape(-1, wl),
+                           batch["q_char_mask"].reshape(-1, wl)])
+    ch = enc.char_rnn.final_states(gather_rows(enc.char_emb, ids), mask)
+    return (reshape(narrow(ch, 0, 0, bsz * lp), (bsz, lp, enc.char_hidden)),
+            reshape(narrow(ch, 0, bsz * lp, bsz * lq), (bsz, lq, enc.char_hidden)))
+
+
+def _char_batch(case):
+    """A collated batch for one edge case of the distinct-row char path."""
+    fz = build_encoder()[1]
+    ex, short = example(), example("short")
+    short.passage_tokens = ["mat", "the", "unseen"]
+    short.question_tokens = ["the"]
+    if case == "repeats_and_padding":
+        return collate([fz.example(ex), fz.example(short), fz.example(ex)])
+    batch = collate([fz.example(ex)])
+    if case == "batch_of_one":
+        return batch
+    if case == "all_masked_row":
+        # a real position whose char row is all masked, beside padding-free rows
+        batch["p_chars"][0, 2] = 0
+        batch["p_char_mask"][0, 2] = 0.0
+        return batch
+    # hand-built: the ids of "the" under three masks, one of them all zero,
+    # so equal ids must not merge rows whose masks differ
+    assert case == "one_spelling_two_masks"
+    ids = batch["p_chars"][0, 0].copy()
+    for pos, kept in ((4, 3), (1, 2), (3, 0)):
+        batch["p_chars"][0, pos] = ids
+        batch["p_char_mask"][0, pos] = np.arange(len(ids)) < kept
+    return batch
+
+
+@pytest.mark.parametrize("case", ["repeats_and_padding", "batch_of_one", "all_masked_row",
+                                  "one_spelling_two_masks"])
+def test_distinct_char_states_match_per_position(case):
+    """Char states, and the gradients of ``char_emb`` and every
+    ``char_rnn`` weight, from one BiRNN run per distinct row equal those of
+    a run at every position within 1e-12 relative."""
+    enc, _, store = build_encoder(seed=4)
+    batch = _char_batch(case)
+    lo, hi = enc.word_dim, enc.word_dim + enc.char_hidden
+    rng = np.random.default_rng(8)
+    coef_p = rng.normal(size=batch["p_word"].shape + (enc.char_hidden,))
+    coef_q = rng.normal(size=batch["q_word"].shape + (enc.char_hidden,))
+
+    def run(char_states):
+        store.zero_grads()
+        with Tape() as tape:
+            ch_p, ch_q = char_states()
+            loss = add(sum_(mul(ch_p, Tensor(coef_p))), sum_(mul(ch_q, Tensor(coef_q))))
+        backward(tape, loss)
+        values = {"p": ch_p.data.copy(), "q": ch_q.data.copy()}
+        values.update((name, p.grad.copy()) for name, p in store.trainable_items())
+        return values
+
+    def deduplicated():
+        p, q = enc(batch)
+        return narrow(p, -1, lo, hi - lo), narrow(q, -1, lo, hi - lo)
+
+    got = run(deduplicated)
+    want = run(lambda: _per_position_char_states(enc, batch))
+    assert got.keys() == want.keys() and "input.char_emb" in want
+    for key, ref in want.items():
+        scale = np.abs(ref).max()
+        assert scale > 0.0, key
+        assert np.abs(got[key] - ref).max() <= 1e-12 * scale, key
+    wl = batch["p_chars"].shape[-1]
+    keys = 2 * np.concatenate([batch["p_chars"].reshape(-1, wl), batch["q_chars"].reshape(-1, wl)])
+    keys += np.concatenate([batch["p_char_mask"].reshape(-1, wl),
+                            batch["q_char_mask"].reshape(-1, wl)]).astype(np.int64)
+    assert len(distinct_rows(keys)[0]) < len(keys)
+
+
+def test_encoder_rejects_a_char_mask_that_is_not_0_1():
+    """Equal ids under masks 1 and 0.5 share a distinct-row key, so the
+    encoder checks the whole mask itself."""
+    enc, fz, _ = build_encoder()
+    batch = collate([fz.example(example())])
+    batch["p_char_mask"][0, 4, 0] = 0.5  # a second "the"
+    with pytest.raises(ContractError):
+        enc(batch)

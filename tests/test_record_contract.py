@@ -2,9 +2,10 @@
 
 Generated JSONL files (fields dropped or mistyped, out-of-range and reversed
 spans, empty or whitespace-only text, non-ASCII text, lines that are no json
-object) go through ``decaprop eval`` and ``decaprop predict``.  Each run must
-exit 0 with parseable output, or exit 1 with exactly one ``error:<kind>:``
-line on stderr and no traceback.
+object, and well-formed records whose tokens and characters the checkpoint
+has never seen) go through ``decaprop eval`` and ``decaprop predict``.  Each
+run must exit 0 with parseable output, or exit 1 with exactly one
+``error:<kind>:`` line on stderr and no traceback.
 """
 
 import json
@@ -26,6 +27,10 @@ WRONG_TYPES = (True, False, 1.5, {"k": "v"}, None, [1, 2], ["t001", None])
 TEXTS = ("t001 t002 t003 t004", "", "   ", "\t\n", "café naïve 東京 ☃ 😀", "Ω≈ç √∫ ˜µ ≤≥",
          "a", "t005, t006. t007!", "  ", "x" * 40)
 NOT_OBJECTS = ("[1, 2]", "5", '"text"', "null", "true", "{not json", "[]", "1e999")
+# outside the tiny checkpoint's vocabulary (t001...t020), most of them also
+# outside its char vocabulary (t, 0-9): the featurizer spells them out
+UNSEEN = ("<unk>", "<pad>", "", " ", "t999", "T001", "t0", "zzz", "xylophones", "t001t002",
+          "ЖЖ", "東京", "😀", "t0_1", "<UNK>", "a" * 30)
 ERROR_LINE = re.compile(r"^error:(%s): \S" % "|".join(
     sorted({cls.kind for cls in [DecapropError, *DecapropError.__subclasses__()]})))
 
@@ -53,6 +58,21 @@ def valid_record(r: random.Random) -> dict:
     if r.random() < 0.5:
         rec["answers"] = ["t001"]
     return rec
+
+
+def unseen_record(r: random.Random) -> dict:
+    """A well-formed record whose tokens mix the vocabulary with tokens and
+    characters the checkpoint has never seen, given as tokens or as text."""
+    def words(n):
+        return [r.choice(UNSEEN + ("t001", "t002", "t003")) for _ in range(n)]
+
+    passage, question = words(r.randrange(2, 9)), words(r.randrange(1, 4))
+    if r.random() < 0.5:
+        # as text, tokenized on load; whitespace-only tokens would vanish
+        passage = " ".join(["t001"] + passage)
+        question = " ".join(question) + " t002"
+    return {"id": f"u{r.randrange(1000)}", "passage": passage, "question": question,
+            "answer_start": 0, "answer_end": r.randrange(2)}
 
 
 def mutated_record(r: random.Random) -> str:
@@ -102,13 +122,11 @@ def check_contract(rc: int, out: str, err: str, command: str, n_lines: int) -> s
     return None if ok else f"unexpected output {out[:200]!r}"
 
 
-def test_malformed_records_keep_the_cli_contract(checkpoint, tmp_path, capsys):
-    r = random.Random(20261018)
-    data = tmp_path / "data.jsonl"
+def run_cases(checkpoint, data, cases, capsys) -> tuple[list[str], Counter]:
+    """Each case's JSONL lines through ``eval`` and ``predict``: the contract
+    breaks and the count of each exit status."""
     broken, outcomes = [], Counter()
-    for case in range(CASES):
-        lines = [json.dumps(valid_record(r)) for _ in range(r.randrange(2))]
-        lines.insert(r.randrange(len(lines) + 1), mutated_record(r))
+    for case, lines in enumerate(cases):
         data.write_text("\n".join(lines) + "\n", encoding="utf-8")
         for command in ("eval", "predict"):
             try:
@@ -120,6 +138,38 @@ def test_malformed_records_keep_the_cli_contract(checkpoint, tmp_path, capsys):
             outcomes[rc] += 1
             if problem:
                 broken.append(f"case {case} {command}: {problem}; input {lines!r}")
+    return broken, outcomes
+
+
+def test_malformed_records_keep_the_cli_contract(checkpoint, tmp_path, capsys):
+    r = random.Random(20261018)
+    cases = []
+    for _ in range(CASES):
+        lines = [json.dumps(valid_record(r)) for _ in range(r.randrange(2))]
+        lines.insert(r.randrange(len(lines) + 1), mutated_record(r))
+        cases.append(lines)
+    broken, outcomes = run_cases(checkpoint, tmp_path / "data.jsonl", cases, capsys)
     assert not broken, f"{len(broken)} contract breaks, first: {broken[:3]}"
     # the generator reaches both sides of the contract
     assert outcomes[0] > 20 and outcomes[1] > 100
+
+
+def test_unseen_tokens_and_chars_keep_the_cli_contract(checkpoint, tmp_path, capsys):
+    """Well-formed records made of tokens outside the checkpoint's vocabulary
+    and characters outside its char vocabulary (the featurizer's UNK
+    fallback), mixed with malformed ones, keep the contract; a file of
+    well-formed records only is evaluated and predicted with exit 0."""
+    r = random.Random(20261019)
+    cases = []
+    for _ in range(40):
+        lines = [json.dumps(unseen_record(r), ensure_ascii=r.random() < 0.5)
+                 for _ in range(r.randrange(1, 4))]
+        if r.random() < 0.25:
+            lines.insert(r.randrange(len(lines) + 1), mutated_record(r))
+        cases.append(lines)
+    broken, outcomes = run_cases(checkpoint, tmp_path / "data.jsonl", cases, capsys)
+    assert not broken, f"{len(broken)} contract breaks, first: {broken[:3]}"
+    clean = [lines for lines in cases if all(line.startswith('{"id": "u') for line in lines)]
+    assert len(clean) >= 20
+    broken, outcomes = run_cases(checkpoint, tmp_path / "clean.jsonl", clean, capsys)
+    assert not broken and set(outcomes) == {0}, outcomes
