@@ -10,9 +10,14 @@ its keys; padded keys get no weight.
 
 The FM score, a connector's compression with FM scorers (``fm_compress``),
 ``affinity`` and ``attend`` are each one tape record with a closed-form
-backward.  The tests hold each against a taped composition as reference;
-the FM score, ``affinity`` and ``attend`` round exactly like theirs, and
-``fm_compress``, whose reference is ``compress``, to within rounding.
+backward.  An FM scores each column block of its input with one GEMM
+against [V | w] and its squared term with one GEMV, x² times the row sums
+of V²; ``FMKernel.scores`` and ``FMKernel.backward`` hold that math for the
+kernel's own record and for ``fm_compress``.  ``attention_weights`` and
+``attention_weights_backward`` are the one masked softmax, which ``attend``
+and the gated blocks' record (``decacore.gated_attend``) share.  The tests
+hold each op against a taped composition as reference, to within 1e-12
+relative; ``affinity`` and ``attend`` round exactly like theirs.
 """
 
 from __future__ import annotations
@@ -52,44 +57,53 @@ class FMKernel:
         self.w = store.register(f"{name}.w", glorot(rng, input_dim, 1))
         self.v = store.register(f"{name}.v", glorot(rng, input_dim, factors))
 
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """[V | w], (n, k + 1), which every block meets in one GEMM, and the
+        row sums of V², (n,), which the squared term meets in one GEMV."""
+        v = self.v.data
+        return np.concatenate([v, self.w.data], axis=1), (v * v).sum(axis=1)
+
     def scores(self, xs: list) -> tuple[np.ndarray, np.ndarray]:
         """Scores, (rows, 1), of rows whose input is the 2-d column blocks
-        ``xs`` side by side, and the xV (rows, k) that ``backward`` reuses.
-        Each block meets its own rows of V and w, so the input is never
-        concatenated."""
-        v, w = self.v.data, self.w.data
+        ``xs`` side by side, and the [xV | x·w] (rows, k + 1) that
+        ``backward`` reuses.  Each block meets its own rows of [V | w] in
+        one GEMM, and Σ_f (x²V²)_f is x² times the row sums of V², so the
+        input is never concatenated and x²V² never built."""
+        vw, v2 = self._tables()
         for i, (x, rows) in enumerate(_with_rows(xs)):
-            vb = v[rows]
             if i == 0:
-                xv, x2v2, linear = x @ vb, (x * x) @ (vb * vb), x @ w[rows]
+                xvw, x2v2 = x @ vw[rows], (x * x) @ v2[rows]
             else:
-                xv += x @ vb
-                x2v2 += (x * x) @ (vb * vb)
-                linear += x @ w[rows]
-        pair = (xv * xv).sum(axis=-1, keepdims=True) - x2v2.sum(axis=-1, keepdims=True)
-        return (self.w0.data + linear) + pair * 0.5, xv
+                xvw += x @ vw[rows]
+                x2v2 += (x * x) @ v2[rows]
+        k = self.factors
+        xv = xvw[:, :k]
+        pair = (xv * xv).sum(axis=-1, keepdims=True) - x2v2[:, None]
+        return (self.w0.data + xvw[:, k:]) + pair * 0.5, xvw
 
-    def backward(self, xs: list, xv: np.ndarray, g: np.ndarray,
+    def backward(self, xs: list, xvw: np.ndarray, g: np.ndarray,
                  need_dx: bool) -> list | None:
         """The closed form of ``scores``' backward for the blocks ``xs``, their
-        xV and the upstream gradient g (rows, 1): dV = Xᵀ(g ⊙ xV) - (X²ᵀ g) ⊙ V,
-        dw = Xᵀ g and dw0 = Σ g are accumulated, and with ``need_dx`` the
-        blocks of dx = g (w + xV Vᵀ - x ⊙ Σ_f V²) are returned."""
-        v, w = self.v.data, self.w.data
-        k = self.factors
+        [xV | x·w] and the upstream gradient g (rows, 1):
+        dV = Xᵀ(g ⊙ xV) - (X²ᵀ g) ⊙ V, dw = Xᵀ g and dw0 = Σ g are
+        accumulated, and with ``need_dx`` the blocks of
+        dx = g (w + xV Vᵀ) - outer(g, Σ_f V²) ⊙ x are returned."""
+        vw, v2 = self._tables()
+        v, k = self.v.data, self.factors
         # [g ⊙ xV, g] meets [V, w] in one GEMM per block for dx and for (dV, dw)
-        g_xv = np.concatenate([g * xv, g], axis=1)
-        vw = np.concatenate([v, w], axis=1)
+        g_xv = g * xvw
+        g_xv[:, k:] = g
         d_vw = np.empty_like(vw)
         dxs = []
         for x, rows in _with_rows(xs):
-            gx = g * x
+            x2 = x * x
             np.matmul(x.T, g_xv, out=d_vw[rows])
-            d_vw[rows, :k] -= np.einsum("ri,ri->i", gx, x)[:, None] * v[rows]
+            d_vw[rows, :k] -= (x2.T @ g) * v[rows]
             if need_dx:
                 dx = g_xv @ vw[rows].T
-                gx *= (v[rows] * v[rows]).sum(axis=1)
-                dx -= gx
+                gv2x = np.multiply(g, v2[rows], out=x2)
+                gv2x *= x
+                dx -= gv2x
                 dxs.append(dx)
         _acc(self.v, d_vw[:, :k])
         _acc(self.w, d_vw[:, k:])
@@ -102,11 +116,11 @@ class FMKernel:
         if x.ndim < 2 or x.shape[-1] != self.input_dim:
             raise ContractError(f"fm kernel expects width {self.input_dim}, got shape {x.shape}")
         n = self.input_dim
-        y, xv = self.scores([x.data.reshape(-1, n)])
+        y, xvw = self.scores([x.data.reshape(-1, n)])
         out = Tensor(y.reshape(x.shape[:-1] + (1,)))
 
         def bw():
-            dxs = self.backward([x.data.reshape(-1, n)], xv, out.grad.reshape(-1, 1),
+            dxs = self.backward([x.data.reshape(-1, n)], xvw, out.grad.reshape(-1, 1),
                                 x.requires_grad)
             if dxs is not None:
                 _acc(x, dxs[0].reshape(x.shape))
@@ -162,8 +176,8 @@ def _compress_inputs(a: np.ndarray, o: np.ndarray) -> tuple:
 
 def fm_compress(aligned: Tensor, original: Tensor, kernels: tuple) -> Tensor:
     """``compress`` with FM kernels, as one tape record.  Each kernel scores
-    its own blocks with its own GEMMs; the record keeps the three xV and
-    the two inputs, and the backward rebuilds a - o and a ⊙ o.  With
+    its own blocks with its own GEMMs; the record keeps the three [xV | x·w]
+    and the two inputs, and the backward rebuilds a - o and a ⊙ o.  With
     ([dcat_a, dcat_o], dsub, dmul) the kernels' input gradients,
     da = dcat_a + dsub + dmul ⊙ o and do = dcat_o - dsub + dmul ⊙ a."""
     a, o = aligned, original
@@ -173,13 +187,13 @@ def fm_compress(aligned: Tensor, original: Tensor, kernels: tuple) -> Tensor:
                             f"kernels of widths {[k.input_dim for k in kernels]}")
     scored = [k.scores(xs) for k, xs in zip(kernels, _compress_inputs(a.data, o.data))]
     out = Tensor(np.concatenate([y for y, _ in scored], axis=1).reshape(a.shape[:-1] + (3,)))
-    xvs = [xv for _, xv in scored]
+    xvws = [xvw for _, xvw in scored]
 
     def bw():
         g = out.grad.reshape(-1, 3)
         need = a.requires_grad or o.requires_grad
-        dxs = [k.backward(xs, xv, g[:, j:j + 1], need) for j, (k, xs, xv)
-               in enumerate(zip(kernels, _compress_inputs(a.data, o.data), xvs))]
+        dxs = [k.backward(xs, xvw, g[:, j:j + 1], need) for j, (k, xs, xvw)
+               in enumerate(zip(kernels, _compress_inputs(a.data, o.data), xvws))]
         if not need:
             return
         (da, do), (dsub,), (dmul,) = dxs
@@ -218,21 +232,36 @@ def affinity(fp: Tensor, fq: Tensor) -> Tensor:
     return out
 
 
+def attention_weights(e: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The masked softmax of scores ``e`` over their last axis: ``mask``
+    (..., lk) zeroes the weight of padded keys.  Built in one (..., lq, lk)
+    buffer: mask, shift by the row max, exp and normalise in place."""
+    y = e + (1.0 - np.asarray(mask, dtype=np.float64)[..., None, :]) * NEG_INF
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
+
+
+def attention_weights_backward(gy: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The scores' gradient y ⊙ (gy - Σ gy ⊙ y) from the weights y and their
+    gradient gy, computed in gy's buffer."""
+    gy -= (gy * y).sum(axis=-1, keepdims=True)
+    gy *= y
+    return gy
+
+
 def attend(e: Tensor, values: Tensor, mask: np.ndarray) -> Tensor:
     """Masked softmax of ``e`` over its last axis, then the weighted sum of
     ``values`` rows; ``mask`` (..., lk) zeroes the weight of padded keys.
 
-    One tape record.  The softmax is built in one (..., lq, lk) buffer
-    (mask, shift by the row max, exp and normalise in place), which the
-    backward keeps as y: dvalues = yᵀ g and de = y ⊙ (gy - Σ gy ⊙ y) with
-    gy = g valuesᵀ.
+    One tape record, whose backward keeps the weights y
+    (``attention_weights``): dvalues = yᵀ g and de = y ⊙ (gy - Σ gy ⊙ y)
+    with gy = g valuesᵀ.
     """
     if values.ndim < 2 or e.shape[-1] != values.shape[-2]:
         raise ContractError(f"attend: weights over {e.shape[-1]} keys, values shape {values.shape}")
-    y = e.data + (1.0 - np.asarray(mask, dtype=np.float64)[..., None, :]) * NEG_INF
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y = attention_weights(e.data, mask)
     out = Tensor(y @ values.data)
 
     def bw():
@@ -241,9 +270,7 @@ def attend(e: Tensor, values: Tensor, mask: np.ndarray) -> Tensor:
             _acc(values, _unbroadcast(np.swapaxes(y, -1, -2) @ g, values.shape))
         if e.requires_grad:
             gy = g @ np.swapaxes(values.data, -1, -2)
-            gy -= (gy * y).sum(axis=-1, keepdims=True)
-            gy *= y
-            _acc(e, _unbroadcast(gy, e.shape))
+            _acc(e, _unbroadcast(attention_weights_backward(gy, y), e.shape))
 
     _record((e, values), out, bw)
     return out

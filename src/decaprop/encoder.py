@@ -19,6 +19,8 @@ the positions.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .errors import ConfigError, ContractError
@@ -68,20 +70,28 @@ def random_embeddings(rng: np.random.Generator, vocab: Vocab, dim: int) -> np.nd
 
 def binary_match(tokens: list[str], other: list[str]) -> np.ndarray:
     """1.0 where the (lowercased) token also occurs in the other sequence."""
-    pool = {t.lower() for t in other}
-    return np.array([1.0 if t.lower() in pool else 0.0 for t in tokens])
+    return _match([t.lower() for t in tokens], [t.lower() for t in other])
 
 
 def norm_frequency(tokens: list[str]) -> np.ndarray:
-    """Occurrence count of each token within its own sequence, divided by length."""
-    if not tokens:
+    """Occurrence count of each (lowercased) token within its own sequence,
+    divided by length."""
+    return _frequency([t.lower() for t in tokens])
+
+
+def _match(lower: list[str], other_lower: list[str]) -> np.ndarray:
+    """``binary_match`` of already lowercased sequences."""
+    pool = set(other_lower)
+    return np.array([1.0 if t in pool else 0.0 for t in lower])
+
+
+def _frequency(lower: list[str]) -> np.ndarray:
+    """``norm_frequency`` of an already lowercased sequence."""
+    if not lower:
         return np.zeros(0)
-    counts: dict[str, int] = {}
-    for t in tokens:
-        key = t.lower()
-        counts[key] = counts.get(key, 0) + 1
-    n = len(tokens)
-    return np.array([counts[t.lower()] / n for t in tokens])
+    counts = Counter(lower)
+    n = len(lower)
+    return np.array([counts[t] / n for t in lower])
 
 
 class Featurizer:
@@ -115,7 +125,9 @@ class Featurizer:
             mask[i] = 1.0
         return ids, mask
 
-    def side(self, tokens: list[str], other: list[str]) -> dict:
+    def side(self, tokens: list[str], lower: list[str], other_lower: list[str]) -> dict:
+        """One side's features from its tokens, the same tokens lowercased,
+        and the other side's tokens lowercased."""
         word = self.vocab.encode_all(tokens)
         chars = self.char_table[word]
         for i in np.flatnonzero(word == 1):
@@ -124,17 +136,17 @@ class Featurizer:
             "word": word,
             "chars": chars,
             "char_mask": (chars != 0).astype(np.float64),
-            "match": binary_match(tokens, other),
-            "freq": norm_frequency(tokens),
+            "match": _match(lower, other_lower),
+            "freq": _frequency(lower),
         }
 
     def example(self, ex) -> dict:
         """Both sides' features, plus the span targets ``y1``/``y2`` when the
-        example is labeled."""
-        feat = {
-            "p": self.side(ex.passage_tokens, ex.question_tokens),
-            "q": self.side(ex.question_tokens, ex.passage_tokens),
-        }
+        example is labeled.  Each side is lowercased once, for both sides'
+        match and frequency features."""
+        p, q = ex.passage_tokens, ex.question_tokens
+        p_lower, q_lower = [t.lower() for t in p], [t.lower() for t in q]
+        feat = {"p": self.side(p, p_lower, q_lower), "q": self.side(q, q_lower, p_lower)}
         if ex.labeled:
             feat["y1"], feat["y2"] = ex.answer_start, ex.answer_end
         return feat

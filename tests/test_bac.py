@@ -1,7 +1,8 @@
 """Attention connectors: the factorization-machine fast path against a naive
 double loop, the attention primitive against a plain numpy oracle and on
-analytic cases, the one-record connector ops (and the one-record ``Dense``
-they project with) against their taped references, and compression
+analytic cases, the one-record connector ops (the one-record ``Dense`` they
+project with, and the gated-attention record) against their taped
+references on hand-picked and on seeded random shapes, and compression
 contracts."""
 
 import numpy as np
@@ -9,11 +10,11 @@ import pytest
 
 from decaprop.bac import (BAC, FMKernel, MLPScorer, affinity, attend, compress, fm_compress,
                           make_scorer)
-from decaprop.decacore import GatedAttention
+from decaprop.decacore import GatedAttention, gated_attend
 from decaprop.errors import ConfigError, ContractError
 from decaprop.numerics import (NEG_INF, Dense, ParamStore, Tape, Tensor, add, backward,
-                               grad_check, matmul, mul, relu, sigmoid, softmax, sub, sum_,
-                               transpose_last)
+                               concat, grad_check, matmul, mul, relu, sigmoid, softmax, sub,
+                               sum_, transpose_last)
 
 
 def naive_fm(x: np.ndarray, w0: float, w: np.ndarray, v: np.ndarray) -> float:
@@ -255,7 +256,7 @@ def _attend_case(edge, rng):
     passage side of ``BAC.__call__`` passes them."""
     lengths, queries, keys, width, transposed = edge
     batch = (len(lengths),) if lengths else ()
-    mask = (np.arange(keys) < np.array(lengths or keys)[..., None]).astype(np.float64)
+    mask = _key_mask(lengths, keys)
     scores = rng.normal(size=batch + ((keys, queries) if transposed else (queries, keys)))
     arrays = [scores, rng.normal(size=batch + (keys, width))]
 
@@ -316,6 +317,41 @@ def _compress_case(edge, rng):
             _constant(call(compress), arrays, frozen))
 
 
+def _key_mask(lengths: list, keys: int) -> np.ndarray:
+    """(batch, keys) mask with ``lengths`` real keys per example; with no
+    lengths, one all-real (keys,) row."""
+    return (np.arange(keys) < np.array(lengths or keys)[..., None]).astype(np.float64)
+
+
+def _gate_case(edge, rng):
+    """``gated_attend`` against the composition the gated blocks ran before
+    it: ``attend``, ``concat``, the sigmoid ``Dense`` and ``mul``.  With
+    ``self_block`` the passage rows are also the keys (lq = lp), as in the
+    self-attention block; ``frozen`` names an input (0 scores, 1 p, 2 q)
+    that needs no gradient."""
+    lengths, lp, lq, width, self_block, frozen = edge
+    batch = (len(lengths),) if lengths else ()
+    mask = _key_mask(lengths, lq)
+    store = ParamStore()
+    gate = Dense(store, "gate", 2 * width, width, "sigmoid", rng)
+    gate.b.data[:] = rng.normal(size=width)
+
+    def fused(e, p, q):
+        return gated_attend(e, p, q, mask, gate)
+
+    def taped(e, p, q):
+        return mul(gate(concat([p, attend(e, q, mask)], -1)), p)
+
+    arrays = [rng.normal(size=batch + (lp, lq)), rng.normal(size=batch + (lp, width))]
+    if self_block:
+        return (store, arrays, lambda e, p: fused(e, p, p), lambda e, p: taped(e, p, p))
+    arrays.append(rng.normal(size=batch + (lq, width)))
+    if frozen is None:
+        return store, arrays, fused, taped
+    rest = arrays[:frozen] + arrays[frozen + 1:]
+    return store, rest, _constant(fused, arrays, frozen), _constant(taped, arrays, frozen)
+
+
 # op name: (make, edge shapes), where make(edge, rng) returns (store, input
 # arrays, one-record op, taped reference) for one edge shape
 CONNECTOR_OPS = {
@@ -342,12 +378,24 @@ CONNECTOR_OPS = {
                                   "width_1": ((2, 3, 1), 2, None), "one_row": ((1, 4), 2, None),
                                   "no_aligned_grad": ((2, 3, 4), 2, 0),
                                   "no_original_grad": ((2, 3, 4), 2, 1)}),
+    # key lengths per example ([] for a 2-d call), lp, lq, width, self block,
+    # the input that needs no gradient (None: none)
+    "gate": (_gate_case, {"2d": ([], 4, 3, 3, False, None),
+                          "3d_padded": ([3, 1], 5, 3, 4, False, None),
+                          "lq_1": ([1, 1], 4, 1, 3, False, None),
+                          "self": ([5, 3], 5, 5, 3, True, None),
+                          "batch_1": ([2], 3, 2, 3, False, None),
+                          "width_1": ([3, 2], 4, 3, 1, False, None),
+                          "no_e_grad": ([3, 2], 4, 3, 3, False, 0),
+                          "no_p_grad": ([3, 2], 4, 3, 3, False, 1),
+                          "no_q_grad": ([3, 2], 4, 3, 3, False, 2)}),
 }
 CONNECTOR_CASES = [(op, edge) for op, (_, edges) in CONNECTOR_OPS.items() for edge in edges]
 # gradients that are zero in exact arithmetic: at width 1 the FM's pairwise
 # term is x²v² - x²v², and a softmax over one key is constant
 VANISHING = {("fm", "width_1"): {"fm.v.grad"}, ("attend", "lk_1"): {"input0.grad"},
-             ("compress", "width_1"): {"c.g_sub.v.grad", "c.g_mul.v.grad"}}
+             ("compress", "width_1"): {"c.g_sub.v.grad", "c.g_mul.v.grad"},
+             ("gate", "lq_1"): {"input0.grad"}}
 
 
 def _outputs_and_grads(fn, store: ParamStore, arrays: list, coef: np.ndarray) -> dict:
@@ -366,17 +414,17 @@ def _outputs_and_grads(fn, store: ParamStore, arrays: list, coef: np.ndarray) ->
     return values
 
 
-@pytest.mark.parametrize("op,edge", CONNECTOR_CASES,
-                         ids=[f"{op}-{edge}" for op, edge in CONNECTOR_CASES])
-def test_connector_op_matches_tape_reference(op, edge):
-    make, edges = CONNECTOR_OPS[op]
-    rng = np.random.default_rng(12)
-    store, arrays, fused, reference = make(edges[edge], rng)
+def _check_against_reference(op: str, edge, rng: np.random.Generator,
+                             vanishing: set) -> None:
+    """The one-record op and its taped reference on the case ``edge``: the
+    output and every gradient within 1e-12 relative.  Keys in ``vanishing``
+    are zero in exact arithmetic and are held to rounding level instead."""
+    make, _ = CONNECTOR_OPS[op]
+    store, arrays, fused, reference = make(edge, rng)
     coef = rng.normal(size=fused(*map(Tensor, arrays)).shape)
     got = _outputs_and_grads(fused, store, arrays, coef)
     want = _outputs_and_grads(reference, store, arrays, coef)
     assert got.keys() == want.keys()
-    vanishing = VANISHING.get((op, edge), set())
     for key in want:
         assert got[key].shape == want[key].shape, key
         if key in vanishing:
@@ -386,6 +434,82 @@ def test_connector_op_matches_tape_reference(op, edge):
         scale = np.abs(want[key]).max()
         assert scale > 0.0, key  # no comparison is vacuous
         assert np.abs(got[key] - want[key]).max() <= 1e-12 * scale, key
+
+
+@pytest.mark.parametrize("op,edge", CONNECTOR_CASES,
+                         ids=[f"{op}-{edge}" for op, edge in CONNECTOR_CASES])
+def test_connector_op_matches_tape_reference(op, edge):
+    _check_against_reference(op, CONNECTOR_OPS[op][1][edge], np.random.default_rng(12),
+                             VANISHING.get((op, edge), set()))
+
+
+# Seeded random edges for every op of CONNECTOR_OPS, in the same form as its
+# hand-picked ones: batch 1-5, lengths and widths 1-9 (odd ones included),
+# factors 1-4, padded keys, and which input needs no gradient.  Each draw
+# returns the edge and the gradients that vanish in exact arithmetic on it.
+
+
+def _lengths(rng, keys: int) -> list:
+    """Real keys per example for a batch of 1-5; at least one real key each."""
+    return list(rng.integers(1, keys + 1, size=rng.integers(1, 6)))
+
+
+def _draw_fm(rng):
+    width = int(rng.integers(1, 10))
+    lead = tuple(rng.integers(1, 10, size=rng.integers(1, 3)))
+    return (lead + (width,), int(rng.integers(1, 5))), {"fm.v.grad"} if width == 1 else set()
+
+
+def _draw_attend(rng):
+    keys = int(rng.integers(1, 10))
+    lengths = _lengths(rng, keys)
+    edge = (lengths, int(rng.integers(1, 10)), keys, int(rng.integers(1, 10)),
+            bool(rng.integers(2)))
+    # over one real key the softmax is constant: the scores get no gradient
+    return edge, {"input0.grad"} if max(lengths) == 1 else set()
+
+
+def _draw_affinity(rng):
+    shape = (int(rng.integers(1, 6)), int(rng.integers(1, 10)), int(rng.integers(1, 10)))
+    return (shape, int(rng.integers(1, 10))), set()
+
+
+def _draw_dense(rng):
+    shape = (int(rng.integers(1, 6)), int(rng.integers(1, 10)), int(rng.integers(1, 10)))
+    return (shape, ("none", "relu", "sigmoid")[rng.integers(3)], bool(rng.integers(2))), set()
+
+
+def _draw_compress(rng):
+    width = int(rng.integers(1, 10))
+    shape = (int(rng.integers(1, 6)), int(rng.integers(1, 10)), width)
+    frozen = (None, 0, 1)[rng.integers(3)]
+    vanishing = {"c.g_sub.v.grad", "c.g_mul.v.grad"} if width == 1 else set()
+    return (shape, int(rng.integers(1, 5)), frozen), vanishing
+
+
+def _draw_gate(rng):
+    self_block = bool(rng.integers(2))
+    lp = int(rng.integers(1, 10))
+    lq = lp if self_block else int(rng.integers(1, 10))
+    lengths = _lengths(rng, lq)
+    frozen = None if self_block else (None, 0, 1, 2)[rng.integers(4)]
+    edge = (lengths, lp, lq, int(rng.integers(1, 10)), self_block, frozen)
+    return edge, {"input0.grad"} if max(lengths) == 1 and frozen != 0 else set()
+
+
+FUZZ_DRAWS = {"fm": _draw_fm, "attend": _draw_attend, "affinity": _draw_affinity,
+              "dense": _draw_dense, "compress": _draw_compress, "gate": _draw_gate}
+
+
+@pytest.mark.parametrize("op", list(CONNECTOR_OPS))
+def test_connector_op_matches_tape_reference_on_random_shapes(op):
+    rng = np.random.default_rng(2024)
+    for trial in range(64):
+        edge, vanishing = FUZZ_DRAWS[op](rng)
+        try:
+            _check_against_reference(op, edge, rng, vanishing)
+        except AssertionError as exc:
+            raise AssertionError(f"{op} trial {trial}, edge {edge}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from decaprop.bac import BAC, affinity, attend
-from decaprop.decacore import DecaCore, GatedAttention
+from decaprop.decacore import DecaCore, GatedAttention, gated_attend
 from decaprop.errors import ContractError
 from decaprop.numerics import ParamStore, Tensor, grad_check, sum_
 
@@ -91,6 +91,21 @@ def test_closed_gate_feeds_zeros(rng):
     out = block(p, q, real(p), real(q))
     zeros = block.rnn(Tensor(np.zeros((1, 4, 6))), real(p))
     np.testing.assert_allclose(out.data, zeros.data, atol=1e-6)
+
+
+def test_gated_attend_shape_contract(rng):
+    """Scores, rows and gate must fit one another: (..., lp, lq) scores,
+    p and q of the gate's width d, and a (2d, d) gate weight."""
+    block, _ = build_block()
+    p = Tensor(rng.normal(size=(2, 5, 6)))
+    q = Tensor(rng.normal(size=(2, 3, 6)))
+    for e, pp, qq in (((2, 5, 4), p, q),                               # lq mismatch
+                      ((2, 5, 3), Tensor(np.zeros((2, 5, 4))), q),     # p width
+                      ((2, 5, 3), p, Tensor(np.zeros((2, 3, 4))))):    # q width
+        with pytest.raises(ContractError):
+            gated_attend(Tensor(np.zeros(e)), pp, qq, np.ones((2, e[-1])), block.gate)
+    assert gated_attend(Tensor(np.zeros((2, 5, 3))), p, q, np.ones((2, 3)), block.gate).shape \
+        == p.shape
 
 
 def test_ungated_block_skips_attention(rng):

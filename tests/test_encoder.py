@@ -72,13 +72,53 @@ def test_norm_frequency():
     np.testing.assert_allclose(out, [0.5, 0.25, 0.5, 0.25])
 
 
+def _reference_match(tokens, other):
+    """Match features as they were computed before each side was lowercased
+    once: every token lowercased where it is read."""
+    pool = {t.lower() for t in other}
+    return np.array([1.0 if t.lower() in pool else 0.0 for t in tokens])
+
+
+def _reference_frequency(tokens):
+    if not tokens:
+        return np.zeros(0)
+    counts: dict[str, int] = {}
+    for t in tokens:
+        key = t.lower()
+        counts[key] = counts.get(key, 0) + 1
+    return np.array([counts[t.lower()] / len(tokens) for t in tokens])
+
+
+def test_match_and_frequency_stay_byte_equal():
+    """``Featurizer.example`` lowercases each side once; its match and
+    frequency features, and ``binary_match`` and ``norm_frequency``, stay
+    byte-equal to per-read lowercasing on mixed-case and non-ASCII tokens
+    (the final sigma, a dotted capital I, a titlecase digraph, ß)."""
+    rng = np.random.default_rng(17)
+    pool = ["The", "the", "THE", "Straße", "STRASSE", "strasse", "ΣΊΣΥΦΟΣ", "σίσυφος",
+            "Σ", "İstanbul", "i̇stanbul", "ǅemal", "ǆemal", "Ǆ", "Ωmega", "ωMEGA", "cat",
+            "Cat", "<pad>", "<unk>", "", "ÉTÉ", "été", "x"]
+    fz = Featurizer.build([example()], max_word_len=4)
+    for _ in range(40):
+        p = [pool[i] for i in rng.integers(0, len(pool), size=int(rng.integers(0, 30)))]
+        q = [pool[i] for i in rng.integers(0, len(pool), size=int(rng.integers(0, 6)))]
+        feat = fz.example(TokenizedExample(id="m", passage_tokens=p, question_tokens=q))
+        for side, tokens, other in (("p", p, q), ("q", q, p)):
+            match, freq = _reference_match(tokens, other), _reference_frequency(tokens)
+            for got, want in ((feat[side]["match"], match), (feat[side]["freq"], freq),
+                              (binary_match(tokens, other), match),
+                              (norm_frequency(tokens), freq)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (side, tokens, other)
+
+
 # ---------------------------------------------------------------------------
 # featurizer
 
 
 def test_featurizer_side_shapes():
     fz = Featurizer.build([example()], max_word_len=4)
-    side = fz.side(["the", "cat"], ["cat"])
+    side = fz.side(["the", "cat"], ["the", "cat"], ["cat"])
     assert side["word"].shape == (2,)
     assert side["chars"].shape == (2, 4)
     assert side["char_mask"].shape == (2, 4)
@@ -130,14 +170,14 @@ def test_char_table_matches_per_token_char_ids():
         tokens = drawn + fixed
         order = rng.permutation(len(tokens))
         tokens = [tokens[i] for i in order]
-        side = fz.side(tokens, known[:3])
+        side = fz.side(tokens, [t.lower() for t in tokens], known[:3])
         assert (side["word"] == 1).sum() >= 3 and (side["word"] > 1).sum() >= 2
         chars, mask = _per_token_chars(fz, tokens)
         for name, want in (("chars", chars), ("char_mask", mask)):
             got = side[name]
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
-    empty = fz.side([], known[:1])
+    empty = fz.side([], [], known[:1])
     assert empty["chars"].shape == (0, 6) and empty["chars"].dtype == np.int64
     assert empty["char_mask"].shape == (0, 6) and empty["char_mask"].dtype == np.float64
 
