@@ -54,11 +54,7 @@ class Vocab:
 
     @classmethod
     def build(cls, token_lists) -> "Vocab":
-        seen: dict[str, None] = {}
-        for tokens in token_lists:
-            for t in tokens:
-                seen.setdefault(t, None)
-        return cls(sorted(seen))
+        return cls(sorted(set().union(*token_lists)))
 
 
 def random_embeddings(rng: np.random.Generator, vocab: Vocab, dim: int) -> np.ndarray:
@@ -164,11 +160,9 @@ class Featurizer:
     def build(cls, examples, max_word_len: int = 16) -> "Featurizer":
         token_lists = [ex.passage_tokens for ex in examples] + [ex.question_tokens for ex in examples]
         vocab = Vocab.build(token_lists)
-        chars: dict[str, None] = {}
-        for tokens in token_lists:
-            for t in tokens:
-                for ch in t[:max_word_len]:
-                    chars.setdefault(ch, None)
+        # every token occurrence is spelled like its vocabulary entry, so the
+        # distinct tokens hold every char an occurrence does
+        chars = set().union(*(t[:max_word_len] for t in vocab.tokens[2:]))
         return cls(vocab, Vocab(sorted(chars)), max_word_len)
 
 

@@ -482,22 +482,27 @@ class Dense:
         self.w = store.register(f"{name}.w", glorot(rng, d_in, d_out))
         self.b = store.register(f"{name}.b", np.zeros(d_out))
 
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """act(x W + b) of the rows of the array x, (rows, d_out), from one
+        GEMM with the bias and the activation applied in place."""
+        y = x.reshape(-1, self.d_in) @ self.w.data
+        y += self.b.data
+        if self.activation == "relu":
+            np.maximum(y, 0.0, out=y)
+        elif self.activation == "sigmoid":
+            logistic(y, out=y)
+        return y
+
     def __call__(self, x: Tensor) -> Tensor:
-        """y = act(x W + b) from one GEMM over the rows of x, with the bias
-        and the activation applied in place.  The backward keeps only y and
-        x: with g the upstream gradient times act'(y) (1[y > 0] or
-        y (1 - y)), dW = Xᵀg, db = Σ g and dx = g Wᵀ."""
+        """y = act(x W + b) as one tape record (``rows``).  The backward
+        keeps only y and x: with g the upstream gradient times act'(y)
+        (1[y > 0] or y (1 - y)), dW = Xᵀg, db = Σ g and dx = g Wᵀ."""
         x = _ensure(x)
         if x.ndim < 2 or x.shape[-1] != self.d_in:
             raise ContractError(
                 f"dense {self.name!r}: input shape {x.shape} incompatible with weight shape {self.w.shape}")
         w, b, activation = self.w, self.b, self.activation
-        y = x.data.reshape(-1, self.d_in) @ w.data
-        y += b.data
-        if activation == "relu":
-            np.maximum(y, 0.0, out=y)
-        elif activation == "sigmoid":
-            logistic(y, out=y)
+        y = self.rows(x.data)
         out = Tensor(y.reshape(x.shape[:-1] + (self.d_out,)))
 
         def bw():

@@ -108,8 +108,8 @@ class GRUCell:
              g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Backpropagation through ``scan``: the gradients of the projected
         input, (batch, len, 2, 3, h), and of the recurrent rows, (2, h, 3h),
-        given ``g``, the gradient of the state after every step, (len, 2,
-        batch, h), or after the last step alone, (2, batch, h).
+        given ``g``, the gradient of the state after every step, batch-major
+        (batch, len, 2, h), or after the last step alone, (2, batch, h).
 
         It runs once per forward, as ``Tape.backward`` does: it overwrites
         the saved activations and returns its input gradients in their buffer.
@@ -119,50 +119,57 @@ class GRUCell:
         h_prev = hs[:-1]
         z, r, cand = acts[:, 0], acts[:, 1], acts[:, 2]
         # the factors that do not depend on the incoming gradient, for all
-        # steps at once, in the buffer the loop turns into the gradients;
-        # 1 - z takes the place of z
+        # steps at once, in the buffer the loop turns into the gradients.
+        # The 0/1 mask is folded in: a masked step's gate factors are 0 and
+        # it passes dh on whole, so keep = 1 - m z takes the place of z
         dxp = np.empty_like(acts)
         k_z, k_r, k_h = dxp[:, 0], dxp[:, 1], dxp[:, 2]
-        rh = r * h_prev
+        np.multiply(r, h_prev, out=k_r)
+        k_r *= np.subtract(1.0, r, out=k_h)
         np.subtract(cand, h_prev, out=k_z)
         k_z *= z
-        np.subtract(1.0, r, out=k_r)
-        k_r *= rh
         np.multiply(cand, cand, out=k_h)
         np.subtract(1.0, k_h, out=k_h)
         k_h *= z
         keep = np.subtract(1.0, z, out=z)
         k_z *= keep
-        mask = _wide(mask, n)
+        k_z *= mask
+        k_h *= mask
+        keep *= mask
+        keep += 1.0 - mask
         u_zr_t, u_h_t = u[..., :2 * n].swapaxes(1, 2), u[..., 2 * n:].swapaxes(1, 2)
         per_step = g.ndim == 4
+        if per_step:
+            g = _time_major(g)
         dh = np.zeros(g.shape[1:]) if per_step else g.copy()
-        dn, d_rh, d_prev, tmp = (np.empty_like(dh) for _ in range(4))
+        d_rh, tmp = np.empty_like(dh), np.empty_like(dh)
         da_zr = np.empty((2, batch, 2, n))
         da_rows, da_gates = da_zr.reshape(2, batch, 2 * n), da_zr.transpose(2, 0, 1, 3)
         for s in range(length - 1, -1, -1):
             if per_step:
                 dh += g[s]
-            np.multiply(dh, mask[s], out=dn)
-            dh -= dn  # (1 - m) * dh, exactly, for a 0/1 mask
             da = dxp[s]
-            da[2] *= dn
+            da[2] *= dh
             np.matmul(da[2], u_h_t, out=d_rh)
-            da[0] *= dn
+            da[0] *= dh
             da[1] *= d_rh
-            np.multiply(dn, keep[s], out=d_prev)
+            dh *= keep[s]
             np.multiply(d_rh, r[s], out=tmp)
-            d_prev += tmp
+            dh += tmp
             da_gates[...] = da[:2]
             np.matmul(da_rows, u_zr_t, out=tmp)
-            d_prev += tmp
-            dh += d_prev
-        del mask
+            dh += tmp
+        del g
+        # the activations' buffer takes the gradients batch-major, so r h is
+        # formed first; the batch-major states are built one at a time
+        rh = r * h_prev
         dproj = _batch_major(dxp, out=acts)
-        del dxp
-        du = np.concatenate([_outer(_batch_major(h_prev), dproj[..., :2, :]),
-                             _outer(_batch_major(rh), dproj[..., 2:, :])], axis=2)
-        return dproj, du
+        del dxp, da, k_z, k_r, k_h
+        states = _batch_major(h_prev)
+        du_zr = _outer(states, dproj[..., :2, :])
+        du_h = _outer(_batch_major(rh, out=states), dproj[..., 2:, :])
+        del rh, states
+        return dproj, np.concatenate([du_zr, du_h], axis=2)
 
 
 class LSTMCell:
@@ -249,6 +256,8 @@ class LSTMCell:
         mask = _wide(mask, n)
         u_t = u.swapaxes(1, 2)
         per_step = g.ndim == 4
+        if per_step:
+            g = _time_major(g)
         dh = np.zeros(g.shape[1:]) if per_step else g.copy()
         dc, dhn, dcn, d_next = (np.zeros_like(dh) for _ in range(4))
         da_t = np.empty((2, batch, 4, n))
@@ -272,7 +281,7 @@ class LSTMCell:
             dh += d_next
             np.multiply(dcn, f[s], out=d_next)
             dc += d_next
-        del k_c, tmp, mask
+        del k_c, tmp, mask, g
         dproj = _batch_major(dxp, out=acts)
         del dxp
         return dproj, _outer(_batch_major(hs[:-1]), dproj)
@@ -415,8 +424,7 @@ def _birnn(rnn: BiRNN, x: Tensor, mask: np.ndarray, last_only: bool) -> Tensor:
 
     def bw():
         g = _split(out.grad, n)
-        g = g.transpose(1, 0, 2) if last_only else _time_major(g)
-        dproj, du = rnn.fwd.bptt(saved, m, u, g)
+        dproj, du = rnn.fwd.bptt(saved, m, u, g.transpose(1, 0, 2) if last_only else g)
         flat = dproj.reshape(batch * length, -1)
         if x.requires_grad:
             _acc(x, (flat @ w_x.T).reshape(x.shape))

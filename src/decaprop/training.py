@@ -193,11 +193,18 @@ class SyntheticTaskSpec(Config):
 
 
 def _find_key(passage: list[str], key: list[str]) -> list[int]:
-    hits = []
-    for s in range(len(passage) - len(key) + 1):
+    """Every start at which ``key`` occurs in ``passage``.  Only the
+    positions holding the key's first token are compared, found with
+    ``list.index``."""
+    hits, end = [], max(len(passage) - len(key) + 1, 0)
+    s = -1
+    while True:
+        try:
+            s = passage.index(key[0], s + 1, end)
+        except ValueError:
+            return hits
         if passage[s:s + len(key)] == key:
             hits.append(s)
-    return hits
 
 
 # passages drawn per example before gen_synthetic gives up on a task shape

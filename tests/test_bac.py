@@ -1,15 +1,16 @@
 """Attention connectors: the factorization-machine fast path against a naive
 double loop, the attention primitive against a plain numpy oracle and on
-analytic cases, the one-record connector ops (the one-record ``Dense`` they
-project with, and the gated-attention record) against their taped
-references on hand-picked and on seeded random shapes, and compression
-contracts."""
+analytic cases, the one-record connector ops (the FM connector record, the
+one-record ``Dense`` it projects with, and the gated-attention record)
+against their taped references on hand-picked and on seeded random shapes,
+what the connector record keeps, and compression contracts."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from decaprop.bac import (BAC, FMKernel, MLPScorer, affinity, attend, compress, fm_compress,
-                          make_scorer)
+from decaprop.bac import BAC, FMKernel, MLPScorer, affinity, attend, compress, make_scorer
 from decaprop.decacore import GatedAttention, gated_attend
 from decaprop.errors import ConfigError, ContractError
 from decaprop.numerics import (NEG_INF, Dense, ParamStore, Tape, Tensor, add, backward,
@@ -278,6 +279,29 @@ def _constant(op, arrays: list, frozen: int):
     return lambda *args: op(*args[:frozen], fixed, *args[frozen:])
 
 
+def taped_dense(layer: Dense, x: Tensor) -> Tensor:
+    act = {"none": lambda y: y, "relu": relu, "sigmoid": sigmoid}[layer.activation]
+    return act(add(matmul(x, layer.w), layer.b))
+
+
+def taped_scorer(scorer):
+    """The scorer composed from taped ops: ``taped_fm`` for an FM kernel,
+    ``taped_dense`` for each layer of a stand-in."""
+    if isinstance(scorer, FMKernel):
+        return lambda x: taped_fm(scorer, x)
+    if isinstance(scorer, MLPScorer):
+        return lambda x: taped_dense(scorer.out, taped_dense(scorer.hidden, x))
+    return lambda x: taped_dense(scorer, x)
+
+
+def _randomize_zeros(store: ParamStore, rng) -> None:
+    """Random values for the parameters that start at zero (biases, FM w0),
+    so that no comparison rests on a zero term."""
+    for _, p in store.items():
+        if not p.data.any():
+            p.data[...] = rng.normal(size=p.shape)
+
+
 def _dense_case(edge, rng):
     """Against ``add(matmul(x, w), b)`` and the taped activation; with
     ``frozen`` set, x needs no gradient."""
@@ -285,10 +309,9 @@ def _dense_case(edge, rng):
     store = ParamStore()
     layer = Dense(store, "dense", shape[-1], 4, activation, rng)
     layer.b.data[:] = rng.normal(size=4)
-    act = {"none": lambda y: y, "relu": relu, "sigmoid": sigmoid}[activation]
 
     def taped(x):
-        return act(add(matmul(x, layer.w), layer.b))
+        return taped_dense(layer, x)
 
     arrays = [rng.normal(size=shape)]
     if frozen:
@@ -297,24 +320,65 @@ def _dense_case(edge, rng):
 
 
 def _compress_case(edge, rng):
-    """``fm_compress`` against ``compress``, the taped concat, sub, mul and
-    ``FMKernel`` calls; ``frozen`` names an input (0 aligned, 1 original)
-    that needs no gradient."""
-    shape, factors, frozen = edge
+    """``compress`` with the one-record scorers of one kind (``fm``,
+    ``linear`` or ``nonlinear``) against ``compress`` with the same scorers
+    composed from taped ops: with FM kernels it is the reference of the
+    connector record, and with the stand-ins the path their connectors
+    run.  ``frozen`` names an input (0 aligned, 1 original) that needs no
+    gradient."""
+    shape, factors, frozen, kind = edge
     store = ParamStore()
     width = shape[-1]
-    kernels = tuple(FMKernel(store, f"c.{name}", n, factors, rng)
+    scorers = tuple(make_scorer(store, f"c.{name}", n, kind, factors, rng)
                     for name, n in (("g_cat", 2 * width), ("g_sub", width), ("g_mul", width)))
-    for kernel in kernels:
-        kernel.w0.data[:] = rng.normal()
+    _randomize_zeros(store, rng)
+    taped = tuple(map(taped_scorer, scorers))
     arrays = [rng.normal(size=shape), rng.normal(size=shape)]
 
-    def call(op):
-        return lambda a, o: op(a, o, kernels)
+    def call(fns):
+        return lambda a, o: compress(a, o, fns)
     if frozen is None:
-        return store, arrays, call(fm_compress), call(compress)
-    return (store, [arrays[1 - frozen]], _constant(call(fm_compress), arrays, frozen),
-            _constant(call(compress), arrays, frozen))
+        return store, arrays, call(scorers), call(taped)
+    return (store, [arrays[1 - frozen]], _constant(call(scorers), arrays, frozen),
+            _constant(call(taped), arrays, frozen))
+
+
+def _connector_case(edge, rng):
+    """The FM connector record (``BAC.__call__``, its two outputs side by
+    side, or ``BAC.one_sided``) against the composition it replaces: the
+    ReLU ``Dense`` projection of each side, ``affinity``, ``attend`` over
+    the question keys and, two-sided, over ``transpose_last`` of the
+    scores, and ``compress`` with ``FMKernel.__call__`` scorers.  The key
+    lengths are per example ([] for a 2-d call); ``frozen`` names an input
+    (0 p, 1 q) that needs no gradient."""
+    p_lengths, q_lengths, lp, lq, width, factors, two_sided, frozen = edge
+    batch = (len(p_lengths),) if p_lengths else ()
+    p_mask, q_mask = _key_mask(p_lengths, lp), _key_mask(q_lengths, lq)
+    store = ParamStore()
+    bac = BAC(store, "c", width, factors, rng)
+    _randomize_zeros(store, rng)
+    # a positive projection bias keeps rows of both sides live: at width 1 a
+    # ReLU dead on every row of one side would zero the projection's gradient
+    bac.proj.b.data[:] = 0.5 + np.abs(bac.proj.b.data)
+    scorers = (bac.g_cat, bac.g_sub, bac.g_mul)
+
+    def fused(p, q):
+        if two_sided:
+            return concat(list(bac(p, q, p_mask, q_mask)), -2)
+        return bac.one_sided(p, q, q_mask)
+
+    def taped(p, q):
+        e = affinity(bac.proj(p), bac.proj(q))
+        g_p = compress(attend(e, q, q_mask), p, scorers)
+        if not two_sided:
+            return g_p
+        return concat([g_p, compress(attend(transpose_last(e), p, p_mask), q, scorers)], -2)
+
+    arrays = [rng.normal(size=batch + (lp, width)), rng.normal(size=batch + (lq, width))]
+    if frozen is None:
+        return store, arrays, fused, taped
+    return (store, [arrays[1 - frozen]], _constant(fused, arrays, frozen),
+            _constant(taped, arrays, frozen))
 
 
 def _key_mask(lengths: list, keys: int) -> np.ndarray:
@@ -372,12 +436,31 @@ CONNECTOR_OPS = {
                             "sigmoid_3d": ((2, 4, 3), "sigmoid", False),
                             "no_x_grad": ((2, 4, 3), "relu", True),
                             "one_row": ((1, 3), "sigmoid", False)}),
-    # input shape, factors, the input that needs no gradient (None: neither)
-    "compress": (_compress_case, {"2d": ((5, 4), 3, None), "3d": ((2, 4, 5), 3, None),
-                                  "factors_1": ((3, 4), 1, None),
-                                  "width_1": ((2, 3, 1), 2, None), "one_row": ((1, 4), 2, None),
-                                  "no_aligned_grad": ((2, 3, 4), 2, 0),
-                                  "no_original_grad": ((2, 3, 4), 2, 1)}),
+    # input shape, factors, the input that needs no gradient (None: neither),
+    # scorer kind
+    "compress": (_compress_case, {"2d": ((5, 4), 3, None, "fm"),
+                                  "3d": ((2, 4, 5), 3, None, "nonlinear"),
+                                  "factors_1": ((3, 4), 1, None, "fm"),
+                                  "width_1": ((2, 3, 1), 2, None, "fm"),
+                                  "one_row": ((1, 4), 2, None, "linear"),
+                                  "no_aligned_grad": ((2, 3, 4), 2, 0, "fm"),
+                                  "no_original_grad": ((2, 3, 4), 2, 1, "nonlinear")}),
+    # key lengths of p and of q per example ([] for a 2-d call), lp, lq, width,
+    # factors, two-sided, the input that needs no gradient (None: neither)
+    "connector": (_connector_case, {
+        "two_sided": ([4, 4], [3, 3], 4, 3, 5, 3, True, None),
+        "one_sided": ([4, 2], [3, 2], 4, 3, 5, 3, False, None),
+        "2d": ([], [], 4, 3, 5, 3, True, None),
+        "padded": ([5, 2, 3], [3, 1, 2], 5, 3, 4, 2, True, None),
+        "lp_1": ([1, 1], [3, 2], 1, 3, 4, 2, True, None),
+        "lq_1": ([4, 2], [1, 1], 4, 1, 4, 2, True, None),
+        "one_sided_lq_1": ([4, 2], [1, 1], 4, 1, 4, 2, False, None),
+        "batch_1": ([3], [2], 3, 2, 4, 2, True, None),
+        "width_1": ([3, 2], [2, 2], 3, 2, 1, 2, True, None),
+        "factors_1": ([3, 2], [2, 1], 3, 2, 4, 1, True, None),
+        "no_p_grad": ([4, 2], [3, 2], 4, 3, 4, 2, True, 0),
+        "no_q_grad": ([4, 2], [3, 2], 4, 3, 4, 2, True, 1),
+        "one_sided_no_q_grad": ([4, 2], [3, 2], 4, 3, 4, 2, False, 1)}),
     # key lengths per example ([] for a 2-d call), lp, lq, width, self block,
     # the input that needs no gradient (None: none)
     "gate": (_gate_case, {"2d": ([], 4, 3, 3, False, None),
@@ -395,6 +478,8 @@ CONNECTOR_CASES = [(op, edge) for op, (_, edges) in CONNECTOR_OPS.items() for ed
 # term is x²v² - x²v², and a softmax over one key is constant
 VANISHING = {("fm", "width_1"): {"fm.v.grad"}, ("attend", "lk_1"): {"input0.grad"},
              ("compress", "width_1"): {"c.g_sub.v.grad", "c.g_mul.v.grad"},
+             ("connector", "width_1"): {"c.g_sub.v.grad", "c.g_mul.v.grad"},
+             ("connector", "one_sided_lq_1"): {"c.proj.w.grad", "c.proj.b.grad"},
              ("gate", "lq_1"): {"input0.grad"}}
 
 
@@ -483,8 +568,24 @@ def _draw_compress(rng):
     width = int(rng.integers(1, 10))
     shape = (int(rng.integers(1, 6)), int(rng.integers(1, 10)), width)
     frozen = (None, 0, 1)[rng.integers(3)]
+    kind = ("fm", "linear", "nonlinear")[rng.integers(3)]
+    vanishing = {"c.g_sub.v.grad", "c.g_mul.v.grad"} if width == 1 and kind == "fm" else set()
+    return (shape, int(rng.integers(1, 5)), frozen, kind), vanishing
+
+
+def _draw_connector(rng):
+    lp, lq, width = (int(n) for n in rng.integers(1, 10, size=3))
+    p_lengths = _lengths(rng, lp)
+    q_lengths = list(rng.integers(1, lq + 1, size=len(p_lengths)))
+    two_sided = bool(rng.integers(2))
+    edge = (p_lengths, q_lengths, lp, lq, width, int(rng.integers(1, 5)), two_sided,
+            (None, 0, 1)[rng.integers(3)])
     vanishing = {"c.g_sub.v.grad", "c.g_mul.v.grad"} if width == 1 else set()
-    return (shape, int(rng.integers(1, 5)), frozen), vanishing
+    # softmaxes over one real key each are constant: the projection gets no
+    # gradient
+    if max(q_lengths) == 1 and (not two_sided or max(p_lengths) == 1):
+        vanishing |= {"c.proj.w.grad", "c.proj.b.grad"}
+    return edge, vanishing
 
 
 def _draw_gate(rng):
@@ -498,7 +599,8 @@ def _draw_gate(rng):
 
 
 FUZZ_DRAWS = {"fm": _draw_fm, "attend": _draw_attend, "affinity": _draw_affinity,
-              "dense": _draw_dense, "compress": _draw_compress, "gate": _draw_gate}
+              "dense": _draw_dense, "compress": _draw_compress, "connector": _draw_connector,
+              "gate": _draw_gate}
 
 
 @pytest.mark.parametrize("op", list(CONNECTOR_OPS))
@@ -582,6 +684,30 @@ def test_bac_one_sided_matches_left_output(rng):
     g_p, _ = bac(p, q, p_mask, q_mask)
     solo = bac.one_sided(p, q, q_mask)
     np.testing.assert_allclose(solo.data, g_p.data, atol=1e-15)
+
+
+def test_connector_record_keeps_no_row_arrays(rng):
+    """The taped FM connector keeps its attention weights, (batch, lq, lp),
+    and the FM tables, and recomputes the rest in its backward: a two-sided
+    call at (32, 40, 32)/(32, 3, 32) leaves live, beyond its output, less
+    than one (32, 40, 32) array.  The composed connector kept its ReLU
+    projections, attended rows and FM [xV | x·w], about 1 MB."""
+    bac = BAC(ParamStore(), "c", 32, 8, rng)
+    p = Tensor(rng.normal(size=(32, 40, 32)), requires_grad=True)
+    q = Tensor(rng.normal(size=(32, 3, 32)), requires_grad=True)
+    masks = real(p, q)
+    bac(p, q, *masks)  # warm-up: first-call allocations are not the record's
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            before = tracemalloc.get_traced_memory()[0]
+            g_p, g_q = bac(p, q, *masks)
+            kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 3  # the connector record and the two narrows handing out its sides
+    output = (g_p.data.size + g_q.data.size) * 8
+    assert kept - output < p.data.nbytes, f"{kept - output} bytes kept beyond the output"
 
 
 def test_bac_width_contract(rng):

@@ -41,6 +41,44 @@ def test_vocab_build_sorted_unique():
     assert v.tokens[2:] == ["a", "b", "c"]
 
 
+def _build_per_occurrence(examples, max_word_len: int) -> Featurizer:
+    """The featurizer built by walking every char of every token occurrence."""
+    token_lists = [ex.passage_tokens for ex in examples] + [ex.question_tokens for ex in examples]
+    seen, chars = {}, {}
+    for tokens in token_lists:
+        for t in tokens:
+            seen.setdefault(t, None)
+            for ch in t[:max_word_len]:
+                chars.setdefault(ch, None)
+    return Featurizer(Vocab(sorted(seen)), Vocab(sorted(chars)), max_word_len)
+
+
+def test_featurizer_build_matches_per_occurrence_build():
+    """Vocabulary, char vocabulary and char table built from the distinct
+    tokens equal those of the occurrence-wise walk, on mixed-case and
+    non-ASCII tokens and on tokens longer than ``max_word_len``, whose
+    later chars count nowhere."""
+    examples = [
+        TokenizedExample(id="a", passage_tokens=["Straße", "straße", "Ünïcode", "naïve", "The",
+                                                 "the", "THE", "über", "the"],
+                         question_tokens=["Über", "ß"], answer_start=0, answer_end=0,
+                         answer_texts=["Straße"]),
+        TokenizedExample(id="b",
+                         passage_tokens=["zzzzzzQ", "abcdefghijk", "日本語テキスト", "x"],
+                         question_tokens=["abcdefghijk", "Éé"], answer_start=1, answer_end=1,
+                         answer_texts=["abcdefghijk"]),
+    ]
+    for max_word_len in (1, 3, 6, 16):
+        got = Featurizer.build(examples, max_word_len)
+        want = _build_per_occurrence(examples, max_word_len)
+        assert got.vocab.tokens == want.vocab.tokens
+        assert got.char_vocab.tokens == want.char_vocab.tokens
+        np.testing.assert_array_equal(got.char_table, want.char_table)
+    # chars past max_word_len are left out: "Q" ends "zzzzzzQ" only
+    assert "Q" not in Featurizer.build(examples, 6).char_vocab
+    assert "Q" in Featurizer.build(examples, 7).char_vocab
+
+
 def test_vocab_duplicate_rejected():
     with pytest.raises(ConfigError):
         Vocab(["a", "a"])

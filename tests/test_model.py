@@ -206,16 +206,18 @@ def test_golden_first_step(cell, layers, loss, calls):
     assert out.connector_calls == calls
 
 
-@pytest.mark.parametrize("cell,layers,max_records", [("gru", 2, 95), ("lstm", 4, 219)],
+@pytest.mark.parametrize("cell,layers,max_records", [("gru", 2, 59), ("lstm", 4, 107)],
                          ids=["gru_n2", "lstm_n4"])
 def test_training_forward_tape_records(cell, layers, max_records):
-    """Each BiRNN (both directions), Dense, connector compression, affinity
-    and attend is one tape record, each gated block attends, gates and
-    multiplies in one record, the input encoder does not mask its padding
-    rows, and it gathers its per-spelling char states to each side in one
-    record: the forward records 94 (GRU n2) and 218 (LSTM n4) entries.  An
-    attend, concat, gate and mul per gated block would put it at 100 and
-    224, a narrow and a reshape per side as well at 102 and 226, a
+    """Each BiRNN (both directions), Dense and FM connector call is one tape
+    record (a two-sided connector hands out its sides with two narrows),
+    each gated block attends, gates and multiplies in one record, the input
+    encoder does not mask its padding rows, and it gathers its per-spelling
+    char states to each side in one record: the forward records 58 (GRU n2)
+    and 106 (LSTM n4) entries.  Connectors composed of a projection Dense
+    per side, an affinity, a transpose, an attend and a one-record
+    compression per direction would put it at 94 and 218, an attend,
+    concat, gate and mul per gated block as well at 100 and 224, a narrow and a reshape per side as well at 102 and 226, a
     three-record Dense and a seven-record compression as well at 218 and
     574, a pad-row multiply as well at 220 and 576, one record per BiRNN
     direction plus a concat at 238 and 602, per-timestep RNN ops at about

@@ -330,16 +330,18 @@ FUSED_CASES = [(op, edge) for op, row in FUSED_OPS.items() for edge in row[3]]
 
 
 def _run_with_grads(fn, store: ParamStore, module, x_data: np.ndarray, mask: np.ndarray,
-                    coef: np.ndarray) -> dict[str, np.ndarray]:
+                    coef: np.ndarray, x_grad: bool = True) -> dict[str, np.ndarray]:
     """The op's output and the gradients of a weighted sum of it with
-    respect to the input and every parameter."""
+    respect to every parameter and, with ``x_grad``, the input."""
     store.zero_grads()
-    x = Tensor(x_data, requires_grad=True)
+    x = Tensor(x_data, requires_grad=x_grad)
     with Tape() as tape:
         out = fn(module, x, mask)
         loss = sum_(mul(out, Tensor(coef)))
     backward(tape, loss)
-    values = {"output": out.data.copy(), "x.grad": x.grad}
+    values = {"output": out.data.copy()}
+    if x_grad:
+        values["x.grad"] = x.grad
     values.update((f"{name}.grad", p.grad.copy()) for name, p in store.items())
     return values
 
@@ -350,23 +352,55 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return 0.0 if diff == 0.0 else diff / scale
 
 
-@pytest.mark.parametrize("op,edge", FUSED_CASES, ids=[f"{op}-{edge}" for op, edge in FUSED_CASES])
-def test_fused_op_matches_tape_reference(op, edge):
-    make, fused, reference, edges = FUSED_OPS[op]
-    rng = np.random.default_rng(11)
-    store, module, x, mask = make(edges[edge], rng)
+def _check_fused_op(op: str, edge, rng: np.random.Generator, x_grad: bool = True) -> None:
+    """The hand-written op and its tape-composed reference on the case
+    ``edge``: the output and every gradient within 1e-12 relative."""
+    make, fused, reference, _ = FUSED_OPS[op]
+    store, module, x, mask = make(edge, rng)
     coef = rng.normal(size=fused(module, Tensor(x), mask).shape)
-    got = _run_with_grads(fused, store, module, x, mask, coef)
-    want = _run_with_grads(reference, store, module, x, mask, coef)
+    got = _run_with_grads(fused, store, module, x, mask, coef, x_grad)
+    want = _run_with_grads(reference, store, module, x, mask, coef, x_grad)
     assert got.keys() == want.keys()
     for key in want:
         assert got[key].shape == want[key].shape, key
         assert _rel_err(got[key], want[key]) <= 1e-12, key
     # no comparison is vacuous: over two or more steps every weight and bias
     # takes part (in one step from a zero state the recurrent rows do not)
-    assert np.abs(want["x.grad"]).max() > 0.0
+    if x_grad:
+        assert np.abs(want["x.grad"]).max() > 0.0
     if x.shape[1] > 1:
         assert all(np.abs(want[f"{name}.grad"]).max() > 0.0 for name, _ in store.items())
+
+
+@pytest.mark.parametrize("op,edge", FUSED_CASES, ids=[f"{op}-{edge}" for op, edge in FUSED_CASES])
+def test_fused_op_matches_tape_reference(op, edge):
+    _check_fused_op(op, FUSED_OPS[op][3][edge], np.random.default_rng(11))
+
+
+def _draw_birnn_edge(rng: np.random.Generator) -> tuple:
+    """A seeded random edge in the form of ``BIRNN_EDGES``: batch 1-5, a
+    padded length of 1-11 that the longest row fills, other rows of any
+    length down to fully masked, input widths 1-8 and output widths 2-9
+    (odd ones included)."""
+    batch, length = int(rng.integers(1, 6)), int(rng.integers(1, 12))
+    lengths = [int(n) for n in rng.integers(0, length + 1, size=batch)]
+    lengths[int(rng.integers(batch))] = length
+    return lengths, length, int(rng.integers(1, 9)), int(rng.integers(2, 10))
+
+
+@pytest.mark.parametrize("op", list(FUSED_OPS))
+def test_fused_op_matches_tape_reference_on_random_shapes(op):
+    """Seeded shape fuzzing of every ``FUSED_OPS`` row, with the input
+    needing a gradient or not; it guards the hand-written backpropagation
+    through time on shapes the hand-picked edges do not reach."""
+    rng = np.random.default_rng(2025)
+    for trial in range(40):
+        edge, x_grad = _draw_birnn_edge(rng), bool(rng.integers(2))
+        try:
+            _check_fused_op(op, edge, rng, x_grad)
+        except AssertionError as exc:
+            raise AssertionError(
+                f"{op} trial {trial}, edge {edge}, x_grad {x_grad}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

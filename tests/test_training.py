@@ -2,6 +2,7 @@
 metrics, synthetic task construction, batching, and the training loop."""
 
 import csv
+import hashlib
 import io
 from dataclasses import replace
 
@@ -244,6 +245,55 @@ def test_synthetic_deterministic():
     a = gen_synthetic(small_spec(), "train")
     b = gen_synthetic(small_spec(), "train")
     assert [e.passage_tokens for e in a] == [e.passage_tokens for e in b]
+
+
+def _scan_every_position(passage: list, key: list) -> list:
+    """The key's starts from a slice compare at every position."""
+    return [s for s in range(len(passage) - len(key) + 1) if passage[s:s + len(key)] == key]
+
+
+def test_find_key_matches_every_position_scan():
+    """Comparing only where the key's first token sits finds the same starts,
+    on passages dense with the key, its prefixes, overlapping runs of one
+    token (keys like [a, a]) and keys longer than the passage."""
+    rng = np.random.default_rng(41)
+    for _ in range(400):
+        vocab = [f"t{i}" for i in range(int(rng.integers(1, 5)))]
+        key = [vocab[i] for i in rng.integers(0, len(vocab), size=rng.integers(1, 5))]
+        passage = [vocab[i] for i in rng.integers(0, len(vocab), size=rng.integers(0, 30))]
+        for _ in range(int(rng.integers(0, 4))):  # plant the key and cut copies of it
+            s = int(rng.integers(0, len(passage) + 1))
+            passage[s:s] = key[:int(rng.integers(1, len(key) + 1))]
+        assert training_module._find_key(passage, key) == _scan_every_position(passage, key)
+
+
+# sha256 of the repr of each example's fields, taken before gen_synthetic's
+# key search compared only at the key's first token
+SYNTHETIC_DIGESTS = [
+    (dict(vocab_size=100, passage_len=40, query_len=3, span_min=2, span_max=2, distractors=1,
+          n_train=64, n_dev=16, seed=0), "train",
+     "c3075a6ecc41ff100e508bf8e62f141fa54b2c99bb5e2ce8880d52b931509e8d"),
+    (dict(vocab_size=100, passage_len=40, query_len=3, span_min=2, span_max=2, distractors=1,
+          n_train=64, n_dev=16, seed=0), "dev",
+     "0ecc001a4da216b9a8d0685200258accc225b5efb27c7552a38369d890e74464"),
+    # a small vocabulary: many passages are drawn again for a second hit
+    (dict(vocab_size=8, passage_len=60, query_len=2, span_min=1, span_max=3, distractors=4,
+          n_train=50, seed=7), "train",
+     "e80a5d8db3eb6eeef97b81341a3d80628019e34b6bb34eb5b22fc682460da923"),
+    (dict(vocab_size=30, passage_len=120, query_len=1, span_min=1, span_max=4, distractors=2,
+          n_train=40, seed=3), "train",
+     "23cf7c77f93c7a3a4d35562a1ff76f372c824f13eb4470533d75a3d2d7934f93"),
+]
+
+
+@pytest.mark.parametrize("fields,split,digest", SYNTHETIC_DIGESTS)
+def test_synthetic_examples_pinned(fields, split, digest):
+    """gen_synthetic makes the same draws and returns the same examples."""
+    h = hashlib.sha256()
+    for ex in gen_synthetic(SyntheticTaskSpec(**fields), split):
+        h.update(repr((ex.id, ex.passage_tokens, ex.question_tokens, ex.answer_start,
+                       ex.answer_end, ex.answer_texts)).encode())
+    assert h.hexdigest() == digest
 
 
 def test_synthetic_splits_disjoint():
