@@ -7,22 +7,30 @@ reference that the fused sweeps are tested against.
 
 ``BiRNN`` runs both directions as one fused op (``_birnn``) with one tape
 record.  One GEMM projects the input of every timestep for both directions.
-Only that projection is then laid out time-major, ``(len, 2, batch, G*h)``
-for G gates: index 0 of the direction axis is the forward direction at time
-``s`` and index 1 the backward direction at time ``len - 1 - s``, so step
-``s`` of one loop advances both.  A step is one ``(2, batch, h) @ (2, h,
-G*h)`` matmul and in-place elementwise work on contiguous buffers; the
-activations are kept gate by gate, ``(len, G, 2, batch, h)``, so each gate
-of a step is one contiguous block.  The cells' ``scan`` and ``bptt`` are
-that loop and its hand-written backpropagation through time, which returns
-the input gradients batch-major again for one ``dx`` and one ``dW_x`` GEMM.
-A narrower direction (odd widths) is padded with zero weight columns; its
+Only that projection is then laid out time-major and gate-major, one
+contiguous ``(len, G, 2, batch, h)`` buffer for G gates: index 0 of the
+direction axis is the forward direction at time ``s`` and index 1 the
+backward direction at time ``len - 1 - s``, so step ``s`` of one loop
+advances both, and each gate of a step is one contiguous block.  The
+recurrent rows are laid out ``(G, 2, h, h)``, so one broadcast matmul writes
+a step's recurrent product straight into its gate block, where the
+activations are kept.  The cells' ``scan`` and ``bptt`` are that loop and
+its hand-written backpropagation through time, which returns the input
+gradients batch-major again for one ``dx`` and one ``dW_x`` GEMM.  A
+narrower direction (odd widths) is padded with zero weight columns; its
 padded unit stays exactly zero.
 
-The gate math rounds like ``step`` does.  A (batch, len) 0/1 padding mask is
-required: a masked step keeps the previous state, so the states at real
-positions are bit-identical to running each sequence unpadded; an all-ones
-mask runs every step.
+The stacked weights halve the sigmoid gates' pre-activations
+(``_stacked_weights``), so one tanh over a step's gate block and one add give
+twice each sigmoid: the GRU works with 2z and 2r, and its step makes 12
+numpy calls (an LSTM step 10, and 2 more where a row is masked).  Scaling
+by a power of two is exact, so the gate math rounds like ``step`` does.  A
+(batch, len) 0/1 padding mask is required: a masked step keeps the previous
+state, so the states at real positions are bit-identical to running each
+sequence unpadded; an all-ones mask runs every step.  The GRU folds the
+mask into its update gate's pre-activation (NEG_INF shuts the gate
+exactly), so neither its loop nor its backward reads a mask; the LSTM keeps
+the state of a masked row with a masked copy.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .numerics import (
-    ParamStore, Tensor, _acc, _record, add, concat, glorot, logistic, matmul, mul,
+    NEG_INF, ParamStore, Tensor, _acc, _record, add, concat, glorot, matmul, mul,
     sigmoid, sub, tanh,
 )
 
@@ -40,6 +48,11 @@ class GRUCell:
     """Gated recurrent unit: z/r gates, candidate from the reset-gated state."""
 
     gates = ("z", "r", "h")
+    # the factor on each gate's input columns and bias, and on its recurrent
+    # rows, in the stacked weights: the sigmoid gates' pre-activations are
+    # halved, and the candidate's recurrent rows meet 2 r h
+    x_scale = np.array([0.5, 0.5, 1.0])[:, None]
+    u_scale = np.array([0.5, 0.5, 0.5])[:, None]
 
     def __init__(self, store: ParamStore, name: str, input_dim: int, hidden_dim: int,
                  rng: np.random.Generator):
@@ -71,45 +84,49 @@ class GRUCell:
     @staticmethod
     def scan(xp: np.ndarray, mask: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
         """The forward loop of a stacked sweep.  ``xp`` is the projected
-        input plus biases, (len, 2, batch, 3h); ``mask`` the 0/1 mask,
-        (len, 2, batch, 1); ``u`` the recurrent rows of both directions,
-        (2, h, 3h).  Returns the states, (len + 1, 2, batch, h) with the zero
-        initial state first, and the activations z, r and candidate, gate by
-        gate, (len, 3, 2, batch, h)."""
-        length, _, batch, _ = mask.shape
-        n = u.shape[1]
-        xp, mask = _gate_major(xp, 3), _wide(mask, n)
-        u_zr, u_h = np.ascontiguousarray(u[..., :2 * n]), np.ascontiguousarray(u[..., 2 * n:])
+        input plus biases, gate-major and contiguous, (len, 3, 2, batch, h),
+        and ``u`` the recurrent rows, (3, 2, h, h), both scaled by
+        ``x_scale`` and ``u_scale``; ``mask`` is the 0/1 mask, (len, 2,
+        batch, 1).  Returns the states, (len + 1, 2, batch, h) with the zero
+        initial state first, and the activations 2z, 2r and candidate, gate
+        by gate, (len, 3, 2, batch, h).  It writes into ``xp``."""
+        length, _, _, batch, n = xp.shape
+        # a masked step's update gate is shut: tanh(NEG_INF + finite) is -1
+        # exactly, so 2z = 0 and the step adds an exact zero to h
+        np.copyto(xp[:, 0], NEG_INF, where=mask == 0.0)
+        u_zr, u_h = u[:2], u[2]
         hs = np.zeros((length + 1, 2, batch, n))
         acts = np.empty((length, 3, 2, batch, n))
-        # the recurrent product of z and r as GEMM rows, and seen gate by gate
-        rec = np.empty((2, batch, 2, n))
-        rec_rows, rec_gates = rec.reshape(2, batch, 2 * n), rec.transpose(2, 0, 1, 3)
         rh = np.empty((2, batch, n))
-        for s in range(length):
-            h, zr, c, h_new = hs[s], acts[s, :2], acts[s, 2], hs[s + 1]
-            np.matmul(h, u_zr, out=rec_rows)
-            np.add(xp[s, :2], rec_gates, out=zr)
-            logistic(zr, out=zr)
-            np.multiply(zr[1], h, out=rh)
-            np.matmul(rh, u_h, out=c)
-            c += xp[s, 2]
-            np.tanh(c, out=c)
-            # h + z * (c - h) on real steps; the mask is exact 0/1, so a masked
-            # step adds an exact zero and keeps h
-            np.subtract(c, h, out=h_new)
-            h_new *= zr[0]
-            h_new *= mask[s]
+        # each step's views come from iterating the buffers, and ``out`` is
+        # given by position: both cost less per call at these sizes
+        for h, h_new, zr, z2, r2, c, x_zr, x_c in zip(
+                hs[:-1], hs[1:], acts[:, :2], acts[:, 0], acts[:, 1], acts[:, 2],
+                xp[:, :2], xp[:, 2]):
+            # the pre-activations are halved, so tanh + 1 is twice the sigmoid
+            np.matmul(h, u_zr, zr)
+            zr += x_zr
+            np.tanh(zr, zr)
+            zr += 1.0
+            # 2 r h against half the candidate's recurrent rows
+            np.multiply(r2, h, rh)
+            np.matmul(rh, u_h, c)
+            c += x_c
+            np.tanh(c, c)
+            # h + z (c - h)
+            np.subtract(c, h, h_new)
+            h_new *= z2
+            h_new *= 0.5
             h_new += h
         return hs, acts
 
     @staticmethod
-    def bptt(saved: tuple, mask: np.ndarray, u: np.ndarray,
-             g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def bptt(saved: tuple, u: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Backpropagation through ``scan``: the gradients of the projected
         input, (batch, len, 2, 3, h), and of the recurrent rows, (2, h, 3h),
-        given ``g``, the gradient of the state after every step, batch-major
-        (batch, len, 2, h), or after the last step alone, (2, batch, h).
+        as ``scan`` took them (scaled), given ``g``, the gradient of the
+        state after every step, batch-major (batch, len, 2, h), or after the
+        last step alone, (2, batch, h).
 
         It runs once per forward, as ``Tape.backward`` does: it overwrites
         the saved activations and returns its input gradients in their buffer.
@@ -117,27 +134,27 @@ class GRUCell:
         hs, acts = saved
         length, _, _, batch, n = acts.shape
         h_prev = hs[:-1]
-        z, r, cand = acts[:, 0], acts[:, 1], acts[:, 2]
+        z2, r2, cand = acts[:, 0], acts[:, 1], acts[:, 2]
         # the factors that do not depend on the incoming gradient, for all
-        # steps at once, in the buffer the loop turns into the gradients.
-        # The 0/1 mask is folded in: a masked step's gate factors are 0 and
-        # it passes dh on whole, so keep = 1 - m z takes the place of z
+        # steps at once, in the buffer the loop turns into the gradients.  The
+        # gradients are those of the halved pre-activations: 2z = 1 + t for
+        # t = tanh(a / 2), so d(2z)/d(a / 2) = 1 - t^2 = 2z (2 - 2z), and
+        # likewise for r.  A masked step has 2z = 0, so its gate factors are
+        # 0 and keep = 1 - z passes dh on whole
         dxp = np.empty_like(acts)
         k_z, k_r, k_h = dxp[:, 0], dxp[:, 1], dxp[:, 2]
-        np.multiply(r, h_prev, out=k_r)
-        k_r *= np.subtract(1.0, r, out=k_h)
+        np.multiply(r2, h_prev, out=k_r)
+        k_r *= np.subtract(2.0, r2, out=k_h)
         np.subtract(cand, h_prev, out=k_z)
-        k_z *= z
+        k_z *= z2
         np.multiply(cand, cand, out=k_h)
         np.subtract(1.0, k_h, out=k_h)
-        k_h *= z
-        keep = np.subtract(1.0, z, out=z)
+        k_h *= z2
+        k_h *= 0.5
+        keep = np.multiply(z2, -0.5, out=z2)
+        keep += 1.0
         k_z *= keep
-        k_z *= mask
-        k_h *= mask
-        keep *= mask
-        keep += 1.0 - mask
-        u_zr_t, u_h_t = u[..., :2 * n].swapaxes(1, 2), u[..., 2 * n:].swapaxes(1, 2)
+        u_zr_t, u_h_t = _rows_t(u[:2]), _rows_t(u[2:])
         per_step = g.ndim == 4
         if per_step:
             g = _time_major(g)
@@ -145,26 +162,28 @@ class GRUCell:
         d_rh, tmp = np.empty_like(dh), np.empty_like(dh)
         da_zr = np.empty((2, batch, 2, n))
         da_rows, da_gates = da_zr.reshape(2, batch, 2 * n), da_zr.transpose(2, 0, 1, 3)
-        for s in range(length - 1, -1, -1):
-            if per_step:
-                dh += g[s]
-            da = dxp[s]
-            da[2] *= dh
-            np.matmul(da[2], u_h_t, out=d_rh)
-            da[0] *= dh
-            da[1] *= d_rh
-            dh *= keep[s]
-            np.multiply(d_rh, r[s], out=tmp)
+        gs = g[::-1] if per_step else [None] * length
+        for g_s, da, da_z, da_r, da_c, keep_s, r2_s in zip(
+                gs, dxp[::-1, :2], k_z[::-1], k_r[::-1], k_h[::-1], keep[::-1], r2[::-1]):
+            if g_s is not None:
+                dh += g_s
+            da_c *= dh
+            # the gradient of 2 r h
+            np.matmul(da_c, u_h_t, d_rh)
+            da_z *= dh
+            da_r *= d_rh
+            dh *= keep_s
+            np.multiply(d_rh, r2_s, tmp)
             dh += tmp
-            da_gates[...] = da[:2]
-            np.matmul(da_rows, u_zr_t, out=tmp)
+            np.copyto(da_gates, da)
+            np.matmul(da_rows, u_zr_t, tmp)
             dh += tmp
-        del g
-        # the activations' buffer takes the gradients batch-major, so r h is
-        # formed first; the batch-major states are built one at a time
-        rh = r * h_prev
+        del g, gs, g_s
+        # the activations' buffer takes the gradients batch-major, so 2 r h
+        # is formed first; the batch-major states are built one at a time
+        rh = r2 * h_prev
         dproj = _batch_major(dxp, out=acts)
-        del dxp, da, k_z, k_r, k_h
+        del dxp, da, da_z, da_r, da_c, k_z, k_r, k_h
         states = _batch_major(h_prev)
         du_zr = _outer(states, dproj[..., :2, :])
         du_h = _outer(_batch_major(rh, out=states), dproj[..., 2:, :])
@@ -176,6 +195,9 @@ class LSTMCell:
     """Standard LSTM with forget/input/output gates and a tanh candidate."""
 
     gates = ("i", "f", "o", "c")
+    # as ``GRUCell.x_scale``: the pre-activations of the sigmoid gates i, f
+    # and o are halved
+    x_scale = u_scale = np.array([0.5, 0.5, 0.5, 1.0])[:, None]
 
     def __init__(self, store: ParamStore, name: str, input_dim: int, hidden_dim: int,
                  rng: np.random.Generator):
@@ -206,55 +228,63 @@ class LSTMCell:
     @staticmethod
     def scan(xp: np.ndarray, mask: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
         """The forward loop of a stacked sweep; see ``GRUCell.scan``.  The
-        states and cells come first, each (len + 1, 2, batch, h)."""
-        length, _, batch, _ = mask.shape
-        n = u.shape[1]
-        xp = _gate_major(xp, 4)
+        states and cells come first, each (len + 1, 2, batch, h), then the
+        activations i, f, o and candidate, (len, 4, 2, batch, h), the cells'
+        tanh and the mask."""
+        length, _, _, batch, n = xp.shape
         hs, cs = np.zeros((length + 1, 2, batch, n)), np.zeros((length + 1, 2, batch, n))
         acts, tanh_c = np.empty((length, 4, 2, batch, n)), np.empty((length, 2, batch, n))
+        # where each step's masked rows keep their state; None at a step
+        # without one
         masked = _wide(mask, n) == 0.0
-        rec = np.empty((2, batch, 4, n))
-        rec_rows, rec_gates = rec.reshape(2, batch, 4 * n), rec.transpose(2, 0, 1, 3)
+        frozen_at = [m if any_m else None for m, any_m in zip(masked, masked.any(axis=(1, 2, 3)))]
         ic = np.empty((2, batch, n))
-        for s in range(length):
-            a, tc, h_new, c_new = acts[s], tanh_c[s], hs[s + 1], cs[s + 1]
-            np.matmul(hs[s], u, out=rec_rows)
-            np.add(xp[s], rec_gates, out=a)
-            logistic(a[:3], out=a[:3])
-            np.tanh(a[3], out=a[3])
-            np.multiply(a[1], cs[s], out=c_new)
-            np.multiply(a[0], a[3], out=ic)
+        for h, h_new, c, c_new, a, sig, x_a, tc, frozen in zip(
+                hs[:-1], hs[1:], cs[:-1], cs[1:], acts, acts[:, :3], xp, tanh_c, frozen_at):
+            np.matmul(h, u, a)
+            a += x_a
+            # one tanh for all four gates; the sigmoid gates' pre-activations
+            # are halved, so (tanh + 1) / 2 is their sigmoid
+            np.tanh(a, a)
+            sig += 1.0
+            sig *= 0.5
+            np.multiply(a[1], c, c_new)
+            np.multiply(a[0], a[3], ic)
             c_new += ic
-            np.tanh(c_new, out=tc)
-            np.multiply(a[2], tc, out=h_new)
-            np.copyto(h_new, hs[s], where=masked[s])
-            np.copyto(c_new, cs[s], where=masked[s])
-        return hs, cs, acts, tanh_c
+            np.tanh(c_new, tc)
+            np.multiply(a[2], tc, h_new)
+            if frozen is not None:
+                np.copyto(h_new, h, where=frozen)
+                np.copyto(c_new, c, where=frozen)
+        return hs, cs, acts, tanh_c, mask
 
     @staticmethod
-    def bptt(saved: tuple, mask: np.ndarray, u: np.ndarray,
-             g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def bptt(saved: tuple, u: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Backpropagation through ``scan``; see ``GRUCell.bptt``.  It too
         returns its input gradients in the buffer of the activations."""
-        hs, cs, acts, tanh_c = saved
+        hs, cs, acts, tanh_c, mask = saved
         length, _, batch, n = tanh_c.shape
         i, f, o, cand = (acts[:, k] for k in range(4))
         # the factors that do not depend on the incoming gradient, for all
         # steps at once: d(pre-activation) per d(cell) for i, f and c, per
         # d(h) for o, and d(cell) per d(h); the loop turns the gate factors
-        # into the gradients in place
+        # into the gradients in place.  A sigmoid gate a = (1 + tanh(p / 2)) / 2
+        # is taken by its halved pre-activation p / 2, whose factor is twice
+        # a (1 - a) times the other operand
         dxp = np.empty_like(acts)
         tmp = np.empty_like(tanh_c)
         for k, other in enumerate((cand, cs[:-1], tanh_c)):
             np.multiply(other, acts[:, k], out=dxp[:, k])
             dxp[:, k] *= np.subtract(1.0, acts[:, k], out=tmp)
+        sig = dxp[:, :3]
+        sig *= 2.0
         np.multiply(cand, cand, out=tmp)
         np.multiply(i, np.subtract(1.0, tmp, out=tmp), out=dxp[:, 3])
         k_c = np.multiply(tanh_c, tanh_c, out=tmp)
         np.subtract(1.0, k_c, out=k_c)
         k_c *= o
         mask = _wide(mask, n)
-        u_t = u.swapaxes(1, 2)
+        u_t = _rows_t(u)
         per_step = g.ndim == 4
         if per_step:
             g = _time_major(g)
@@ -262,28 +292,30 @@ class LSTMCell:
         dc, dhn, dcn, d_next = (np.zeros_like(dh) for _ in range(4))
         da_t = np.empty((2, batch, 4, n))
         da_rows, da_gates = da_t.reshape(2, batch, 4 * n), da_t.transpose(2, 0, 1, 3)
-        for s in range(length - 1, -1, -1):
-            if per_step:
-                dh += g[s]
+        gs = g[::-1] if per_step else [None] * length
+        for g_s, da, da_if, da_o, da_c, m, k_c_s, f_s in zip(
+                gs, dxp[::-1], dxp[::-1, :2], dxp[::-1, 2], dxp[::-1, 3], mask[::-1],
+                k_c[::-1], f[::-1]):
+            if g_s is not None:
+                dh += g_s
             # dh and dc keep (1 - m) times themselves, exactly, for a 0/1 mask
-            np.multiply(dh, mask[s], out=dhn)
+            np.multiply(dh, m, dhn)
             dh -= dhn
-            np.multiply(dc, mask[s], out=dcn)
+            np.multiply(dc, m, dcn)
             dc -= dcn
-            np.multiply(dhn, k_c[s], out=d_next)
+            np.multiply(dhn, k_c_s, d_next)
             dcn += d_next
-            da = dxp[s]
-            da[:2] *= dcn
-            da[2] *= dhn
-            da[3] *= dcn
-            da_gates[...] = da
-            np.matmul(da_rows, u_t, out=d_next)
+            da_if *= dcn
+            da_o *= dhn
+            da_c *= dcn
+            np.copyto(da_gates, da)
+            np.matmul(da_rows, u_t, d_next)
             dh += d_next
-            np.multiply(dcn, f[s], out=d_next)
+            np.multiply(dcn, f_s, d_next)
             dc += d_next
-        del k_c, tmp, mask, g
+        del k_c, k_c_s, tmp, mask, m, g, gs, g_s
         dproj = _batch_major(dxp, out=acts)
-        del dxp
+        del dxp, da, da_if, da_o, da_c
         return dproj, _outer(_batch_major(hs[:-1]), dproj)
 
 
@@ -292,8 +324,11 @@ def _time_major(a: np.ndarray) -> np.ndarray:
     direction time-reversed: step s holds time s of the forward direction and
     time len - 1 - s of the backward one."""
     out = np.empty((a.shape[1],) + a.shape[3:-1] + (2, a.shape[0], a.shape[-1]))
-    out[..., 0, :, :] = np.moveaxis(a[:, :, 0], 0, -2)
-    out[..., 1, :, :] = np.moveaxis(a[:, ::-1, 1], 0, -2)
+    # the batch axis moves next to the last; ``transpose`` with the axes
+    # spelled out costs less per call than ``moveaxis``
+    axes = (1, *range(2, a.ndim - 2), 0, a.ndim - 2)
+    out[..., 0, :, :] = a[:, :, 0].transpose(axes)
+    out[..., 1, :, :] = a[:, ::-1, 1].transpose(axes)
     return out
 
 
@@ -303,10 +338,12 @@ def _wide(mask: np.ndarray, n: int) -> np.ndarray:
     return np.repeat(mask, n, axis=-1)
 
 
-def _gate_major(a: np.ndarray, gates: int) -> np.ndarray:
-    """A (..., 2, batch, gates * h) view as (..., gates, 2, batch, h)."""
-    a = a.reshape(a.shape[:-1] + (gates, -1))
-    return np.moveaxis(a, -2, -4)
+def _rows_t(u: np.ndarray) -> np.ndarray:
+    """Gate-major recurrent rows, (k, 2, h, h), as the contiguous transposed
+    rows of both directions, (2, k*h, h): one GEMM per direction takes a
+    gate-by-gate gradient row, (2, batch, k*h), back to the state."""
+    k, _, n, _ = u.shape
+    return np.ascontiguousarray(u.transpose(1, 0, 3, 2)).reshape(2, k * n, n)
 
 
 def _batch_major(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -314,8 +351,9 @@ def _batch_major(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     (any contiguous array of the same size) if it is given."""
     shape = (a.shape[-2], a.shape[0], 2) + a.shape[1:-3] + (a.shape[-1],)
     out = np.empty(shape) if out is None else out.reshape(shape)
-    out[:, :, 0] = np.moveaxis(a[..., 0, :, :], -2, 0)
-    out[:, :, 1] = np.moveaxis(a[::-1, ..., 1, :, :], -2, 0)
+    axes = (a.ndim - 3, *range(a.ndim - 3), a.ndim - 2)
+    out[:, :, 0] = a[..., 0, :, :].transpose(axes)
+    out[:, :, 1] = a[::-1, ..., 1, :, :].transpose(axes)
     return out
 
 
@@ -380,25 +418,37 @@ class BiRNN:
 
 
 def _stacked_weights(rnn: BiRNN) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The input rows, (d_in, 2*G*h), recurrent rows, (2, h, G*h), and biases,
-    (2*G*h,), of both directions, gate by gate, with the narrower direction
-    padded by zeros to the wider one's h.
+    """The input rows, (d_in, 2*G*h), laid out (direction, gate, unit), the
+    recurrent rows, gate-major (G, 2, h, h), and the biases, (2*G*h,), of
+    both directions, with the narrower direction padded by zeros to the
+    wider one's h.
 
     Each gate weight is a (d_in + h, h) matrix: its first d_in rows act on the
-    input, the rest on the state.  They are copied on every call, because the
-    optimizer and checkpoint loads write parameters in place.
+    input, the rest on the state.  Each part is stacked times its cell's
+    ``x_scale`` or ``u_scale``: the sigmoid gates' input columns, biases and
+    recurrent rows are halved, so that ``scan`` gets 2 sigmoid(a) = 1 +
+    tanh(a / 2) from one tanh, and the GRU's candidate rows are halved to
+    meet 2 r h.  A power of two scales every product and sum exactly, so the
+    sweep's states round as the plain gate math does, and a parameter's
+    gradient is the stacked gradient times the same scale.  The rows are
+    copied on every call, because the optimizer and checkpoint loads write
+    parameters in place.
     """
-    d_in, n, gates = rnn.input_dim, rnn.fwd.hidden_dim, rnn.fwd.gates
-    w_x = np.zeros((d_in, 2, len(gates), n))
-    u = np.zeros((2, n, len(gates), n))
-    b = np.zeros((2, len(gates), n))
-    for d, cell in enumerate((rnn.fwd, rnn.bwd)):
-        h = cell.hidden_dim
-        for k, gate in enumerate(gates):
-            w = getattr(cell, f"w_{gate}").data
-            w_x[:, d, k, :h], u[d, :h, k, :h] = w[:d_in], w[d_in:]
-            b[d, k, :h] = getattr(cell, f"b_{gate}").data
-    return w_x.reshape(d_in, -1), u.reshape(2, n, -1), b.reshape(-1)
+    d_in, n, cell = rnn.input_dim, rnn.fwd.hidden_dim, rnn.fwd
+    gates = len(cell.gates)
+    w_x = np.zeros((d_in, 2, gates, n))
+    u = np.zeros((gates, 2, n, n))
+    b = np.zeros((2, gates, n))
+    for d, c in enumerate((rnn.fwd, rnn.bwd)):
+        h = c.hidden_dim
+        for k, gate in enumerate(c.gates):
+            w = getattr(c, f"w_{gate}").data
+            w_x[:, d, k, :h], u[k, d, :h, :h] = w[:d_in], w[d_in:]
+            b[d, k, :h] = getattr(c, f"b_{gate}").data
+    w_x *= cell.x_scale
+    u *= cell.u_scale[:, None, None]
+    b *= cell.x_scale
+    return w_x.reshape(d_in, -1), u, b.reshape(-1)
 
 
 def _birnn(rnn: BiRNN, x: Tensor, mask: np.ndarray, last_only: bool) -> Tensor:
@@ -414,8 +464,8 @@ def _birnn(rnn: BiRNN, x: Tensor, mask: np.ndarray, last_only: bool) -> Tensor:
     flat_x = x.data.reshape(batch * length, d_in)
     proj = flat_x @ w_x
     proj += b
-    m = _time_major(np.broadcast_to(mask[:, :, None, None], (batch, length, 2, 1)))
-    xp = _time_major(proj.reshape(batch, length, 2, -1))
+    m = _time_major(np.repeat(mask[:, :, None, None], 2, axis=2))
+    xp = _time_major(proj.reshape(batch, length, 2, len(rnn.fwd.gates), n))
     del proj
     saved = rnn.fwd.scan(xp, m, u)
     del xp
@@ -424,13 +474,17 @@ def _birnn(rnn: BiRNN, x: Tensor, mask: np.ndarray, last_only: bool) -> Tensor:
 
     def bw():
         g = _split(out.grad, n)
-        dproj, du = rnn.fwd.bptt(saved, m, u, g.transpose(1, 0, 2) if last_only else g)
+        dproj, du = rnn.fwd.bptt(saved, u, g.transpose(1, 0, 2) if last_only else g)
         flat = dproj.reshape(batch * length, -1)
         if x.requires_grad:
             _acc(x, (flat @ w_x.T).reshape(x.shape))
         dw_x = (flat_x.T @ flat).reshape(d_in, 2, -1, n)
         db = flat.sum(axis=0).reshape(2, -1, n)
         du = du.reshape(2, n, -1, n)
+        # a stacked weight is its parameter times a scale, and so is its gradient
+        dw_x *= rnn.fwd.x_scale
+        du *= rnn.fwd.u_scale
+        db *= rnn.fwd.x_scale
         for d, c in enumerate(cells):
             h = c.hidden_dim
             for k, gate in enumerate(c.gates):

@@ -247,6 +247,41 @@ def test_backward_peak_stays_near_the_forward_live_set():
     assert peak <= 1.15 * live, f"backward peak {peak / live:.3f}x the forward's live memory"
 
 
+@pytest.mark.parametrize("cell,layers", [("gru", 2), ("lstm", 2)], ids=["gru_n2", "lstm_n2"])
+def test_batch_1_logits_match_a_mixed_length_batch(cell, layers):
+    """Each example's eval-mode logits at batch 1 equal its real positions in
+    one mixed-length batch of 32 (passages 8-80, queries 1-3), within 1e-12
+    relative, and so do the decoded spans: padding changes no real position,
+    and only the BLAS blocking of the batch shape may round differently.
+    The benchmark's batch-1 predict workload checks the same invariant
+    after its timed loop."""
+    examples = []
+    for k in range(32):
+        spec = SyntheticTaskSpec(vocab_size=100, passage_len=8 + (k * 23) % 73, query_len=3,
+                                 span_min=2, span_max=2, distractors=1, n_train=1, seed=k)
+        ex, = gen_synthetic(spec, "train")
+        ex.question_tokens = ex.question_tokens[:1 + k % 3]
+        examples.append(ex)
+    cfg = ModelConfig(word_dim=16, char_dim=8, char_hidden=8, max_word_len=8, hidden=32,
+                      layers=layers, fm_factors=8, cell=cell)
+    featurizer = Featurizer.build(examples, cfg.max_word_len)
+    model = build_model(cfg, featurizer, seed=0)
+    feats = [featurizer.example(ex) for ex in examples]
+    batch = collate(feats)
+    assert len(set(batch["p_len"])) > 20 and (batch["q_mask"] == 0.0).any()
+    out = model.forward(batch)
+    spans = model.decode(out, batch["p_len"])
+    for i, (f, n) in enumerate(zip(feats, batch["p_len"])):
+        single = collate([f])
+        solo = model.forward(single)
+        for got, want in ((out.start_logits, solo.start_logits),
+                          (out.end_logits, solo.end_logits)):
+            want = want.data[0]
+            assert want.shape == (n,)
+            assert np.abs(got.data[i, :n] - want).max() <= 1e-12 * np.abs(want).max(), i
+        assert spans[i] == model.decode(solo, single["p_len"])[0], i
+
+
 @pytest.mark.parametrize("cell", ["gru", "lstm"])
 def test_padding_rows_reach_nothing(cell):
     """Padded positions feed only masked BiRNN steps, so the input encoder

@@ -173,3 +173,48 @@ def test_unseen_tokens_and_chars_keep_the_cli_contract(checkpoint, tmp_path, cap
     assert len(clean) >= 20
     broken, outcomes = run_cases(checkpoint, tmp_path / "clean.jsonl", clean, capsys)
     assert not broken and set(outcomes) == {0}, outcomes
+
+
+# command: its input-path flags, and for each flag the other arguments that
+# make the rest of the command line valid (DATA, CKPT and OUT stand for a
+# readable data file, the tiny checkpoint and a writable output path)
+INPUT_PATHS = {
+    "train": {"--config": [], "--data": [], "--dev": ["--data", "DATA"],
+              "--checkpoint": ["--resume"]},
+    "eval": {"--config": ["--data", "DATA", "--checkpoint", "CKPT"],
+             "--data": ["--checkpoint", "CKPT"], "--checkpoint": ["--data", "DATA"]},
+    "predict": {"--config": ["--data", "DATA", "--checkpoint", "CKPT"],
+                "--data": ["--checkpoint", "CKPT"], "--checkpoint": ["--data", "DATA"]},
+    "synth": {"--config": ["--out", "OUT"]},
+    "ablate": {"--config": []},
+}
+
+
+def test_unreadable_input_paths_keep_the_cli_contract(checkpoint, tmp_path, capsys):
+    """Every input-path flag of train, eval, predict, synth and ablate, given
+    a missing file or a directory, exits 1 with exactly one
+    ``error:<kind>:`` line that names the path, and no traceback."""
+    data = tmp_path / "data.jsonl"
+    data.write_text(json.dumps(valid_record(random.Random(0))) + "\n", encoding="utf-8")
+    (tmp_path / "a_directory").mkdir()
+    stand_ins = {"DATA": str(data), "CKPT": checkpoint, "OUT": str(tmp_path / "out.jsonl")}
+    broken, cases = [], 0
+    for command, flags in INPUT_PATHS.items():
+        for flag, rest in flags.items():
+            for bad in (tmp_path / "missing", tmp_path / "a_directory"):
+                argv = [command, flag, str(bad), *(stand_ins.get(a, a) for a in rest)]
+                try:
+                    rc = cli.main(argv)
+                except Exception as exc:  # the contract allows no escaping exception
+                    raise AssertionError(f"{argv} raised") from exc
+                err = capsys.readouterr().err
+                problem = check_contract(rc, "", err, command, 0)
+                if rc != 1:
+                    problem = f"exit {rc}"
+                elif problem is None and str(bad) not in err:
+                    problem = f"the error does not name the path: {err!r}"
+                if problem:
+                    broken.append(f"{argv}: {problem}")
+                cases += 1
+    assert not broken, broken
+    assert cases == 2 * sum(len(flags) for flags in INPUT_PATHS.values())

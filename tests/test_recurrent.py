@@ -257,6 +257,36 @@ def test_birnn_saturated_gates_stay_finite(cell, rng):
     np.testing.assert_array_equal(out.data[2], np.zeros(7))
 
 
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_birnn_padded_positions_are_exact(cell, rng):
+    """At a padded position the fused sweep's forward half repeats the last
+    real state and its backward half is exactly 0, bit for bit, and the
+    padded inputs get an exact zero gradient, even when those inputs are
+    +-1e6.  The GRU shuts its update gate there through the pre-activation
+    (NEG_INF), so an input that large must not leak past it."""
+    store = ParamStore()
+    rnn = BiRNN(store, "r", 4, 7, cell, rng)
+    lengths, length = [6, 3, 1, 0], 6
+    mask = _lengths_mask(lengths, length)
+    x = rng.normal(size=(4, length, 4))
+    padded = mask == 0.0
+    x[padded] = rng.choice([-1e6, 1e6], size=(int(padded.sum()), 4))
+    x = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = rnn(x, mask)
+        loss = sum_(mul(out, Tensor(rng.normal(size=out.shape))))
+    backward(tape, loss)
+    n = rnn.fwd.hidden_dim
+    assert np.isfinite(out.data).all()
+    for i, real in enumerate(lengths):
+        last = out.data[i, real - 1, :n] if real else np.zeros(n)
+        for t in range(real, length):
+            np.testing.assert_array_equal(out.data[i, t, :n], last)
+            np.testing.assert_array_equal(out.data[i, t, n:], np.zeros(7 - n))
+    np.testing.assert_array_equal(x.grad[padded], np.zeros((int(padded.sum()), 4)))
+    assert np.abs(x.grad[~padded]).max() > 0.0
+
+
 # ---------------------------------------------------------------------------
 # hand-written ops against their tape-composed references
 
