@@ -44,19 +44,22 @@ class PointerLayer:
 
 def span_loss(start_logits: Tensor, end_logits: Tensor, y1, y2, lengths) -> Tensor:
     """Mean over the batch of -(log p1[y1] + log p2[y2]), in log space.
-    Logits are (batch, len); each span must end before its example's length."""
+    Logits are (batch, len), and ``y1``, ``y2`` and ``lengths`` hold one
+    entry per row; each span must end before its example's length."""
     if start_logits.ndim != 2:
         raise ContractError(f"span loss expects (batch, len) logits, got shape {start_logits.shape}")
     if start_logits.shape != end_logits.shape:
         raise ContractError(
             f"start/end logits differ in shape: {start_logits.shape} vs {end_logits.shape}")
-    y1 = np.atleast_1d(np.asarray(y1, dtype=np.int64))
-    y2 = np.atleast_1d(np.asarray(y2, dtype=np.int64))
-    limit = np.asarray(lengths, dtype=np.int64)
-    for i in range(start_logits.shape[0]):
-        if not (0 <= y1[i] <= y2[i] < limit[i]):
-            raise DataError(
-                f"example {i}: invalid span ({y1[i]}, {y2[i]}) for length {limit[i]}")
+    batch = start_logits.shape[0]
+    y1, y2, limit = (np.asarray(a, dtype=np.int64) for a in (y1, y2, lengths))
+    for name, a in (("y1", y1), ("y2", y2), ("lengths", limit)):
+        if a.shape != (batch,):
+            raise ContractError(f"span loss: {name} has shape {a.shape}, want ({batch},)")
+    bad = np.flatnonzero((y1 < 0) | (y1 > y2) | (y2 >= limit))
+    if bad.size:
+        i = bad[0]
+        raise DataError(f"example {i}: invalid span ({y1[i]}, {y2[i]}) for length {limit[i]}")
     lp1 = pick(log_softmax(start_logits, -1), y1)
     lp2 = pick(log_softmax(end_logits, -1), y2)
     return mul(sum_(add(lp1, lp2)), -1.0 / start_logits.shape[0])

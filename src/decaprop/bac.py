@@ -8,29 +8,31 @@ what gets propagated between layers, so connector cost stays negligible
 next to the encoders.  Every attention call takes the (batch, len) mask of
 its keys; padded keys get no weight.
 
-With FM scorers a connector call is one tape record with a closed-form
-backward.  The forward runs the projections, the affinity, both masked
-softmaxes, the attended rows and the FM compression; the record keeps only
-references to p and q, the attention weights and each kernel's tables, and
-its backward recomputes the projections, the attended rows and each
-kernel's [xV | x·w] (recompute for memory, as in Chen et al. 2016).  The
-scores are laid out (batch, lq, lp): the softmax over the question keys
-reduces along axis 1, a few contiguous rows, and the one over the passage
-keys along the contiguous last axis.  The two-sided call outputs both
+With FM scorers a connector call is one tape record (``_connector``), and
+each gated block of the core attends, gates and multiplies in one record
+(``gated_attend``).  Both attention mechanisms project p and q with one
+shared ReLU layer and score them by scaled dot product: ``_scores`` and
+``_scores_backward`` hold that math, with the scores laid out (batch, lq,
+lp), so a softmax over the question keys reduces along axis 1 and one over
+the passage keys along the contiguous last axis.  Each record keeps only
+its attention weights (and the connector its FM tables, the gate q W2 and
+its sigmoid) and recomputes the projections in its backward (recompute for
+memory, as in Chen et al. 2016); the connector also recomputes the attended
+rows and each kernel's [xV | x·w].  The two-sided connector outputs both
 sides' triples as one (..., lp + lq, 3) array, which two ``narrow``s hand
-out.  The ``linear`` and ``nonlinear`` stand-ins run the taped composition
-(``affinity``, ``attend``, ``compress``), which is also the connector
-record's reference in the tests.
+out.
 
 An FM scores each column block of its input with one GEMM against [V | w]
 and its squared term with one GEMV, x² times the row sums of V²;
 ``FMKernel.scores`` and ``FMKernel.backward`` hold that math for the
-kernel's own record and for the connector's, from tables built once per
-call.  ``attention_weights`` and ``attention_weights_backward`` are the one
-masked softmax, which ``attend``, the connector and the gated blocks'
-record (``decacore.gated_attend``) share.  The tests hold each op against a
-taped composition as reference, to within 1e-12 relative; ``affinity`` and
-``attend`` round exactly like theirs.
+connector record, from tables built once per call.
+``attention_weights`` and ``attention_weights_backward`` are the one
+masked softmax of both records.
+
+``affinity``, ``attend``, ``compress`` and ``FMKernel.__call__`` are
+composed from taped ops: the ``linear`` and ``nonlinear`` stand-in scorers
+run them, and the tests hold both records against them to within 1e-12
+relative.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .numerics import (
-    NEG_INF, Dense, ParamStore, Tensor, _acc, _record, _unbroadcast, concat, glorot,
-    mul, narrow, sub, transpose_last,
+    NEG_INF, Dense, ParamStore, Tensor, _acc, _record, add, concat, glorot, logistic,
+    matmul, mul, narrow, softmax, sub, sum_, transpose_last,
 )
 
 
@@ -149,23 +151,14 @@ class FMKernel:
         _acc(self.w0, dw0)
 
     def __call__(self, x: Tensor) -> Tensor:
-        """Scores (..., n) -> (..., 1) as one tape record, from ``scores``
-        and ``backward`` on the rows of x as one block."""
+        """Scores (..., n) -> (..., 1), composed from taped ops."""
         if x.ndim < 2 or x.shape[-1] != self.input_dim:
             raise ContractError(f"fm kernel expects width {self.input_dim}, got shape {x.shape}")
-        n = self.input_dim
-        tables = self.tables()
-        y, xvw = self.scores([x.data.reshape(-1, n)], tables)
-        out = Tensor(y.reshape(x.shape[:-1] + (1,)))
-
-        def bw():
-            g = out.grad.reshape(-1, 1)
-            d_vw, dxs = self.backward([x.data.reshape(-1, n)], xvw, g, tables)
-            self.accumulate(d_vw, g.sum(axis=0))
-            _acc(x, dxs[0].reshape(x.shape))
-
-        _record((x, self.w0, self.w, self.v), out, bw)
-        return out
+        linear = matmul(x, self.w)
+        xv = matmul(x, self.v)
+        x2v2 = matmul(mul(x, x), mul(self.v, self.v))
+        pair = sub(sum_(mul(xv, xv), axis=-1, keepdims=True), sum_(x2v2, axis=-1, keepdims=True))
+        return add(add(self.w0, linear), mul(pair, 0.5))
 
 
 class MLPScorer:
@@ -246,41 +239,78 @@ def _fm_compress_backward(kernels: tuple, tables: list, a: np.ndarray, o: np.nda
     return da, do
 
 
+def _scores(proj: Dense, pd: np.ndarray, qd: np.ndarray) -> np.ndarray:
+    """The scores E = s fq fpᵀ, (batch, lq, lp), of the rows pd, (batch, lp,
+    d), and qd, (batch, lq, d), with fp, fq their ReLU projections by
+    ``proj`` and s = 1/√d."""
+    batch, lp, d = pd.shape
+    fp = proj.rows(pd).reshape(batch, lp, d)
+    e = proj.rows(qd).reshape(batch, -1, d) @ np.swapaxes(fp, -1, -2)
+    e *= 1.0 / np.sqrt(d)
+    return e
+
+
+def _scores_backward(proj: Dense, pd: np.ndarray, qd: np.ndarray,
+                     de: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The backward of ``_scores`` for the scores' gradient ``de``, which it
+    scales in place: accumulates the projection's gradients and returns
+    those of the rows, (batch·lp, d) and (batch·lq, d).  The projections
+    are recomputed; with dfp = s dEᵀ fq and dfq = s dE fp masked by the
+    ReLU, dW = pᵀ dfp + qᵀ dfq and the rows get dfp Wᵀ and dfq Wᵀ."""
+    batch, lp, d = pd.shape
+    de *= 1.0 / np.sqrt(d)
+    fp, fq = proj.rows(pd), proj.rows(qd)
+    dfp = (np.swapaxes(de, -1, -2) @ fq.reshape(batch, -1, d)).reshape(-1, d)
+    dfq = (de @ fp.reshape(batch, lp, d)).reshape(-1, d)
+    dfp *= fp > 0.0
+    dfq *= fq > 0.0
+    del fp, fq
+    dw = pd.reshape(-1, d).T @ dfp
+    dw += qd.reshape(-1, d).T @ dfq
+    _acc(proj.w, dw)
+    _acc(proj.b, dfp.sum(axis=0) + dfq.sum(axis=0))
+    w_t = proj.w.data.T
+    return dfp @ w_t, dfq @ w_t
+
+
+def _rows_of(p: Tensor, q: Tensor, width: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """p and q as (batch, lp, d) and (batch, lq, d) arrays, or None if they
+    are not two sets of rows of ``width`` over the same leading axes."""
+    if (p.ndim < 2 or q.ndim != p.ndim or p.shape[:-2] != q.shape[:-2]
+            or p.shape[-1] != width or q.shape[-1] != width):
+        return None
+    return p.data.reshape(-1, p.shape[-2], width), q.data.reshape(-1, q.shape[-2], width)
+
+
 def _connector(bac: "BAC", p: Tensor, q: Tensor, p_mask: np.ndarray | None,
                q_mask: np.ndarray) -> Tensor:
     """One FM connector call as one tape record: (..., lp + lq, 3), the
     passage side's triples then the question side's, or with no ``p_mask``
     the passage side's alone, (..., lp, 3).
 
-    With fp, fq the projected rows and s = 1/√d, the scores are
-    E = s fq fpᵀ, (batch, lq, lp); the passage rows attend with
+    With E the scores (``_scores``), the passage rows attend with
     A = softmax over axis 1 and the question rows with B = softmax over the
     last axis, each under its keys' mask.  The attended rows Aᵀq and B p are
     compressed against p and q.  The record keeps A and B and the FM tables.
     Its backward recomputes Aᵀq and B p and, with da, db their gradients
     from the compression backward: dq += A da, dp += Bᵀ db, and the weights'
-    gradients q daᵀ and db pᵀ meet the softmax backward in dE; then
-    dfp = s dEᵀ fq and dfq = s dE fp go through the recomputed ReLU
-    projections into dW, db and the inputs."""
+    gradients q daᵀ and db pᵀ meet the softmax backward in dE, which
+    ``_scores_backward`` takes through the projection to the rows."""
     two = p_mask is not None
     proj = bac.proj
     d = proj.d_in
-    if (p.ndim < 2 or q.ndim != p.ndim or p.shape[:-2] != q.shape[:-2]
-            or p.shape[-1] != d or q.shape[-1] != d or np.shape(q_mask) != q.shape[:-1]
+    rows = _rows_of(p, q, d)
+    if (rows is None or np.shape(q_mask) != q.shape[:-1]
             or (two and np.shape(p_mask) != p.shape[:-1])):
         raise ContractError(f"connector of width {d}: p {p.shape}, q {q.shape} and their "
                             "masks do not fit")
-    lp, lq = p.shape[-2], q.shape[-2]
-    pd, qd = p.data.reshape(-1, lp, d), q.data.reshape(-1, lq, d)
-    batch = pd.shape[0]
+    pd, qd = rows
+    batch, lp, _ = pd.shape
+    lq = qd.shape[1]
     kernels = (bac.g_cat, bac.g_sub, bac.g_mul)
     tables = [k.tables() for k in kernels]
-    scale = 1.0 / np.sqrt(d)
 
-    fp = proj.rows(pd).reshape(batch, lp, d)
-    e = proj.rows(qd).reshape(-1, lq, d) @ np.swapaxes(fp, -1, -2)
-    e *= scale
-    del fp
+    e = _scores(proj, pd, qd)
     att_p = attention_weights(e, np.reshape(q_mask, (batch, lq)), axis=-2)
     att_q = attention_weights(e, np.reshape(p_mask, (batch, lp))) if two else None
     del e
@@ -307,24 +337,14 @@ def _connector(bac: "BAC", p: Tensor, q: Tensor, p_mask: np.ndarray | None,
                 dp += (np.swapaxes(att_q, -1, -2) @ db).reshape(-1, d)
             de += attention_weights_backward(db @ np.swapaxes(pd, -1, -2), att_q)
             del db
-        de *= scale
-        fp, fq = proj.rows(pd), proj.rows(qd)
-        dfp = (np.swapaxes(de, -1, -2) @ fq.reshape(batch, lq, d)).reshape(-1, d)
-        dfq = (de @ fp.reshape(batch, lp, d)).reshape(-1, d)
+        dp_e, dq_e = _scores_backward(proj, pd, qd, de)
         del de
-        dfp *= fp > 0.0
-        dfq *= fq > 0.0
-        del fp, fq
-        dw = pd.reshape(-1, d).T @ dfp
-        dw += qd.reshape(-1, d).T @ dfq
-        _acc(proj.w, dw)
-        _acc(proj.b, dfp.sum(axis=0) + dfq.sum(axis=0))
         if p.requires_grad:
-            dp += dfp @ proj.w.data.T
+            dp += dp_e
             _acc(p, dp.reshape(p.shape))
         if q.requires_grad:
             dq = dq.reshape(-1, d)
-            dq += dfq @ proj.w.data.T
+            dq += dq_e
             _acc(q, dq.reshape(q.shape))
 
     params = (proj.w, proj.b) + tuple(t for k in kernels for t in (k.w0, k.w, k.v))
@@ -332,25 +352,77 @@ def _connector(bac: "BAC", p: Tensor, q: Tensor, p_mask: np.ndarray | None,
     return out
 
 
-def affinity(fp: Tensor, fq: Tensor) -> Tensor:
-    """Scaled dot product of every pair of already-projected rows, (..., lp, lq),
-    as one tape record."""
-    if fp.ndim < 2 or fq.ndim < 2 or fp.shape[-1] != fq.shape[-1]:
-        raise ContractError(f"affinity needs rows of one width, got {fp.shape} and {fq.shape}")
-    scale = 1.0 / np.sqrt(fp.shape[-1])
-    e = fp.data @ np.swapaxes(fq.data, -1, -2)
-    e *= scale
-    out = Tensor(e)
+def gated_attend(p: Tensor, q: Tensor, q_mask: np.ndarray, proj: Dense, gate: Dense) -> Tensor:
+    """The p rows gated by what they attend to, as one tape record:
+    y ⊙ p with y = sigmoid([p; A q] W + b), where A is the masked softmax
+    over the q rows of the scores of p and q under the ReLU projection
+    ``proj`` (``_scores``), and W, b are the sigmoid ``gate``'s weights.
+
+    With W1, W2 the rows of W that meet p and A q, the gate's
+    pre-activation is computed as p W1 + A (q W2) + b, so neither the
+    attended rows A q nor the [p; A q] concat is built.  The record keeps
+    A, laid out (batch, lq, lp) like the scores, q W2 and y; its backward
+    recomputes the projections.  With G the upstream gradient and
+    gz = G ⊙ p ⊙ y (1 - y): dW1 = pᵀ gz, dW2 = qᵀ (Aᵀ gz), db = Σ gz,
+    dp = gz W1ᵀ + G ⊙ y, dq = (Aᵀ gz) W2ᵀ and dA = gz (q W2)ᵀ, which the
+    softmax backward turns into dE for ``_scores_backward``.
+    """
+    d = p.shape[-1]
+    w, b = gate.w, gate.b
+    rows = _rows_of(p, q, d)
+    if (rows is None or np.shape(q_mask) != q.shape[:-1] or proj.w.shape != (d, d)
+            or w.shape != (2 * d, d)):
+        raise ContractError(f"gated_attend: p {p.shape}, q {q.shape} and the q mask do not fit "
+                            f"a projection of shape {proj.w.shape} and a gate of shape {w.shape}")
+    pd, qd = rows
+    batch, lp, _ = pd.shape
+    lq = qd.shape[1]
+    w1, w2 = w.data[:d], w.data[d:]
+    a = attention_weights(_scores(proj, pd, qd), np.reshape(q_mask, (batch, lq)), axis=-2)
+    qw = (qd.reshape(-1, d) @ w2).reshape(batch, lq, d)
+    y = pd.reshape(-1, d) @ w1
+    y += (np.swapaxes(a, -1, -2) @ qw).reshape(-1, d)
+    y += b.data
+    y = logistic(y, out=y).reshape(p.shape)
+    out = Tensor(y * p.data)
 
     def bw():
-        g = out.grad * scale
-        if fp.requires_grad:
-            _acc(fp, _unbroadcast(g @ fq.data, fp.shape))
-        if fq.requires_grad:
-            _acc(fq, _unbroadcast(np.swapaxes(g, -1, -2) @ fp.data, fq.shape))
+        g = out.grad
+        gz = g * p.data
+        gz *= y
+        gz *= 1.0 - y
+        gz = gz.reshape(batch, lp, d)
+        dqw = a @ gz
+        gz_rows = gz.reshape(-1, d)
+        dw = np.empty_like(w.data)
+        np.matmul(pd.reshape(-1, d).T, gz_rows, out=dw[:d])
+        np.matmul(qd.reshape(-1, d).T, dqw.reshape(-1, d), out=dw[d:])
+        _acc(w, dw)
+        _acc(b, gz_rows.sum(axis=0))
+        dp = gz_rows @ w1.T
+        dp += (g * y).reshape(-1, d)
+        dq = dqw.reshape(-1, d) @ w2.T
+        de = attention_weights_backward(qw @ np.swapaxes(gz, -1, -2), a, axis=-2)
+        del gz, gz_rows, dqw
+        dp_e, dq_e = _scores_backward(proj, pd, qd, de)
+        del de
+        if p.requires_grad:
+            dp += dp_e
+            _acc(p, dp.reshape(p.shape))
+        if q.requires_grad:
+            dq += dq_e
+            _acc(q, dq.reshape(q.shape))
 
-    _record((fp, fq), out, bw)
+    _record((p, q, proj.w, proj.b, w, b), out, bw)
     return out
+
+
+def affinity(fp: Tensor, fq: Tensor) -> Tensor:
+    """Scaled dot product of every pair of already-projected rows, (..., lp, lq),
+    composed from taped ops."""
+    if fp.ndim < 2 or fq.ndim < 2 or fp.shape[-1] != fq.shape[-1]:
+        raise ContractError(f"affinity needs rows of one width, got {fp.shape} and {fq.shape}")
+    return mul(matmul(fp, transpose_last(fq)), 1.0 / np.sqrt(fp.shape[-1]))
 
 
 def attention_weights(e: np.ndarray, mask: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -378,27 +450,12 @@ def attention_weights_backward(gy: np.ndarray, y: np.ndarray, axis: int = -1) ->
 
 def attend(e: Tensor, values: Tensor, mask: np.ndarray) -> Tensor:
     """Masked softmax of ``e`` over its last axis, then the weighted sum of
-    ``values`` rows; ``mask`` (..., lk) zeroes the weight of padded keys.
-
-    One tape record, whose backward keeps the weights y
-    (``attention_weights``): dvalues = yᵀ g and de = y ⊙ (gy - Σ gy ⊙ y)
-    with gy = g valuesᵀ.
-    """
+    ``values`` rows, composed from taped ops; ``mask`` (..., lk) zeroes the
+    weight of padded keys."""
     if values.ndim < 2 or e.shape[-1] != values.shape[-2]:
         raise ContractError(f"attend: weights over {e.shape[-1]} keys, values shape {values.shape}")
-    y = attention_weights(e.data, mask)
-    out = Tensor(y @ values.data)
-
-    def bw():
-        g = out.grad
-        if values.requires_grad:
-            _acc(values, _unbroadcast(np.swapaxes(y, -1, -2) @ g, values.shape))
-        if e.requires_grad:
-            gy = g @ np.swapaxes(values.data, -1, -2)
-            _acc(e, _unbroadcast(attention_weights_backward(gy, y), e.shape))
-
-    _record((e, values), out, bw)
-    return out
+    penalty = (1.0 - np.asarray(mask, dtype=np.float64)[..., None, :]) * NEG_INF
+    return matmul(softmax(add(e, Tensor(penalty)), -1), values)
 
 
 class BAC:

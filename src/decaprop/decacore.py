@@ -4,76 +4,22 @@ bank of one-sided connectors back into every encoder hierarchy.
 Both gated blocks share one shape: project, align with scaled dot-product
 attention, sigmoid-gate the original rows, and re-encode with a BiRNN.  The
 self block is the same computation with the passage playing both roles and
-no diagonal masking.  Attend, gate and multiply are one tape record
-(``gated_attend``) with a closed-form backward.  It splits the gate's weight
-into the rows that meet p and those that meet the attended rows A q, and
-computes the pre-activation as p W1 + A (q W2) + b, so the attended rows
-and the [p; A q] concat are never built.  The dense bank compresses (U^j vs
-question layer k) for j in {1,2} and every k, appending 3 scalars per
-connector to U^2.  Dropout runs when the call is given an ``rng``.
+no diagonal masking.  Projection, attention, gate and multiply are one tape
+record, ``bac.gated_attend``, beside the connector record whose projection
+and scores it shares.  The dense bank compresses (U^j vs question layer k)
+for j in {1,2} and every k, appending 3 scalars per connector to U^2.
+Dropout runs when the call is given an ``rng``.  This module only wires
+blocks together; it makes no tape record of its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bac import BAC, affinity, attend, attention_weights, attention_weights_backward
+from .bac import BAC, gated_attend
 from .errors import ConfigError, ContractError
-from .numerics import Dense, ParamStore, Tensor, _acc, _record, concat, logistic
+from .numerics import Dense, ParamStore, Tensor, concat
 from .recurrent import BiRNN, variational_dropout
-
-
-def gated_attend(e: Tensor, p: Tensor, q: Tensor, q_mask: np.ndarray, gate: Dense) -> Tensor:
-    """The p rows gated by what they attend to, as one tape record:
-    y ⊙ p with y = sigmoid([p; A q] W + b), A the masked softmax of the
-    scores ``e`` over the q rows and W, b the sigmoid ``gate``'s weights.
-
-    With W1, W2 the rows of W that meet p and A q, the gate's
-    pre-activation is computed as p W1 + A (q W2) + b, so neither the
-    attended rows A q nor the [p; A q] concat is built.  The record keeps
-    A, q W2 and y.  With G the upstream gradient and gz = G ⊙ p ⊙ y (1 - y):
-    dW1 = pᵀ gz, dW2 = qᵀ (Aᵀ gz), db = Σ gz, dp = gz W1ᵀ + G ⊙ y,
-    dq = (Aᵀ gz) W2ᵀ and dA = gz (q W2)ᵀ, which the softmax backward turns
-    into de.
-    """
-    d = p.shape[-1]
-    w, b = gate.w, gate.b
-    if w.shape != (2 * d, d) or q.shape[-1] != d or e.shape != p.shape[:-1] + q.shape[-2:-1]:
-        raise ContractError(f"gated_attend: scores {e.shape}, p {p.shape} and q {q.shape} "
-                            f"do not fit a gate of shape {w.shape}")
-    w1, w2 = w.data[:d], w.data[d:]
-    a = attention_weights(e.data, q_mask)
-    qw = (q.data.reshape(-1, d) @ w2).reshape(q.shape)
-    y = p.data.reshape(-1, d) @ w1
-    y += (a @ qw).reshape(-1, d)
-    y += b.data
-    y = logistic(y, out=y).reshape(p.shape)
-    out = Tensor(y * p.data)
-
-    def bw():
-        g = out.grad
-        gz = g * p.data
-        gz *= y
-        gz *= 1.0 - y
-        dqw = np.swapaxes(a, -1, -2) @ gz
-        gz_rows = gz.reshape(-1, d)
-        dw = np.empty_like(w.data)
-        np.matmul(p.data.reshape(-1, d).T, gz_rows, out=dw[:d])
-        np.matmul(q.data.reshape(-1, d).T, dqw.reshape(-1, d), out=dw[d:])
-        _acc(w, dw)
-        _acc(b, gz_rows.sum(axis=0))
-        if p.requires_grad:
-            dp = (gz_rows @ w1.T).reshape(p.shape)
-            dp += g * y
-            _acc(p, dp)
-        if q.requires_grad:
-            _acc(q, (dqw.reshape(-1, d) @ w2.T).reshape(q.shape))
-        if e.requires_grad:
-            da = gz @ np.swapaxes(qw, -1, -2)
-            _acc(e, attention_weights_backward(da, a))
-
-    _record((e, p, q, w, b), out, bw)
-    return out
 
 
 class GatedAttention:
@@ -90,17 +36,11 @@ class GatedAttention:
             self.gate = Dense(store, f"{name}.gate", 2 * dim, dim, "sigmoid", rng)
         self.rnn = BiRNN(store, f"{name}.rnn", dim, hidden, cell, rng)
 
-    def alignment(self, p: Tensor, q: Tensor, q_mask: np.ndarray) -> Tensor:
-        """The q rows each p position attends to: (..., lp, width)."""
-        if not self.gated:
-            raise ContractError("alignment is undefined for an ungated block")
-        return attend(affinity(self.proj(p), self.proj(q)), q, q_mask)
-
     def __call__(self, p: Tensor, q: Tensor, p_mask: np.ndarray, q_mask: np.ndarray,
                  rng: np.random.Generator | None = None) -> Tensor:
         """Gated p rows re-encoded; with ``rng`` they get dropout first."""
         if self.gated:
-            p = gated_attend(affinity(self.proj(p), self.proj(q)), p, q, q_mask, self.gate)
+            p = gated_attend(p, q, q_mask, self.proj, self.gate)
         p = variational_dropout(p, self.dropout, rng)
         return self.rnn(p, p_mask)
 

@@ -14,7 +14,9 @@ that row and the parameters.  So the char work is done once per spelling:
 ``Featurizer`` looks char rows up in a table with one row per vocabulary id
 (only UNK positions spell their token out), and ``InputEncoder`` runs the
 char BiRNN once per distinct row of the batch and gathers the states back to
-the positions.
+the positions.  A char id is never 0 at a real character, so a row's char
+mask is ``ids != 0``; no batch carries it as a second array that could
+contradict the ids.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .numerics import ParamStore, Tensor, concat, embedding_init, gather_rows
 from .recurrent import BiRNN
 
@@ -111,15 +113,15 @@ class Featurizer:
         self.max_word_len = max_word_len
         self.char_table = np.zeros((len(vocab), max_word_len), dtype=np.int64)
         for row, token in zip(self.char_table, vocab.tokens):
-            row[:] = self.char_ids(token)[0]
+            row[:] = self.char_ids(token)
 
-    def char_ids(self, token: str) -> tuple[np.ndarray, np.ndarray]:
+    def char_ids(self, token: str) -> np.ndarray:
+        """The char ids of ``token``, truncated to ``max_word_len`` and padded
+        with 0."""
         ids = np.zeros(self.max_word_len, dtype=np.int64)
-        mask = np.zeros(self.max_word_len)
         for i, ch in enumerate(token[: self.max_word_len]):
             ids[i] = self.char_vocab.encode(ch)
-            mask[i] = 1.0
-        return ids, mask
+        return ids
 
     def side(self, tokens: list[str], lower: list[str], other_lower: list[str]) -> dict:
         """One side's features from its tokens, the same tokens lowercased,
@@ -127,11 +129,10 @@ class Featurizer:
         word = self.vocab.encode_all(tokens)
         chars = self.char_table[word]
         for i in np.flatnonzero(word == 1):
-            chars[i] = self.char_ids(tokens[i])[0]
+            chars[i] = self.char_ids(tokens[i])
         return {
             "word": word,
             "chars": chars,
-            "char_mask": (chars != 0).astype(np.float64),
             "match": _match(lower, other_lower),
             "freq": _frequency(lower),
         }
@@ -204,19 +205,14 @@ class InputEncoder:
         lq = batch["q_word"].shape[1]
         wl = batch["p_chars"].shape[-1]
 
-        # one char-RNN run over the distinct (ids, mask) rows of both sides;
-        # gather_rows' scatter-add backward sums the repeats' gradients
+        # one char-RNN run over the distinct char-id rows of both sides, each
+        # masked where its ids are 0; gather_rows' scatter-add backward sums
+        # the repeats' gradients
         all_ids = np.concatenate(
             [batch["p_chars"].reshape(-1, wl), batch["q_chars"].reshape(-1, wl)])
-        all_mask = np.concatenate(
-            [batch["p_char_mask"].reshape(-1, wl), batch["q_char_mask"].reshape(-1, wl)])
-        # the key 2*id + mask tells rows apart only for 0/1 masks, and the
-        # char RNN then sees only the distinct rows' masks
-        if ((all_mask != 0.0) & (all_mask != 1.0)).any():
-            raise ContractError("char mask must hold only 0/1 values")
-        first, inv = distinct_rows(2 * all_ids + (all_mask != 0))
-        ch = self.char_rnn.final_states(gather_rows(self.char_emb, all_ids[first]),
-                                        all_mask[first])
+        first, inv = distinct_rows(all_ids)
+        ids = all_ids[first]
+        ch = self.char_rnn.final_states(gather_rows(self.char_emb, ids), ids != 0)
         ch_p = gather_rows(ch, inv[:bsz * lp].reshape(bsz, lp))
         ch_q = gather_rows(ch, inv[bsz * lp:].reshape(bsz, lq))
 

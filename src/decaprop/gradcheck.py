@@ -28,6 +28,8 @@ def _rng(seed: int, tag: int) -> np.random.Generator:
 
 
 def _scenario_dense(seed: int):
+    # Dense, composed from taped ops; the model's ReLU projections run
+    # inside the connector and gated-attention records (bac._scores)
     rng = _rng(seed, 1)
     store = ParamStore()
     layer = Dense(store, "dense", 5, 4, "relu", rng)
@@ -41,7 +43,10 @@ def _scenario_dense(seed: int):
 
 def _scenario_softmax(seed: int):
     # bac.attend with one query row per example and the coefficients as its
-    # value column: the masked softmax the model runs, and its matmul
+    # value column: the taped masked softmax and matmul of the stand-in
+    # connectors.  The model's records run the same softmax in closed form
+    # (bac.attention_weights); the bac_* and gated_attention scenarios
+    # check it there
     rng = _rng(seed, 2)
     store = ParamStore()
     w = store.register("w", rng.normal(0.0, 0.5, size=(3, 1, 6)))
@@ -87,6 +92,9 @@ def _birnn_scenario(cell: str, seed: int, tag: int):
 
 
 def _scenario_fm(seed: int):
+    # FMKernel.__call__, composed from taped ops; the model's FM scoring runs
+    # inside the connector record (FMKernel.scores), which the bac_* scenarios
+    # check
     rng = _rng(seed, 6)
     store = ParamStore()
     kernel = FMKernel(store, "fm", 6, 3, rng)

@@ -465,11 +465,11 @@ class ParamStore:
             p.data[...] = arr
 
 
-_ACTIVATIONS = ("none", "relu", "sigmoid")
+_ACTIVATIONS = {"none": lambda y: y, "relu": relu, "sigmoid": sigmoid}
 
 
 class Dense:
-    """Affine map with an optional pointwise activation, as one tape record."""
+    """Affine map with an optional pointwise activation."""
 
     def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int,
                  activation: str, rng: np.random.Generator):
@@ -494,30 +494,12 @@ class Dense:
         return y
 
     def __call__(self, x: Tensor) -> Tensor:
-        """y = act(x W + b) as one tape record (``rows``).  The backward
-        keeps only y and x: with g the upstream gradient times act'(y)
-        (1[y > 0] or y (1 - y)), dW = Xᵀg, db = Σ g and dx = g Wᵀ."""
+        """y = act(x W + b), composed from taped ops."""
         x = _ensure(x)
         if x.ndim < 2 or x.shape[-1] != self.d_in:
             raise ContractError(
                 f"dense {self.name!r}: input shape {x.shape} incompatible with weight shape {self.w.shape}")
-        w, b, activation = self.w, self.b, self.activation
-        y = self.rows(x.data)
-        out = Tensor(y.reshape(x.shape[:-1] + (self.d_out,)))
-
-        def bw():
-            g = out.grad.reshape(-1, self.d_out)
-            if activation == "relu":
-                g = g * (y > 0.0)
-            elif activation == "sigmoid":
-                g = g * y * (1.0 - y)
-            _acc(w, x.data.reshape(-1, self.d_in).T @ g)
-            _acc(b, g.sum(axis=0))
-            if x.requires_grad:
-                _acc(x, (g @ w.data.T).reshape(x.shape))
-
-        _record((x, w, b), out, bw)
-        return out
+        return _ACTIVATIONS[self.activation](add(matmul(x, self.w), self.b))
 
 
 # ---------------------------------------------------------------------------

@@ -125,8 +125,8 @@ class GRUCell:
         """Backpropagation through ``scan``: the gradients of the projected
         input, (batch, len, 2, 3, h), and of the recurrent rows, (2, h, 3h),
         as ``scan`` took them (scaled), given ``g``, the gradient of the
-        state after every step, batch-major (batch, len, 2, h), or after the
-        last step alone, (2, batch, h).
+        state after every step, time-major as ``scan``'s states (len, 2,
+        batch, h), or after the last step alone, (2, batch, h).
 
         It runs once per forward, as ``Tape.backward`` does: it overwrites
         the saved activations and returns its input gradients in their buffer.
@@ -156,8 +156,6 @@ class GRUCell:
         k_z *= keep
         u_zr_t, u_h_t = _rows_t(u[:2]), _rows_t(u[2:])
         per_step = g.ndim == 4
-        if per_step:
-            g = _time_major(g)
         dh = np.zeros(g.shape[1:]) if per_step else g.copy()
         d_rh, tmp = np.empty_like(dh), np.empty_like(dh)
         da_zr = np.empty((2, batch, 2, n))
@@ -286,8 +284,6 @@ class LSTMCell:
         mask = _wide(mask, n)
         u_t = _rows_t(u)
         per_step = g.ndim == 4
-        if per_step:
-            g = _time_major(g)
         dh = np.zeros(g.shape[1:]) if per_step else g.copy()
         dc, dhn, dcn, d_next = (np.zeros_like(dh) for _ in range(4))
         da_t = np.empty((2, batch, 4, n))
@@ -473,8 +469,7 @@ def _birnn(rnn: BiRNN, x: Tensor, mask: np.ndarray, last_only: bool) -> Tensor:
     out = Tensor(_join(hs[-1].transpose(1, 0, 2) if last_only else _batch_major(hs[1:]), h_b))
 
     def bw():
-        g = _split(out.grad, n)
-        dproj, du = rnn.fwd.bptt(saved, u, g.transpose(1, 0, 2) if last_only else g)
+        dproj, du = rnn.fwd.bptt(saved, u, _take_grad(out, n, last_only))
         flat = dproj.reshape(batch * length, -1)
         if x.requires_grad:
             _acc(x, (flat @ w_x.T).reshape(x.shape))
@@ -493,6 +488,15 @@ def _birnn(rnn: BiRNN, x: Tensor, mask: np.ndarray, last_only: bool) -> Tensor:
 
     _record((x, *weights, *biases), out, bw)
     return out
+
+
+def _take_grad(out: Tensor, n: int, last_only: bool) -> np.ndarray:
+    """The gradient of a BiRNN's output as ``bptt`` takes it, time-major,
+    taken off the output: the batch-major gradient is freed before ``bptt``
+    allocates its buffers, and ``bptt`` holds the only reference to the
+    time-major one, which it frees after its loop."""
+    g, out.grad = _split(out.grad, n), None
+    return g.transpose(1, 0, 2) if last_only else _time_major(g)
 
 
 def _join(states: np.ndarray, h_b: int) -> np.ndarray:

@@ -133,6 +133,28 @@ def test_span_loss_invalid_targets(y1, y2):
         span_loss(zeros, zeros, np.array([y1]), np.array([y2]), np.array([4]))
 
 
+@pytest.mark.parametrize("y1,y2,lengths", [
+    ([0], [0], [5, 5]),                    # fewer targets than rows
+    ([0, 1, 2], [0, 1, 2], [5, 5, 5]),     # more targets than rows
+    ([0, 1], [0, 1], [5]),                 # fewer lengths than rows
+    ([[0], [1]], [[0], [1]], [[5], [5]]),  # a column, not one entry per row
+    (0, 0, 5),                             # scalars
+], ids=["fewer_targets", "more_targets", "short_lengths", "column", "scalars"])
+def test_span_loss_needs_one_target_and_length_per_row(y1, y2, lengths):
+    """Targets and lengths of any other shape than (batch,) are a contract
+    error, not an IndexError or a silent broadcast."""
+    s = Tensor(np.zeros((2, 5)))
+    with pytest.raises(ContractError, match="span loss"):
+        span_loss(s, s, np.array(y1), np.array(y2), np.array(lengths))
+
+
+def test_span_loss_names_the_first_bad_example():
+    zeros = Tensor(np.zeros((4, 5)))
+    with pytest.raises(DataError, match="example 1: invalid span \\(3, 2\\) for length 5"):
+        span_loss(zeros, zeros, np.array([0, 3, 0, -1]), np.array([1, 2, 9, 0]),
+                  np.array([5, 5, 5, 5]))
+
+
 def test_span_loss_respects_true_lengths():
     zeros = Tensor(np.zeros((1, 6)))
     with pytest.raises(DataError):

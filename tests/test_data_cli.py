@@ -665,12 +665,23 @@ def test_cli_predict_into_a_closed_pipe(tmp_path, tiny_config):
     ["ablate", "--variant", "full", "--out", "{out}"],
 ], ids=["eval", "predict", "synth", "train", "train-checkpoint", "ablate"])
 def test_cli_output_path_in_missing_directory(tmp_path, tiny_config, capsys, argv):
+    """An output path in a missing directory, or one that is an existing
+    directory, fails before any work with one ``error:config:`` line.  An
+    unwritable directory is not among the inputs: it cannot be built when
+    the tests run as root."""
     out = tmp_path / "no-such-dir" / "out"
-    argv = [a.replace("{out}", str(out)) for a in argv] + ["--config", tiny_config]
-    assert cli.main(argv) == 1
+    assert cli.main([a.replace("{out}", str(out)) for a in argv] + ["--config", tiny_config]) == 1
     assert capsys.readouterr().err.startswith(
         f"error:config: cannot write {out}: directory {out.parent} does not exist")
     assert not out.parent.exists()
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    assert cli.main([a.replace("{out}", str(directory)) for a in argv]
+                    + ["--config", tiny_config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:config: cannot write {directory}: it is a directory")
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert not any(directory.iterdir())
 
 
 def test_cli_train_variant(tmp_path, tiny_config):

@@ -4,8 +4,8 @@ equivariance, connector bank accounting, and fused output widths."""
 import numpy as np
 import pytest
 
-from decaprop.bac import BAC, affinity, attend
-from decaprop.decacore import DecaCore, GatedAttention, gated_attend
+from decaprop.bac import BAC, affinity, attend, gated_attend
+from decaprop.decacore import DecaCore, GatedAttention
 from decaprop.errors import ContractError
 from decaprop.numerics import ParamStore, Tensor, grad_check, sum_
 
@@ -67,7 +67,7 @@ def test_gate_values_strictly_inside_unit_interval(rng):
     block, _ = build_block()
     p = Tensor(rng.normal(size=(1, 4, 6)))
     q = Tensor(rng.normal(size=(1, 3, 6)))
-    attended = block.alignment(p, q, real(q)).data
+    attended = attend(affinity(block.proj(p), block.proj(q)), q, real(q)).data
     gate = block.gate(Tensor(np.concatenate([p.data, attended], axis=-1)))
     assert np.all(gate.data > 0.0) and np.all(gate.data < 1.0)
 
@@ -94,18 +94,21 @@ def test_closed_gate_feeds_zeros(rng):
 
 
 def test_gated_attend_shape_contract(rng):
-    """Scores, rows and gate must fit one another: (..., lp, lq) scores,
-    p and q of the gate's width d, and a (2d, d) gate weight."""
+    """Rows, mask, projection and gate must fit one another: p and q of the
+    width d over the same batch, a (..., lq) mask, a (d, d) projection and
+    a (2d, d) gate weight."""
     block, _ = build_block()
+    wide, _ = build_block(dim=4)
     p = Tensor(rng.normal(size=(2, 5, 6)))
     q = Tensor(rng.normal(size=(2, 3, 6)))
-    for e, pp, qq in (((2, 5, 4), p, q),                               # lq mismatch
-                      ((2, 5, 3), Tensor(np.zeros((2, 5, 4))), q),     # p width
-                      ((2, 5, 3), p, Tensor(np.zeros((2, 3, 4))))):    # q width
+    for pp, qq, mask, proj in ((p, q, np.ones((2, 4)), block.proj),                 # lq mismatch
+                               (Tensor(np.zeros((2, 5, 4))), q, np.ones((2, 3)), block.proj),
+                               (p, Tensor(np.zeros((2, 3, 4))), np.ones((2, 3)), block.proj),
+                               (p, Tensor(np.zeros((1, 3, 6))), np.ones((1, 3)), block.proj),
+                               (p, q, np.ones((2, 3)), wide.proj)):                # projection
         with pytest.raises(ContractError):
-            gated_attend(Tensor(np.zeros(e)), pp, qq, np.ones((2, e[-1])), block.gate)
-    assert gated_attend(Tensor(np.zeros((2, 5, 3))), p, q, np.ones((2, 3)), block.gate).shape \
-        == p.shape
+            gated_attend(pp, qq, mask, proj, block.gate)
+    assert gated_attend(p, q, np.ones((2, 3)), block.proj, block.gate).shape == p.shape
 
 
 def test_ungated_block_skips_attention(rng):
@@ -115,8 +118,6 @@ def test_ungated_block_skips_attention(rng):
     q = Tensor(rng.normal(size=(1, 3, 6)))
     out = block(p, q, real(p), real(q))
     np.testing.assert_allclose(out.data, block.rnn(p, real(p)).data, atol=1e-15)
-    with pytest.raises(ContractError):
-        block.alignment(p, q, real(q))
 
 
 def test_self_attention_single_position_weight_is_one(rng):

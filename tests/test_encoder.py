@@ -9,7 +9,7 @@ import pytest
 from decaprop.data import TokenizedExample
 from decaprop.encoder import (Featurizer, InputEncoder, Vocab, binary_match, distinct_rows,
                               norm_frequency, random_embeddings)
-from decaprop.errors import ConfigError, ContractError
+from decaprop.errors import ConfigError
 from decaprop.numerics import (ParamStore, Tape, Tensor, add, backward, gather_rows, mul,
                                narrow, reshape, sum_)
 from decaprop.training import collate
@@ -159,15 +159,15 @@ def test_featurizer_side_shapes():
     side = fz.side(["the", "cat"], ["the", "cat"], ["cat"])
     assert side["word"].shape == (2,)
     assert side["chars"].shape == (2, 4)
-    assert side["char_mask"].shape == (2, 4)
+    assert "char_mask" not in side  # the encoder derives it from the ids
     np.testing.assert_allclose(side["match"], [0.0, 1.0])
 
 
 def test_featurizer_truncates_long_words():
     fz = Featurizer.build([example()], max_word_len=3)
-    ids, mask = fz.char_ids("elephant")
+    ids = fz.char_ids("elephant")
     assert ids.shape == (3,)
-    np.testing.assert_allclose(mask, np.ones(3))
+    assert (ids != 0).all()
 
 
 def test_featurizer_rejects_a_word_length_under_one():
@@ -180,10 +180,9 @@ def _per_token_chars(fz, tokens):
     """Char rows spelled out token by token with ``char_ids``: the reference
     for the featurizer's table lookup."""
     chars = np.zeros((len(tokens), fz.max_word_len), dtype=np.int64)
-    mask = np.zeros((len(tokens), fz.max_word_len))
     for i, t in enumerate(tokens):
-        chars[i], mask[i] = fz.char_ids(t)
-    return chars, mask
+        chars[i] = fz.char_ids(t)
+    return chars
 
 
 def test_char_table_matches_per_token_char_ids():
@@ -210,14 +209,12 @@ def test_char_table_matches_per_token_char_ids():
         tokens = [tokens[i] for i in order]
         side = fz.side(tokens, [t.lower() for t in tokens], known[:3])
         assert (side["word"] == 1).sum() >= 3 and (side["word"] > 1).sum() >= 2
-        chars, mask = _per_token_chars(fz, tokens)
-        for name, want in (("chars", chars), ("char_mask", mask)):
-            got = side[name]
-            assert got.dtype == want.dtype and got.shape == want.shape, name
-            assert got.tobytes() == want.tobytes(), name
+        want = _per_token_chars(fz, tokens)
+        got = side["chars"]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
     empty = fz.side([], [], known[:1])
     assert empty["chars"].shape == (0, 6) and empty["chars"].dtype == np.int64
-    assert empty["char_mask"].shape == (0, 6) and empty["char_mask"].dtype == np.float64
 
 
 def test_featurizer_example_targets():
@@ -312,14 +309,12 @@ def test_distinct_rows_round_trips():
 
 def _per_position_char_states(enc, batch):
     """The char BiRNN run at every position of both sides: the reference for
-    the encoder's one run per distinct (ids, mask) row."""
+    the encoder's one run per distinct row of char ids."""
     bsz, lp = batch["p_word"].shape
     lq = batch["q_word"].shape[1]
     wl = batch["p_chars"].shape[-1]
     ids = np.concatenate([batch["p_chars"].reshape(-1, wl), batch["q_chars"].reshape(-1, wl)])
-    mask = np.concatenate([batch["p_char_mask"].reshape(-1, wl),
-                           batch["q_char_mask"].reshape(-1, wl)])
-    ch = enc.char_rnn.final_states(gather_rows(enc.char_emb, ids), mask)
+    ch = enc.char_rnn.final_states(gather_rows(enc.char_emb, ids), ids != 0)
     return (reshape(narrow(ch, 0, 0, bsz * lp), (bsz, lp, enc.char_hidden)),
             reshape(narrow(ch, 0, bsz * lp, bsz * lq), (bsz, lq, enc.char_hidden)))
 
@@ -335,23 +330,13 @@ def _char_batch(case):
     batch = collate([fz.example(ex)])
     if case == "batch_of_one":
         return batch
-    if case == "all_masked_row":
-        # a real position whose char row is all masked, beside padding-free rows
-        batch["p_chars"][0, 2] = 0
-        batch["p_char_mask"][0, 2] = 0.0
-        return batch
-    # hand-built: the ids of "the" under three masks, one of them all zero,
-    # so equal ids must not merge rows whose masks differ
-    assert case == "one_spelling_two_masks"
-    ids = batch["p_chars"][0, 0].copy()
-    for pos, kept in ((4, 3), (1, 2), (3, 0)):
-        batch["p_chars"][0, pos] = ids
-        batch["p_char_mask"][0, pos] = np.arange(len(ids)) < kept
+    # a real position whose char row is all masked, beside padding-free rows
+    assert case == "all_masked_row"
+    batch["p_chars"][0, 2] = 0
     return batch
 
 
-@pytest.mark.parametrize("case", ["repeats_and_padding", "batch_of_one", "all_masked_row",
-                                  "one_spelling_two_masks"])
+@pytest.mark.parametrize("case", ["repeats_and_padding", "batch_of_one", "all_masked_row"])
 def test_distinct_char_states_match_per_position(case):
     """Char states, and the gradients of ``char_emb`` and every
     ``char_rnn`` weight, from one BiRNN run per distinct row equal those of
@@ -385,17 +370,5 @@ def test_distinct_char_states_match_per_position(case):
         assert scale > 0.0, key
         assert np.abs(got[key] - ref).max() <= 1e-12 * scale, key
     wl = batch["p_chars"].shape[-1]
-    keys = 2 * np.concatenate([batch["p_chars"].reshape(-1, wl), batch["q_chars"].reshape(-1, wl)])
-    keys += np.concatenate([batch["p_char_mask"].reshape(-1, wl),
-                            batch["q_char_mask"].reshape(-1, wl)]).astype(np.int64)
+    keys = np.concatenate([batch["p_chars"].reshape(-1, wl), batch["q_chars"].reshape(-1, wl)])
     assert len(distinct_rows(keys)[0]) < len(keys)
-
-
-def test_encoder_rejects_a_char_mask_that_is_not_0_1():
-    """Equal ids under masks 1 and 0.5 share a distinct-row key, so the
-    encoder checks the whole mask itself."""
-    enc, fz, _ = build_encoder()
-    batch = collate([fz.example(example())])
-    batch["p_char_mask"][0, 4, 0] = 0.5  # a second "the"
-    with pytest.raises(ContractError):
-        enc(batch)

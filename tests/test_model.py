@@ -206,23 +206,14 @@ def test_golden_first_step(cell, layers, loss, calls):
     assert out.connector_calls == calls
 
 
-@pytest.mark.parametrize("cell,layers,max_records", [("gru", 2, 59), ("lstm", 4, 107)],
+@pytest.mark.parametrize("cell,layers,max_records", [("gru", 2, 53), ("lstm", 4, 101)],
                          ids=["gru_n2", "lstm_n4"])
 def test_training_forward_tape_records(cell, layers, max_records):
-    """Each BiRNN (both directions), Dense and FM connector call is one tape
-    record (a two-sided connector hands out its sides with two narrows),
-    each gated block attends, gates and multiplies in one record, the input
-    encoder does not mask its padding rows, and it gathers its per-spelling
-    char states to each side in one record: the forward records 58 (GRU n2)
-    and 106 (LSTM n4) entries.  Connectors composed of a projection Dense
-    per side, an affinity, a transpose, an attend and a one-record
-    compression per direction would put it at 94 and 218, an attend,
-    concat, gate and mul per gated block as well at 100 and 224, a narrow and a reshape per side as well at 102 and 226, a
-    three-record Dense and a seven-record compression as well at 218 and
-    574, a pad-row multiply as well at 220 and 576, one record per BiRNN
-    direction plus a concat at 238 and 602, per-timestep RNN ops at about
-    9.8k and 18.3k, stepwise FM scorers at 634 and 1,922, a taped affinity at
-    258 and 654, a taped attend at 266 and 686."""
+    """Each BiRNN (both directions), FM connector call and gated block is
+    one tape record; a two-sided connector hands out its sides with two
+    narrows, and the input encoder gathers its per-spelling char states to
+    each side in one record: the forward records 52 (GRU n2) and 100
+    (LSTM n4) entries."""
     _, tape = _c6_first_forward(cell, layers)
     assert len(tape) < max_records
 
@@ -230,8 +221,9 @@ def test_training_forward_tape_records(cell, layers, max_records):
 def test_backward_peak_stays_near_the_forward_live_set():
     """Backward frees each record as it replays it, so a criterion-6 GRU n2
     step's backward peaks (tracemalloc) at most 1.15x the memory its forward
-    left live: 1.10 measured, against 1.67 when the tape held every record
-    until the backward ended."""
+    left live: 1.14 measured, against 1.67 when the tape held every record
+    until the backward ended.  The first replayed BiRNN, the pointer's end
+    sweep, sets the peak."""
     model, batch = _c6_model("gru", 2)
     tracemalloc.start()
     try:
@@ -327,6 +319,16 @@ def test_predict_spans_within_length(tiny_batch):
     model = build_model(tiny_cfg(), featurizer, seed=0)
     for (k, l), n in zip(model.predict(batch), batch["p_len"]):
         assert 0 <= k <= l < n
+
+
+def test_decode_needs_one_length_per_row(tiny_batch):
+    featurizer, batch = tiny_batch
+    model = build_model(tiny_cfg(), featurizer, seed=0)
+    out = model.forward(batch)
+    lengths = batch["p_len"]
+    for bad in (lengths[:-1], np.concatenate([lengths, lengths[:1]]), lengths[:, None]):
+        with pytest.raises(ContractError, match="one length per row"):
+            model.decode(out, bad)
 
 
 def test_predict_respects_span_cap(tiny_batch):

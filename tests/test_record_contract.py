@@ -3,9 +3,10 @@
 Generated JSONL files (fields dropped or mistyped, out-of-range and reversed
 spans, empty or whitespace-only text, non-ASCII text, lines that are no json
 object, and well-formed records whose tokens and characters the checkpoint
-has never seen) go through ``decaprop eval`` and ``decaprop predict``.  Each
-run must exit 0 with parseable output, or exit 1 with exactly one
-``error:<kind>:`` line on stderr and no traceback.
+has never seen) go through ``decaprop eval`` and ``decaprop predict``, and
+so do generated SQuAD payloads (``--format squad``) with a defect at each
+nesting level.  Each run must exit 0 with parseable output, or exit 1 with
+exactly one ``error:<kind>:`` line on stderr and no traceback.
 """
 
 import json
@@ -122,19 +123,22 @@ def check_contract(rc: int, out: str, err: str, command: str, n_lines: int) -> s
     return None if ok else f"unexpected output {out[:200]!r}"
 
 
-def run_cases(checkpoint, data, cases, capsys) -> tuple[list[str], Counter]:
-    """Each case's JSONL lines through ``eval`` and ``predict``: the contract
-    breaks and the count of each exit status."""
+def run_cases(checkpoint, data, cases, capsys, fmt: str = "jsonl") -> tuple[list[str], Counter]:
+    """Each case's lines through ``eval`` and ``predict``: the contract
+    breaks and the count of each exit status.  A JSONL case predicts at
+    most one row per line, a SQuAD case (one line) one per question."""
     broken, outcomes = [], Counter()
     for case, lines in enumerate(cases):
         data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = len(lines) if fmt == "jsonl" else SQUAD_QUESTIONS
         for command in ("eval", "predict"):
             try:
-                rc = cli.main([command, "--checkpoint", checkpoint, "--data", str(data)])
+                rc = cli.main([command, "--checkpoint", checkpoint, "--data", str(data),
+                               "--format", fmt])
             except Exception as exc:  # the contract allows no escaping exception
                 raise AssertionError(f"case {case} {command} raised on {lines!r}") from exc
             captured = capsys.readouterr()
-            problem = check_contract(rc, captured.out, captured.err, command, len(lines))
+            problem = check_contract(rc, captured.out, captured.err, command, rows)
             outcomes[rc] += 1
             if problem:
                 broken.append(f"case {case} {command}: {problem}; input {lines!r}")
@@ -173,6 +177,84 @@ def test_unseen_tokens_and_chars_keep_the_cli_contract(checkpoint, tmp_path, cap
     assert len(clean) >= 20
     broken, outcomes = run_cases(checkpoint, tmp_path / "clean.jsonl", clean, capsys)
     assert not broken and set(outcomes) == {0}, outcomes
+
+
+# SQuAD payloads: one article of one or two paragraphs, each with one or two
+# questions whose answer is one of the context's words
+SQUAD_WORDS = ("t001", "t002", "t003", "t004", "café", "東京")
+SQUAD_QUESTIONS = 4
+BAD_STARTS = (True, False, "0", "t001", -1, -40, 2 ** 40, 1.0, None)
+
+
+def valid_squad(r: random.Random) -> dict:
+    paragraphs = []
+    for _ in range(r.randrange(1, 3)):
+        words = [r.choice(SQUAD_WORDS) for _ in range(r.randrange(1, 6))]
+        context = r.choice((" ", ", ", "  ")).join(words)
+        qas = []
+        for k in range(r.randrange(1, 3)):
+            text = r.choice(words)
+            qas.append({"id": f"q{len(paragraphs)}{k}", "question": r.choice(["t001 t002", "東京?"]),
+                        "answers": [{"text": text, "answer_start": context.index(text)}]})
+        paragraphs.append({"context": context, "qas": qas})
+    return {"version": "1.1", "data": [{"title": "t", "paragraphs": paragraphs}]}
+
+
+def mutated_squad(r: random.Random) -> str:
+    """One SQuAD payload with one or two defects, each at one nesting level
+    (the payload, an article, a paragraph, a question or an answer): a
+    field dropped or mistyped, an element of the wrong type, an
+    ``answer_start`` that is a bool, a string, negative or past the context,
+    an empty context, or an answer that maps to no token; or no object."""
+    if r.random() < 0.08:
+        return r.choice(NOT_OBJECTS + ('{"version": "1.1"}', '{"data": {}}'))
+    payload = valid_squad(r)
+    article = payload["data"][0]
+    para = article["paragraphs"][0]
+    qa = para["qas"][0]
+    answer = qa["answers"][0]
+    levels = ((payload, ("data",)), (article, ("paragraphs",)), (para, ("context", "qas")),
+              (qa, ("id", "question", "answers")), (answer, ("text", "answer_start")))
+    containers = ((payload["data"], 0), (article["paragraphs"], 0), (para["qas"], 0),
+                  (qa["answers"], 0))
+    for _ in range(r.choice((1, 1, 2))):
+        context = para.get("context")
+        context = context if isinstance(context, str) else ""
+        how = r.choice(("drop", "mistype", "element", "start", "start", "context", "no_token"))
+        if how in ("drop", "mistype"):
+            level, fields = r.choice(levels)
+            field = r.choice(fields)
+            if how == "drop":
+                level.pop(field, None)
+            else:
+                level[field] = r.choice(WRONG_TYPES + ("t001", 7))
+        elif how == "element":
+            items, i = r.choice(containers)
+            items[i] = r.choice(WRONG_TYPES + ("t001", 7))
+        elif how == "start":
+            start = r.choice(BAD_STARTS + ("past",))
+            answer["answer_start"] = len(context) + r.randrange(3) if start == "past" else start
+        elif how == "context":
+            para["context"] = r.choice(("", " ", "\t\n"))
+        else:
+            # empty text, or the whitespace between two words: no token overlaps it
+            gap = context.find(" ")
+            answer["text"], answer["answer_start"] = ("", 0) if gap < 0 or r.random() < 0.5 \
+                else (" ", gap)
+    return json.dumps(payload, ensure_ascii=r.random() < 0.5)
+
+
+def test_malformed_squad_payloads_keep_the_cli_contract(checkpoint, tmp_path, capsys):
+    r = random.Random(20261020)
+    cases = [[mutated_squad(r)] for _ in range(150)]
+    broken, outcomes = run_cases(checkpoint, tmp_path / "data.json", cases, capsys, "squad")
+    assert not broken, f"{len(broken)} contract breaks, first: {broken[:3]}"
+    # the generator reaches both sides of the contract
+    assert outcomes[0] > 20 and outcomes[1] > 60, outcomes
+    # well-formed payloads run clean
+    clean = [[json.dumps(valid_squad(r))] for _ in range(10)]
+    broken, outcomes = run_cases(checkpoint, tmp_path / "clean.json", clean, capsys, "squad")
+    assert not broken and set(outcomes) == {0}, (broken[:3], outcomes)
 
 
 # command: its input-path flags, and for each flag the other arguments that

@@ -360,7 +360,7 @@ def test_collate_pads_every_side_array():
     assert batch["p_len"].dtype == np.int64
     assert batch["p_len"].tolist() == batch["p_mask"].sum(axis=1).tolist() == [5, 2, 7]
     assert batch["q_mask"].sum(axis=1).tolist() == [1, 3, 2]
-    assert {"word", "chars", "char_mask", "match", "freq"} <= set(names)
+    assert {"word", "chars", "match", "freq"} <= set(names)
 
 
 def test_collate_empty_batch_rejected():
