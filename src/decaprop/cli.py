@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -169,6 +170,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if args.threshold is not None and not (math.isfinite(args.threshold) and args.threshold > 0.0):
+        # a NaN bar would fail every scenario yet exit 0, since no error is >= NaN
+        raise ConfigError(f"--threshold must be finite and > 0, got {args.threshold}")
     names = args.scenario or None
     results = run_gradcheck(names, seed=args.seed)
     failed = []

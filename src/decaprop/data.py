@@ -13,6 +13,10 @@ from .errors import DataError
 
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
+# what json.loads raises on text it cannot take: a syntax error
+# (JSONDecodeError is a ValueError), an integer of more digits than Python
+# converts (ValueError) or nesting deeper than its recursion limit
+_JSON_ERRORS = (ValueError, RecursionError)
 
 
 @dataclass
@@ -84,7 +88,7 @@ def load_jsonl(path: str) -> list[TokenizedExample]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except _JSON_ERRORS as exc:
             raise DataError(f"{path}:{lineno}: invalid json ({exc})") from exc
         if not isinstance(obj, dict):
             raise DataError(f"{path}:{lineno}: expected a json object, "
@@ -98,7 +102,7 @@ def load_jsonl(path: str) -> list[TokenizedExample]:
         start, end = (None if obj.get(k) is None else _typed(obj[k], int, k, where)
                       for k in ("answer_start", "answer_end"))
         ex = TokenizedExample(
-            id=str(obj.get("id", f"line-{lineno}")),
+            id=_example_id(obj.get("id"), f"line-{lineno}", where),
             passage_tokens=p_tokens, question_tokens=q_tokens,
             answer_start=start, answer_end=end)
         try:
@@ -127,6 +131,18 @@ def _typed(value, kind: type, name: str, where: str):
     raise DataError(f"{where}: {name} must be {_KINDS[kind]}, got {type(value).__name__}")
 
 
+def _example_id(value, default: str, where: str) -> str:
+    """An example's id: a string as it is, an integer (not a bool) as its
+    decimal string, and ``default`` when the id is missing or null."""
+    if value is None:
+        return default
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    if isinstance(value, str):
+        return value
+    raise DataError(f"{where}: id must be a string or an integer, got {type(value).__name__}")
+
+
 def _char_to_token_span(offsets: list[tuple[int, int]],
                         ans_start: int, ans_end: int) -> tuple[int, int] | None:
     """Token span covering [ans_start, ans_end); None when nothing overlaps."""
@@ -149,7 +165,7 @@ def load_squad(path: str) -> tuple[list[TokenizedExample], int]:
     """
     try:
         payload = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except _JSON_ERRORS as exc:
         raise DataError(f"{path}: invalid json ({exc})") from exc
     if not isinstance(payload, dict) or "data" not in payload:
         raise DataError(f"{path}: missing top-level 'data' field")
@@ -168,9 +184,9 @@ def load_squad(path: str) -> tuple[list[TokenizedExample], int]:
             if not p_tokens:
                 dropped += len(qas)
                 continue
-            for qa in qas:
+            for k, qa in enumerate(qas):
                 qa = _typed(qa, dict, "qa", para_at)
-                qa_id = str(qa.get("id", f"qa-{len(examples)}"))
+                qa_id = _example_id(qa.get("id"), f"qa-{len(examples)}", f"{para_at}.qas[{k}]")
                 qa_at = f"{path}: qa {qa_id}"
                 q_tokens, _ = tokenize(_typed(qa.get("question", ""), str, "question", qa_at))
                 texts = []

@@ -84,9 +84,10 @@ class DecaEnc:
             q_states.append(h_q)
             if self.connectors:
                 z[(i, i)] = self.bac[(i, i)](h_p, h_q, p_mask, q_mask)
-                g_p, g_q = z[(i, i)]
-                p_in = concat([h_p, g_p], -1)
-                q_in = concat([h_q, g_q], -1)
+                if i + 1 < self.layers:  # the next layer's input
+                    g_p, g_q = z[(i, i)]
+                    p_in = concat([h_p, g_p], -1)
+                    q_in = concat([h_q, g_q], -1)
             else:
                 p_in, q_in = h_p, h_q
 

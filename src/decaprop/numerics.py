@@ -10,9 +10,11 @@ so a training step never holds much more than its forward did.  Outside any
 tape the same ops run as plain NumPy, which is how inference and
 finite-difference probes stay cheap.
 
-Gradient arrays are only ever rebound, never mutated in place.  The concat
-backward rule hands out views of the upstream gradient, and rebinding keeps
-those aliases safe.
+Every gradient, a parameter's too, is ``None`` until a record reaches it and
+then the sum of what the records put there, the first bound uncopied; a
+parameter no record reached keeps ``None``, which clipping skips and the
+optimizers and ``grad_check`` read as zeros.  Gradient arrays are only ever
+rebound, never mutated in place, so the views a backward hands out stay safe.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def _ensure(x) -> Tensor:
 
 
 def _acc(t: Tensor, g: np.ndarray) -> None:
-    # Rebind-only accumulation: never writes into an existing gradient array.
+    # the first contribution is bound, not copied; later ones rebind the sum
     if t.requires_grad:
         t.grad = g if t.grad is None else t.grad + g
 
@@ -408,10 +410,10 @@ def embedding_init(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 
 
 class ParamStore:
-    """Named parameters.  A trainable one has a gradient slot that
-    ``zero_grads`` rebinds to fresh zeros before every step; a frozen one
-    (``trainable=False``, such as fixed word vectors) has none: its ``grad``
-    stays ``None``.
+    """Named parameters, whose gradients follow the module's one rule:
+    ``zero_grads`` sets every ``grad`` to ``None``, and a backward binds
+    what reaches a trainable one.  A frozen one (``trainable=False``, such
+    as fixed word vectors), or one no record reached, keeps ``None``.
 
     Registration order is stable and drives checkpoint layout, so model
     construction must touch parameters in a deterministic order.
@@ -424,8 +426,6 @@ class ParamStore:
         if name in self._params:
             raise ContractError(f"parameter {name!r} registered twice")
         t = Tensor(np.array(data, dtype=np.float64), requires_grad=trainable)
-        if trainable:
-            t.grad = np.zeros_like(t.data)
         self._params[name] = t
         return t
 
@@ -449,8 +449,7 @@ class ParamStore:
 
     def zero_grads(self) -> None:
         for p in self._params.values():
-            if p.requires_grad:
-                p.grad = np.zeros_like(p.data)
+            p.grad = None
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         """Overwrite parameter data in place; names and shapes must match exactly."""
@@ -525,7 +524,8 @@ def grad_check(forward_fn, store: ParamStore, eps: float = 1e-5) -> float:
     with Tape() as tape:
         loss = forward_fn()
     backward(tape, loss)
-    analytic = {name: np.array(p.grad) for name, p in store.trainable_items()}
+    analytic = {name: np.zeros_like(p.data) if p.grad is None else np.array(p.grad)
+                for name, p in store.trainable_items()}
 
     worst = 0.0
     for name, p in store.trainable_items():

@@ -51,7 +51,7 @@ def adam_step(store: ParamStore, state: dict, lr: float = 1e-3,
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
     for name, p in store.trainable_items():
-        g = p.grad
+        g = 0.0 if p.grad is None else p.grad
         m = state["m"][name]
         v = state["v"][name]
         m *= beta1
@@ -67,7 +67,7 @@ def adadelta_step(store: ParamStore, state: dict, lr: float = 0.5,
     if state.get("kind") != "adadelta":
         raise ContractError("adadelta_step on a non-adadelta optimizer state")
     for name, p in store.trainable_items():
-        g = p.grad
+        g = 0.0 if p.grad is None else p.grad
         g2 = state["g2"][name]
         dx2 = state["dx2"][name]
         g2 *= rho
@@ -84,14 +84,13 @@ OPTIMIZERS = {"adam": adam_step, "adadelta": adadelta_step}
 
 def clip_gradients(store: ParamStore, max_norm: float | None) -> float:
     """The global l2 norm of the gradients; every gradient is scaled down
-    when it exceeds ``max_norm`` (None: never)."""
-    total = 0.0
-    for _, p in store.trainable_items():
-        total += float((p.grad * p.grad).sum())
-    norm = float(np.sqrt(total))
+    when it exceeds ``max_norm`` (None: never).  A ``None`` gradient is
+    zero, and stays ``None``."""
+    reached = [p for _, p in store.trainable_items() if p.grad is not None]
+    norm = float(np.sqrt(sum(float((p.grad * p.grad).sum()) for p in reached)))
     if max_norm is not None and norm > max_norm and norm > 0.0:
         scale = max_norm / norm
-        for _, p in store.trainable_items():
+        for p in reached:
             p.grad = p.grad * scale
     return norm
 

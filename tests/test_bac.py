@@ -810,3 +810,35 @@ def test_bac_gradients(rng):
         return add(sum_(g_p), sum_(g_q))
 
     assert grad_check(forward, store) < 1e-4
+
+
+def _score_extent(store: ParamStore, proj: str, p: np.ndarray, q: np.ndarray) -> float:
+    """The largest score of rows p and q under the ReLU projection named
+    ``proj``, as ``bac._scores`` computes it."""
+    w, b = store[f"{proj}.w"].data, store[f"{proj}.b"].data
+    fp, fq = np.maximum(p @ w + b, 0.0), np.maximum(q @ w + b, 0.0)
+    return float(np.abs(fq @ np.swapaxes(fp, -1, -2)).max() / np.sqrt(w.shape[0]))
+
+
+@pytest.mark.parametrize("op, edge, proj", [
+    ("connector", "padded", "c.proj"), ("connector", "one_sided", "c.proj"),
+    ("gate", "3d_padded", "proj")])
+def test_records_take_scores_far_past_exp_range(op, edge, proj):
+    """Inputs scaled so that the scores reach about 1e3, past the ~709 at
+    which exp overflows: each record's softmax subtracts the max of its
+    keys first, so its outputs and gradients stay finite, with no
+    RuntimeWarning, and within 1e-12 relative of the taped reference."""
+    rng = np.random.default_rng(31)
+    make, edges = CONNECTOR_OPS[op]
+    store, arrays, fused, reference = make(edges[edge], rng)
+    while _score_extent(store, proj, *arrays) < 1e3:
+        arrays = [1.25 * a for a in arrays]
+    coef = rng.normal(size=fused(*map(Tensor, arrays)).shape)
+    got = _outputs_and_grads(fused, store, arrays, coef)
+    want = _outputs_and_grads(reference, store, arrays, coef)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.isfinite(got[key]).all(), key
+        scale = np.abs(want[key]).max()
+        assert scale > 0.0, key
+        assert np.abs(got[key] - want[key]).max() <= 1e-12 * scale, key

@@ -152,6 +152,43 @@ def test_load_jsonl_empty_file(tmp_path):
         load_jsonl(str(tmp_path / "missing.jsonl"))
 
 
+@pytest.mark.parametrize("given, expected", [
+    ({"id": "ab 1"}, "ab 1"), ({"id": ""}, ""), ({"id": 7}, "7"), ({"id": -12}, "-12"),
+    ({"id": None}, "line-2"), ({}, "line-2"),
+], ids=["string", "empty-string", "int", "negative-int", "null", "missing"])
+def test_load_jsonl_id(tmp_path, given, expected):
+    """A string id is kept as it is and an integer one becomes its decimal
+    string; a missing or null id gets the line's default."""
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [json.dumps({"id": "x", "passage": "a", "question": "q"}),
+                       json.dumps({"passage": "a b", "question": "q", **given})])
+    assert load_jsonl(str(path))[1].id == expected
+
+
+@pytest.mark.parametrize("value", [True, False, 1.5, 2.0, {"a": 1}, ["a"]],
+                         ids=["true", "false", "float", "integral-float", "object", "list"])
+def test_load_jsonl_id_types(tmp_path, value):
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [json.dumps({"passage": "a", "question": "q"}),
+                       json.dumps({"id": value, "passage": "a b", "question": "q"})])
+    with pytest.raises(DataError, match=rf":2: id must be a string or an integer, "
+                                        rf"got {type(value).__name__}"):
+        load_jsonl(str(path))
+
+
+@pytest.mark.parametrize("text", ['{"id": ' + "1" * 5000 + "}", "[" * 100000],
+                         ids=["long-integer", "deep-nesting"])
+def test_load_json_that_python_cannot_take(tmp_path, text):
+    """Text json.loads refuses with a ValueError or a RecursionError rather
+    than a JSONDecodeError is invalid json too, in both layouts."""
+    path = tmp_path / "d.json"
+    path.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r":1: invalid json"):
+        load_jsonl(str(path))
+    with pytest.raises(DataError, match=r"d.json: invalid json"):
+        load_squad(str(path))
+
+
 # ---------------------------------------------------------------------------
 # char offsets to token spans
 
@@ -239,6 +276,27 @@ def test_load_squad_field_types(tmp_path, path, value, message):
     target.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(DataError, match=message):
         load_squad(str(target))
+
+
+@pytest.mark.parametrize("value, expected", [(5, "5"), (None, "qa-0"), ("q 1", "q 1")],
+                         ids=["int", "null", "string"])
+def test_load_squad_id(tmp_path, value, expected):
+    payload = squad_payload()
+    payload["data"][0]["paragraphs"][0]["qas"][0]["id"] = value
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert load_squad(str(path))[0][0].id == expected
+
+
+@pytest.mark.parametrize("value", [True, 1.5, {"a": 1}], ids=["bool", "float", "object"])
+def test_load_squad_id_types(tmp_path, value):
+    payload = squad_payload()
+    payload["data"][0]["paragraphs"][0]["qas"][1]["id"] = value
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DataError, match=rf"paragraphs\[0\]\.qas\[1\]: id must be a string "
+                                        rf"or an integer, got {type(value).__name__}"):
+        load_squad(str(path))
 
 
 def test_example_validate():
@@ -712,6 +770,18 @@ def test_cli_gradcheck_threshold_failure(capsys):
     rc = cli.main(["gradcheck", "--scenario", "dense_relu", "--threshold", "1e-30"])
     assert rc == 1
     assert "error:numeric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+def test_cli_gradcheck_rejects_a_threshold_that_is_not_positive(capsys, monkeypatch, threshold):
+    """A pass bar that is not finite and positive is refused before any
+    scenario runs: against NaN no error counts as a failure."""
+    monkeypatch.setattr(cli, "run_gradcheck", lambda *a, **k: pytest.fail("a scenario ran"))
+    rc = cli.main(["gradcheck", "--scenario", "dense_relu", "--threshold", threshold])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith("error:config: --threshold must be finite and > 0")
 
 
 def test_readme_config_reference_is_complete(tmp_path, monkeypatch):

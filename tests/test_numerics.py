@@ -269,11 +269,48 @@ def test_frozen_parameter_has_no_gradient():
     store = ParamStore()
     frozen = store.register("frozen", np.ones(3), trainable=False)
     w = store.register("w", np.ones(3))
-    assert frozen.grad is None
+    assert frozen.grad is None and w.grad is None
     store.zero_grads()
-    assert frozen.grad is None
-    np.testing.assert_array_equal(w.grad, np.zeros(3))
+    assert frozen.grad is None and w.grad is None
     assert [name for name, _ in store.trainable_items()] == ["w"]
+
+
+def test_zero_grads_leaves_every_gradient_none():
+    """A parameter's gradient follows the rule of every other tensor: the
+    first contribution is bound as it is, uncopied, and one no record
+    reached stays None; zero_grads sets them all back to None."""
+    store = ParamStore()
+    w = store.register("w", np.array([1.0, 2.0]))
+    unused = store.register("unused", np.ones(2))
+    frozen = store.register("frozen", np.ones(2), trainable=False)
+    seen = []
+
+    def probe(a):
+        out = Tensor(a.data * 3.0)
+
+        def bw():
+            g = out.grad * 3.0
+            seen.append(g)
+            _acc(a, g)
+
+        _record((a,), out, bw)
+        return out
+
+    with Tape() as tape:
+        loss = sum_(mul(probe(w), frozen))
+    backward(tape, loss)
+    assert w.grad is seen[0]
+    np.testing.assert_array_equal(w.grad, [3.0, 3.0])
+    assert unused.grad is None and frozen.grad is None
+    store.zero_grads()
+    assert all(p.grad is None for _, p in store.items())
+
+
+def test_grad_check_reads_an_unreached_parameter_as_zero():
+    store = ParamStore()
+    a = store.register("a", np.array([0.5, -1.0]))
+    store.register("unused", np.ones(3))
+    assert grad_check(lambda: sum_(mul(a, a)), store) < 1e-8
 
 
 def test_store_duplicate_name_rejected():

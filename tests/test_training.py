@@ -138,7 +138,7 @@ def test_frozen_parameters_leave_clipping_and_adam_unchanged():
         norms = []
         for g in ([3.0, 4.0], [0.5, -1.0]):
             store.zero_grads()
-            w.grad = w.grad + np.array(g)
+            w.grad = np.array(g)
             norms.append(clip_gradients(store, 2.5))
             adam_step(store, state, lr=1e-2)
         if with_frozen:
@@ -150,6 +150,34 @@ def test_frozen_parameters_leave_clipping_and_adam_unchanged():
     assert plain[0] == with_frozen[0]
     np.testing.assert_array_equal(plain[1], with_frozen[1])
     np.testing.assert_array_equal(plain[2], with_frozen[2])
+
+
+@pytest.mark.parametrize("kind", ["adam", "adadelta"])
+def test_none_gradient_steps_like_a_zero_array(kind):
+    """A parameter no record reached keeps a None gradient: clipping leaves
+    it out of the norm and the scaling, and the optimizers step it as a
+    zero gradient, so the values, the moments and the norms are bit-equal
+    to a store that holds a zero array in its place."""
+    def run(unreached):
+        store = ParamStore()
+        w = store.register("w", np.array([0.5, -0.25]))
+        u = store.register("u", np.array([[1.0, -2.0], [0.0, 3.0]]))
+        state = init_optimizer_state(kind, store)
+        norms = []
+        for g in ([3.0, 4.0], [0.5, -1.0], [-2.0, 0.0]):
+            store.zero_grads()
+            w.grad = np.array(g)
+            u.grad = unreached()
+            norms.append(clip_gradients(store, 2.5))
+            training_module.OPTIMIZERS[kind](store, state)
+        moments = [a for key in ("m", "v", "g2", "dx2") for a in state.get(key, {}).values()]
+        return norms, [w.data, u.data, *moments]
+
+    none_norms, none_arrays = run(lambda: None)
+    zero_norms, zero_arrays = run(lambda: np.zeros((2, 2)))
+    assert none_norms == zero_norms
+    for a, b in zip(none_arrays, zero_arrays, strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_lr_schedule_spec_trace():
