@@ -14,13 +14,14 @@ each gated block of the core attends, gates and multiplies in one record
 shared ReLU layer and score them by scaled dot product: ``_scores`` and
 ``_scores_backward`` hold that math, with the scores laid out (batch, lq,
 lp), so a softmax over the question keys reduces along axis 1 and one over
-the passage keys along the contiguous last axis.  Each record keeps only
-its attention weights (and the connector its FM tables, the gate q W2 and
-its sigmoid) and recomputes the projections in its backward (recompute for
-memory, as in Chen et al. 2016); the connector also recomputes the attended
-rows and each kernel's [xV | x·w].  The two-sided connector outputs both
-sides' triples as one (..., lp + lq, 3) array, which two ``narrow``s hand
-out.
+the passage keys along the contiguous last axis; ``_scores_backward`` ends
+both records' backward, and the self block's rows (q is p) are projected
+once per pass.  Each record keeps only its attention weights (and the
+connector its FM tables, the gate q W2 and its sigmoid) and recomputes the
+projections in its backward (recompute for memory, as in Chen et al.
+2016); the connector also recomputes the attended rows and each kernel's
+[xV | x·w].  The two-sided connector outputs both sides' triples as one
+(..., lp + lq, 3) array, which two ``narrow``s hand out.
 
 An FM scores each column block of its input with one GEMM against [V | w]
 and its squared term with one GEMV, x² times the row sums of V²;
@@ -242,24 +243,28 @@ def _fm_compress_backward(kernels: tuple, tables: list, a: np.ndarray, o: np.nda
 def _scores(proj: Dense, pd: np.ndarray, qd: np.ndarray) -> np.ndarray:
     """The scores E = s fq fpᵀ, (batch, lq, lp), of the rows pd, (batch, lp,
     d), and qd, (batch, lq, d), with fp, fq their ReLU projections by
-    ``proj`` and s = 1/√d."""
+    ``proj`` (once if ``qd is pd``) and s = 1/√d."""
     batch, lp, d = pd.shape
     fp = proj.rows(pd).reshape(batch, lp, d)
-    e = proj.rows(qd).reshape(batch, -1, d) @ np.swapaxes(fp, -1, -2)
+    fq = fp if qd is pd else proj.rows(qd).reshape(batch, -1, d)
+    e = fq @ np.swapaxes(fp, -1, -2)
     e *= 1.0 / np.sqrt(d)
     return e
 
 
-def _scores_backward(proj: Dense, pd: np.ndarray, qd: np.ndarray,
-                     de: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scores_backward(proj: Dense, p: Tensor, q: Tensor, pd: np.ndarray, qd: np.ndarray,
+                     de: np.ndarray, dp: np.ndarray, dq: np.ndarray) -> None:
     """The backward of ``_scores`` for the scores' gradient ``de``, which it
-    scales in place: accumulates the projection's gradients and returns
-    those of the rows, (batch·lp, d) and (batch·lq, d).  The projections
-    are recomputed; with dfp = s dEᵀ fq and dfq = s dE fp masked by the
-    ReLU, dW = pᵀ dfp + qᵀ dfq and the rows get dfp Wᵀ and dfq Wᵀ."""
+    scales in place, and the end of both records' backward: accumulates the
+    projection's gradients, adds the rows' gradients to the record's own
+    ``dp`` and ``dq``, (batch·lp, d) and (batch·lq, d), and accumulates each
+    into p or q if it needs one.  With the projections recomputed, dfp = s
+    dEᵀ fq and dfq = s dE fp masked by the ReLU, dW = pᵀ dfp + qᵀ dfq and the
+    rows get dfp Wᵀ and dfq Wᵀ."""
     batch, lp, d = pd.shape
     de *= 1.0 / np.sqrt(d)
-    fp, fq = proj.rows(pd), proj.rows(qd)
+    fp = proj.rows(pd)
+    fq = fp if qd is pd else proj.rows(qd)
     dfp = (np.swapaxes(de, -1, -2) @ fq.reshape(batch, -1, d)).reshape(-1, d)
     dfq = (de @ fp.reshape(batch, lp, d)).reshape(-1, d)
     dfp *= fp > 0.0
@@ -270,16 +275,21 @@ def _scores_backward(proj: Dense, pd: np.ndarray, qd: np.ndarray,
     _acc(proj.w, dw)
     _acc(proj.b, dfp.sum(axis=0) + dfq.sum(axis=0))
     w_t = proj.w.data.T
-    return dfp @ w_t, dfq @ w_t
+    for t, dt, df in ((p, dp, dfp), (q, dq, dfq)):
+        if t.requires_grad:
+            dt += df @ w_t
+            _acc(t, dt.reshape(t.shape))
 
 
 def _rows_of(p: Tensor, q: Tensor, width: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """p and q as (batch, lp, d) and (batch, lq, d) arrays, or None if they
-    are not two sets of rows of ``width`` over the same leading axes."""
+    """p and q as (batch, lp, d) and (batch, lq, d) arrays (one if q is p),
+    or None if they are not two sets of rows of ``width`` over the same
+    leading axes."""
     if (p.ndim < 2 or q.ndim != p.ndim or p.shape[:-2] != q.shape[:-2]
             or p.shape[-1] != width or q.shape[-1] != width):
         return None
-    return p.data.reshape(-1, p.shape[-2], width), q.data.reshape(-1, q.shape[-2], width)
+    pd = p.data.reshape(-1, p.shape[-2], width)
+    return pd, (pd if q is p else q.data.reshape(-1, q.shape[-2], width))
 
 
 def _connector(bac: "BAC", p: Tensor, q: Tensor, p_mask: np.ndarray | None,
@@ -295,7 +305,7 @@ def _connector(bac: "BAC", p: Tensor, q: Tensor, p_mask: np.ndarray | None,
     Its backward recomputes Aᵀq and B p and, with da, db their gradients
     from the compression backward: dq += A da, dp += Bᵀ db, and the weights'
     gradients q daᵀ and db pᵀ meet the softmax backward in dE, which
-    ``_scores_backward`` takes through the projection to the rows."""
+    ``_scores_backward`` takes through the projection into p and q."""
     two = p_mask is not None
     proj = bac.proj
     d = proj.d_in
@@ -337,15 +347,7 @@ def _connector(bac: "BAC", p: Tensor, q: Tensor, p_mask: np.ndarray | None,
                 dp += (np.swapaxes(att_q, -1, -2) @ db).reshape(-1, d)
             de += attention_weights_backward(db @ np.swapaxes(pd, -1, -2), att_q)
             del db
-        dp_e, dq_e = _scores_backward(proj, pd, qd, de)
-        del de
-        if p.requires_grad:
-            dp += dp_e
-            _acc(p, dp.reshape(p.shape))
-        if q.requires_grad:
-            dq = dq.reshape(-1, d)
-            dq += dq_e
-            _acc(q, dq.reshape(q.shape))
+        _scores_backward(proj, p, q, pd, qd, de, dp, dq.reshape(-1, d))
 
     params = (proj.w, proj.b) + tuple(t for k in kernels for t in (k.w0, k.w, k.v))
     _record((p, q) + params, out, bw)
@@ -404,14 +406,7 @@ def gated_attend(p: Tensor, q: Tensor, q_mask: np.ndarray, proj: Dense, gate: De
         dq = dqw.reshape(-1, d) @ w2.T
         de = attention_weights_backward(qw @ np.swapaxes(gz, -1, -2), a, axis=-2)
         del gz, gz_rows, dqw
-        dp_e, dq_e = _scores_backward(proj, pd, qd, de)
-        del de
-        if p.requires_grad:
-            dp += dp_e
-            _acc(p, dp.reshape(p.shape))
-        if q.requires_grad:
-            dq += dq_e
-            _acc(q, dq.reshape(q.shape))
+        _scores_backward(proj, p, q, pd, qd, de, dp, dq)
 
     _record((p, q, proj.w, proj.b, w, b), out, bw)
     return out

@@ -16,6 +16,7 @@ import struct
 
 import numpy as np
 
+from .data import _JSON_ERRORS, _typed
 from .errors import IntegrityError
 from .numerics import ParamStore
 
@@ -76,6 +77,13 @@ def save_checkpoint(path: str, store: ParamStore, model_config: dict,
     os.replace(tmp, path)
 
 
+def _field(obj, key: str, kind: type, path: str, prefix: str = ""):
+    """``obj[key]`` of a checkpoint header, of the json type ``kind``;
+    IntegrityError naming the field otherwise."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    return _typed(value, kind, f"header field {prefix}{key}", path, IntegrityError)
+
+
 def _take(blob: memoryview, offset: int, shape: list[int]) -> tuple[np.ndarray, int]:
     count = int(np.prod(shape)) if shape else 1
     nbytes = count * 8
@@ -113,8 +121,9 @@ def load_checkpoint(path: str) -> dict:
         raise IntegrityError(f"{path}: truncated header")
     try:
         header = json.loads(body[pos:pos + header_len].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except _JSON_ERRORS as exc:
         raise IntegrityError(f"{path}: unreadable header ({exc})") from exc
+    _typed(header, dict, "header", path, IntegrityError)
     pos += header_len
     (blob_len,) = _U64.unpack_from(body, pos)
     pos += _U64.size
@@ -124,24 +133,32 @@ def load_checkpoint(path: str) -> dict:
 
     offset = 0
     params: dict[str, np.ndarray] = {}
-    for meta in header["params"]:
-        arr, offset = _take(blob, offset, meta["shape"])
-        params[meta["name"]] = arr
+    shapes: dict[str, list] = {}
+    for i, meta in enumerate(_field(header, "params", list, path)):
+        name = _field(meta, "name", str, path, f"params[{i}].")
+        shape = shapes[name] = _field(meta, "shape", list, path, f"params[{i}].")
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise IntegrityError(f"{path}: header field params[{i}].shape must hold "
+                                 f"integers >= 0, got {shape!r}")
+        params[name], offset = _take(blob, offset, shape)
 
-    shapes = {meta["name"]: meta["shape"] for meta in header["params"]}
-    opt_meta = header["optimizer"]
-    optimizer: dict = {"kind": opt_meta["kind"]}
-    optimizer.update(opt_meta["scalars"])
-    for slot, names in opt_meta["slots"].items():
+    opt_meta = _field(header, "optimizer", dict, path)
+    optimizer: dict = {"kind": _field(opt_meta, "kind", str, path, "optimizer.")}
+    for key, value in _field(opt_meta, "scalars", dict, path, "optimizer.").items():
+        optimizer[key] = _typed(value, (int, float), f"header field optimizer.scalars.{key}",
+                                path, IntegrityError)
+    slots = _field(opt_meta, "slots", dict, path, "optimizer.")
+    for slot in slots:
         slot_dict = {}
-        for name in names:
-            arr, offset = _take(blob, offset, shapes[name])
-            slot_dict[name] = arr
+        for name in _field(slots, slot, list, path, "optimizer.slots."):
+            if type(name) is not str or name not in shapes:
+                raise IntegrityError(f"{path}: header field optimizer.slots.{slot} names "
+                                     f"{name!r}, which is not a parameter")
+            slot_dict[name], offset = _take(blob, offset, shapes[name])
         optimizer[slot] = slot_dict
     if offset != blob_len:
         raise IntegrityError(f"{path}: {blob_len - offset} unexplained trailing bytes in blob")
 
-    return {"version": version, "model_config": header["model_config"],
-            "params": params, "optimizer": optimizer,
-            "rng_state": header["rng_state"], "train_state": header["train_state"],
-            "extra": header["extra"]}
+    return {"version": version, "params": params, "optimizer": optimizer,
+            **{key: _field(header, key, dict, path)
+               for key in ("model_config", "rng_state", "train_state", "extra")}}

@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 
 from .checkpoint import load_checkpoint
-from .data import load_jsonl, load_squad
+from .data import _JSON_ERRORS, load_jsonl, load_squad
 from .encoder import Featurizer
 from .errors import ConfigError, DecapropError, NumericError
 from .gradcheck import run_gradcheck, threshold_for
@@ -39,7 +39,8 @@ def _parse_value(raw: str):
         return None
     try:
         return json.loads(raw)
-    except json.JSONDecodeError:
+    except _JSON_ERRORS:
+        # text JSON cannot take stays text, so it fails the key's own checks
         return raw
 
 
@@ -55,7 +56,7 @@ def read_config_file(path: str) -> dict[str, str]:
                     raise ConfigError(f"{path}:{lineno}: expected 'section.key = value'")
                 key, raw = line.split("=", 1)
                 values[key.strip()] = raw
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return values
 

@@ -121,14 +121,16 @@ def load_jsonl(path: str) -> list[TokenizedExample]:
     return examples
 
 
-_KINDS = {list: "a list", dict: "an object", str: "a string", int: "an integer"}
+_KINDS = {list: "a list", dict: "an object", str: "a string", int: "an integer",
+          (int, float): "a number"}
 
 
-def _typed(value, kind: type, name: str, where: str):
-    """``value`` itself when it has the json type ``kind``; a bool is no integer."""
+def _typed(value, kind: type | tuple, name: str, where: str, error: type = DataError):
+    """``value`` itself when it has the json type ``kind``; a bool is no
+    integer.  Otherwise raises ``error``, naming ``name``."""
     if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
         return value
-    raise DataError(f"{where}: {name} must be {_KINDS[kind]}, got {type(value).__name__}")
+    raise error(f"{where}: {name} must be {_KINDS[kind]}, got {type(value).__name__}")
 
 
 def _example_id(value, default: str, where: str) -> str:

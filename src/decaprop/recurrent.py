@@ -16,9 +16,10 @@ recurrent rows are laid out ``(G, 2, h, h)``, so one broadcast matmul writes
 a step's recurrent product straight into its gate block, where the
 activations are kept.  The cells' ``scan`` and ``bptt`` are that loop and
 its hand-written backpropagation through time, which returns the input
-gradients batch-major again for one ``dx`` and one ``dW_x`` GEMM.  A
-narrower direction (odd widths) is padded with zero weight columns; its
-padded unit stays exactly zero.
+gradients batch-major again for one ``dx`` and one ``dW_x`` GEMM; it takes
+the gradient of the state after every step, ``final_states``' too
+(``_take_grad``).  A narrower direction (odd widths) is padded with zero
+weight columns; its padded unit stays exactly zero.
 
 The stacked weights halve the sigmoid gates' pre-activations
 (``_stacked_weights``), so one tanh over a step's gate block and one add give
@@ -126,13 +127,13 @@ class GRUCell:
         input, (batch, len, 2, 3, h), and of the recurrent rows, (2, h, 3h),
         as ``scan`` took them (scaled), given ``g``, the gradient of the
         state after every step, time-major as ``scan``'s states (len, 2,
-        batch, h), or after the last step alone, (2, batch, h).
+        batch, h).
 
         It runs once per forward, as ``Tape.backward`` does: it overwrites
         the saved activations and returns its input gradients in their buffer.
         """
         hs, acts = saved
-        length, _, _, batch, n = acts.shape
+        _, _, _, batch, n = acts.shape
         h_prev = hs[:-1]
         z2, r2, cand = acts[:, 0], acts[:, 1], acts[:, 2]
         # the factors that do not depend on the incoming gradient, for all
@@ -155,16 +156,13 @@ class GRUCell:
         keep += 1.0
         k_z *= keep
         u_zr_t, u_h_t = _rows_t(u[:2]), _rows_t(u[2:])
-        per_step = g.ndim == 4
-        dh = np.zeros(g.shape[1:]) if per_step else g.copy()
+        dh = np.zeros(g.shape[1:])
         d_rh, tmp = np.empty_like(dh), np.empty_like(dh)
         da_zr = np.empty((2, batch, 2, n))
         da_rows, da_gates = da_zr.reshape(2, batch, 2 * n), da_zr.transpose(2, 0, 1, 3)
-        gs = g[::-1] if per_step else [None] * length
         for g_s, da, da_z, da_r, da_c, keep_s, r2_s in zip(
-                gs, dxp[::-1, :2], k_z[::-1], k_r[::-1], k_h[::-1], keep[::-1], r2[::-1]):
-            if g_s is not None:
-                dh += g_s
+                g[::-1], dxp[::-1, :2], k_z[::-1], k_r[::-1], k_h[::-1], keep[::-1], r2[::-1]):
+            dh += g_s
             da_c *= dh
             # the gradient of 2 r h
             np.matmul(da_c, u_h_t, d_rh)
@@ -176,7 +174,7 @@ class GRUCell:
             np.copyto(da_gates, da)
             np.matmul(da_rows, u_zr_t, tmp)
             dh += tmp
-        del g, gs, g_s
+        del g, g_s
         # the activations' buffer takes the gradients batch-major, so 2 r h
         # is formed first; the batch-major states are built one at a time
         rh = r2 * h_prev
@@ -261,7 +259,7 @@ class LSTMCell:
         """Backpropagation through ``scan``; see ``GRUCell.bptt``.  It too
         returns its input gradients in the buffer of the activations."""
         hs, cs, acts, tanh_c, mask = saved
-        length, _, batch, n = tanh_c.shape
+        _, _, batch, n = tanh_c.shape
         i, f, o, cand = (acts[:, k] for k in range(4))
         # the factors that do not depend on the incoming gradient, for all
         # steps at once: d(pre-activation) per d(cell) for i, f and c, per
@@ -283,17 +281,14 @@ class LSTMCell:
         k_c *= o
         mask = _wide(mask, n)
         u_t = _rows_t(u)
-        per_step = g.ndim == 4
-        dh = np.zeros(g.shape[1:]) if per_step else g.copy()
+        dh = np.zeros(g.shape[1:])
         dc, dhn, dcn, d_next = (np.zeros_like(dh) for _ in range(4))
         da_t = np.empty((2, batch, 4, n))
         da_rows, da_gates = da_t.reshape(2, batch, 4 * n), da_t.transpose(2, 0, 1, 3)
-        gs = g[::-1] if per_step else [None] * length
         for g_s, da, da_if, da_o, da_c, m, k_c_s, f_s in zip(
-                gs, dxp[::-1], dxp[::-1, :2], dxp[::-1, 2], dxp[::-1, 3], mask[::-1],
+                g[::-1], dxp[::-1], dxp[::-1, :2], dxp[::-1, 2], dxp[::-1, 3], mask[::-1],
                 k_c[::-1], f[::-1]):
-            if g_s is not None:
-                dh += g_s
+            dh += g_s
             # dh and dc keep (1 - m) times themselves, exactly, for a 0/1 mask
             np.multiply(dh, m, dhn)
             dh -= dhn
@@ -309,7 +304,7 @@ class LSTMCell:
             dh += d_next
             np.multiply(dcn, f_s, d_next)
             dc += d_next
-        del k_c, k_c_s, tmp, mask, m, g, gs, g_s
+        del k_c, k_c_s, tmp, mask, m, g, g_s
         dproj = _batch_major(dxp, out=acts)
         del dxp, da, da_if, da_o, da_c
         return dproj, _outer(_batch_major(hs[:-1]), dproj)
@@ -469,7 +464,7 @@ def _birnn(rnn: BiRNN, x: Tensor, mask: np.ndarray, last_only: bool) -> Tensor:
     out = Tensor(_join(hs[-1].transpose(1, 0, 2) if last_only else _batch_major(hs[1:]), h_b))
 
     def bw():
-        dproj, du = rnn.fwd.bptt(saved, u, _take_grad(out, n, last_only))
+        dproj, du = rnn.fwd.bptt(saved, u, _take_grad(out, n, length, last_only))
         flat = dproj.reshape(batch * length, -1)
         if x.requires_grad:
             _acc(x, (flat @ w_x.T).reshape(x.shape))
@@ -490,13 +485,18 @@ def _birnn(rnn: BiRNN, x: Tensor, mask: np.ndarray, last_only: bool) -> Tensor:
     return out
 
 
-def _take_grad(out: Tensor, n: int, last_only: bool) -> np.ndarray:
-    """The gradient of a BiRNN's output as ``bptt`` takes it, time-major,
-    taken off the output: the batch-major gradient is freed before ``bptt``
-    allocates its buffers, and ``bptt`` holds the only reference to the
-    time-major one, which it frees after its loop."""
+def _take_grad(out: Tensor, n: int, length: int, last_only: bool) -> np.ndarray:
+    """The gradient of a BiRNN's output as ``bptt`` takes it, time-major per
+    step, taken off the output: the batch-major gradient is freed before
+    ``bptt`` allocates its buffers, and ``bptt`` holds the only reference to
+    the time-major one, which it frees after its loop.  With ``last_only``
+    it is zero but at step len - 1, each direction's last state."""
     g, out.grad = _split(out.grad, n), None
-    return g.transpose(1, 0, 2) if last_only else _time_major(g)
+    if not last_only:
+        return _time_major(g)
+    steps = np.zeros((length, 2, g.shape[0], n))
+    steps[-1] = g.transpose(1, 0, 2)
+    return steps
 
 
 def _join(states: np.ndarray, h_b: int) -> np.ndarray:

@@ -17,8 +17,8 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .data import TokenizedExample
-from .errors import ConfigError, ContractError, DataError, NumericError
+from .data import TokenizedExample, _typed
+from .errors import ConfigError, ContractError, DataError, IntegrityError, NumericError
 from .model import (POSITIVE, VARIANTS, Config, DecaProp, ForwardResult, ModelConfig,
                     apply_variant, at_least, build_model, one_of)
 from .numerics import ParamStore, Tape, backward
@@ -395,8 +395,16 @@ def evaluate(model: DecaProp, featurizer: Featurizer, examples: list[TokenizedEx
 def check_resume(ck: dict, model_config: ModelConfig, tcfg: TrainConfig,
                  path: str | None = None) -> None:
     """Refuse to resume checkpoint ``ck`` (read from ``path``, if given) with a
-    model or optimizer other than its own: a resumed run keeps both."""
+    model or optimizer other than its own, since a resumed run keeps both,
+    or with a train or rng state that the run cannot take up."""
     name = "the checkpoint" if path is None else f"the checkpoint {path}"
+    for key, kind in (("epoch", int), ("step", int), ("lr", (int, float)), ("history", list)):
+        _typed(ck["train_state"].get(key), kind, f"train_state.{key}", name, IntegrityError)
+    try:
+        np.random.default_rng(0).bit_generator.state = ck["rng_state"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IntegrityError(f"{name}: rng_state is not a state of this run's generator "
+                             f"({exc!r})") from exc
     kept = ModelConfig.from_dict(ck["model_config"]).to_dict()
     for key, value in model_config.to_dict().items():
         if value != kept[key]:
@@ -554,7 +562,11 @@ def restore_model(ck: dict, path: str) -> tuple[DecaProp, Featurizer]:
     if "featurizer" not in ck["extra"]:
         raise ConfigError(f"{path}: checkpoint has no featurizer state; "
                           "was it written by 'decaprop train'?")
-    featurizer = Featurizer.from_state(ck["extra"]["featurizer"])
+    state = _typed(ck["extra"]["featurizer"], dict, "extra.featurizer", path, IntegrityError)
+    for key in ("tokens", "char_tokens"):
+        for token in _typed(state.get(key), list, f"extra.featurizer.{key}", path, IntegrityError):
+            _typed(token, str, f"an entry of extra.featurizer.{key}", path, IntegrityError)
+    featurizer = Featurizer.from_state(state)
     # every parameter, the frozen word vectors included, is then overwritten
     model = build_model(ModelConfig.from_dict(ck["model_config"]), featurizer)
     model.store.load_values(ck["params"])

@@ -234,8 +234,8 @@ def test_attend_grad(rng):
 def _closed_form(inputs: list, params: tuple, y: np.ndarray, backward_fn) -> Tensor:
     """``y`` as one tape record whose backward is ``backward_fn(g)``: it
     accumulates the gradients of ``params`` itself and returns those of
-    ``inputs``, in order.  It runs a closed form the records share on its
-    own."""
+    ``inputs``, in order, or none if it accumulates those too.  It runs a
+    closed form the records share on its own."""
     out = Tensor(y)
 
     def bw():
@@ -281,13 +281,17 @@ def attend_closed_form(e: Tensor, values: Tensor, mask: np.ndarray, transposed: 
 
 def scores_closed_form(proj: Dense, p: Tensor, q: Tensor) -> Tensor:
     """``_scores`` and ``_scores_backward``: the scores of the rows p and q
-    under the ReLU projection, (..., lq, lp)."""
+    under the ReLU projection, (..., lq, lp).  ``_scores_backward`` adds the
+    rows' gradients to zero ones of its own and accumulates them into p and
+    q itself."""
     pd, qd = p.data.reshape((-1,) + p.shape[-2:]), q.data.reshape((-1,) + q.shape[-2:])
     e = _scores(proj, pd, qd)
 
     def backward_fn(g):
-        dp, dq = _scores_backward(proj, pd, qd, g.reshape(e.shape).copy())
-        return [dp.reshape(p.shape), dq.reshape(q.shape)]
+        d = pd.shape[-1]
+        _scores_backward(proj, p, q, pd, qd, g.reshape(e.shape).copy(),
+                         np.zeros((pd.size // d, d)), np.zeros((qd.size // d, d)))
+        return []
     return _closed_form([p, q], (proj.w, proj.b), e.reshape(p.shape[:-2] + e.shape[1:]),
                         backward_fn)
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, fields, replace
@@ -708,7 +709,8 @@ def test_cli_predict_into_a_closed_pipe(tmp_path, tiny_config):
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert json.loads(proc.stdout.readline())["id"] == rows[0]["id"]
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=120) == 1
     assert err == b""
 
@@ -889,6 +891,31 @@ def test_cli_rejects_bad_config_value(tmp_path, monkeypatch, capsys, setting, me
     assert capsys.readouterr().err.startswith(f"error:config: {message}")
 
 
+@pytest.mark.parametrize("setting, message", [
+    (b"train.lr = " + b"1" * 5000, "train.lr must be float, got '111"),
+    ("DECAPROP_TRAIN_LR=" + "1" * 5000, "train.lr must be float, got '111"),
+    (b"train.lr = " + b"[" * 100000, "train.lr must be float, got '[[["),
+    (b"task.seed = 1 # \xff\xfe", "cannot read config"),
+], ids=["long-integer", "long-integer-env", "deep-nesting", "not-utf-8"])
+def test_cli_config_text_json_cannot_take(tmp_path, monkeypatch, capsys, setting, message):
+    """A value json cannot take (more digits than Python converts, nesting
+    past the recursion limit) stays text and fails its key's own check, and
+    a file that is not UTF-8 cannot be read: one ``error:config:`` line and
+    no traceback."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    if isinstance(setting, str):
+        monkeypatch.setenv(*setting.split("=", 1))
+        cfg.write_bytes(b"")
+    else:
+        cfg.write_bytes(setting + b"\n")
+    assert cli.main(["synth", "--config", str(cfg), "--out", "synth.jsonl"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error:config: {message}")
+    assert not (tmp_path / "synth.jsonl").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["synth", "--out", "x.jsonl"], "task.seed must be >= 0"),
     (["gradcheck", "--scenario", "dense_relu"], "seed must be >= 0"),
@@ -1020,6 +1047,78 @@ def test_cli_eval_rejects_checkpoint_without_featurizer(tmp_path, rng, capsys):
     rc = cli.main(["eval", "--checkpoint", str(path), "--data", "whatever.jsonl"])
     assert rc == 1
     assert "no featurizer state" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """The bytes of a one-epoch tiny checkpoint written by ``decaprop train``,
+    and the config it was trained with."""
+    root = tmp_path_factory.mktemp("tiny")
+    cfg = root / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG, encoding="utf-8")
+    ckpt = root / "model.ckpt"
+    assert cli.main(["train", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 0
+    return str(cfg), ckpt.read_bytes()
+
+
+def with_header(raw: bytes, edit) -> bytes:
+    """The checkpoint ``raw`` with its header replaced by ``edit(header)``,
+    under a valid sha256 digest."""
+    at = len(MAGIC) + 4
+    (size,) = struct.unpack_from("<Q", raw, at)
+    header = json.loads(raw[at + 8:at + 8 + size])
+    new = json.dumps(edit(header)).encode("utf-8")
+    body = raw[:at] + struct.pack("<Q", len(new)) + new + raw[at + 8 + size:-32]
+    return body + hashlib.sha256(body).digest()
+
+
+def _set(*keys, value):
+    """A header edit that sets the entry at ``keys`` to ``value``."""
+    def edit(header):
+        obj = header
+        for key in keys[:-1]:
+            obj = obj[key]
+        obj[keys[-1]] = value
+        return header
+    return edit
+
+
+PREDICT = ["predict", "--data", "missing.jsonl"]
+RESUME = ["train", "--resume"]
+
+
+@pytest.mark.parametrize("edit, argv, message", [
+    (lambda header: {}, PREDICT, "header field params must be a list, got NoneType"),
+    (lambda header: [], PREDICT, "header must be an object, got list"),
+    (_set("params", 0, "shape", value="x"), PREDICT,
+     "header field params[0].shape must be a list, got str"),
+    (_set("optimizer", "slots", "m", 0, value="nope"), PREDICT,
+     "header field optimizer.slots.m names 'nope', which is not a parameter"),
+    (_set("optimizer", "scalars", "t", value="x"), RESUME,
+     "header field optimizer.scalars.t must be a number, got str"),
+    (_set("train_state", value={}), RESUME, "train_state.epoch must be an integer, got NoneType"),
+    (_set("rng_state", value={}), RESUME, "rng_state is not a state of this run's generator"),
+    (_set("extra", "featurizer", "tokens", value=5), PREDICT,
+     "extra.featurizer.tokens must be a list, got int"),
+    (_set("extra", "featurizer", "tokens", value=[1, 2]), PREDICT,
+     "an entry of extra.featurizer.tokens must be a string, got int"),
+], ids=["empty-object", "array", "param-shape", "slot-names-no-parameter", "optimizer-scalar",
+        "empty-train-state", "empty-rng-state", "featurizer-tokens", "featurizer-token-entries"])
+def test_cli_checkpoint_header_not_as_written(tmp_path, tiny_checkpoint, capsys, monkeypatch,
+                                              edit, argv, message):
+    """A checkpoint whose digest holds but whose header is not what
+    ``save_checkpoint`` writes is refused with one ``error:integrity:`` line
+    that names the field, and no traceback."""
+    monkeypatch.chdir(tmp_path)
+    cfg, raw = tiny_checkpoint
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(with_header(raw, edit))
+    assert cli.main(argv + ["--config", cfg, "--checkpoint", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error:integrity: ")
+    assert message in errors[0]
 
 
 def test_readme_names_every_config_key():

@@ -12,7 +12,7 @@ from decaprop.bac import BAC
 from decaprop.encoder import Featurizer
 from decaprop.errors import ConfigError, ContractError
 from decaprop.model import (VARIANTS, ModelConfig, apply_variant, build_model)
-from decaprop.numerics import Tape, backward
+from decaprop.numerics import Dense, Tape, backward
 from decaprop.training import SyntheticTaskSpec, collate, gen_synthetic
 
 
@@ -230,6 +230,28 @@ def test_training_forward_tape_records(cell, layers, max_records):
     (LSTM n4) entries."""
     _, tape = _c6_first_forward(cell, layers)
     assert len(tape) < max_records
+
+
+def test_training_step_projects_the_self_block_once(monkeypatch):
+    """The self block attends over its own rows, so its record projects them
+    once in the forward and once in the backward: a criterion-6 GRU n2
+    training step calls ``Dense.rows`` 38 times, 40 when each side of the
+    scores was projected on its own."""
+    model, batch = _c6_model("gru", 2)
+    layers = []
+    rows = Dense.rows
+
+    def counted(layer, x):
+        layers.append(layer)
+        return rows(layer, x)
+
+    monkeypatch.setattr(Dense, "rows", counted)
+    with Tape() as tape:
+        out = model.forward(batch, training=True, rng=np.random.default_rng(0))
+    model.store.zero_grads()
+    backward(tape, out.loss)
+    assert len(layers) == 38
+    assert sum(layer is model.core.self_attn.proj for layer in layers) == 2
 
 
 def test_backward_peak_stays_near_the_forward_live_set():
