@@ -7,6 +7,7 @@ takes the passage mask and the loss the passage lengths; both are required.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DataError
 from .numerics import (
@@ -65,35 +66,53 @@ def span_loss(start_logits: Tensor, end_logits: Tensor, y1, y2, lengths) -> Tens
     return mul(sum_(add(lp1, lp2)), -1.0 / start_logits.shape[0])
 
 
-def decode_span(p1: np.ndarray, p2: np.ndarray, max_span_len: int | None = None
-                ) -> tuple[int, int]:
-    """Best (start, end) pair maximizing p1[start] * p2[end] with start <= end.
+def decode_span(p1: np.ndarray, p2: np.ndarray, max_span_len: int | None = None,
+                lengths=None) -> tuple[int, int] | list[tuple[int, int]]:
+    """Best (start, end) pair maximizing p1[start] * p2[end] with start <= end,
+    and end - start < ``max_span_len`` when that is set.
 
-    Ties break to the smaller start, then the smaller end, matching an
-    exhaustive scan in that order.  Without a span cap this is the O(len)
-    running-argmax scheme; with a cap the argmax is taken over a window.
+    ``p1`` and ``p2`` are one distribution of shape (len,), which gives one
+    pair, or a block of shape (rows, len), which gives a list of pairs, one
+    per row.  ``lengths`` holds each row's real positions (default: all of
+    them); scores at or past a row's length are excluded.  Ties break to the
+    smaller start, then the smaller end, matching an exhaustive scan in that
+    order.  For each end the best start is the first argmax of p1 up to it
+    (within the cap).  That start never decreases as the end grows, so the
+    first argmax over ends keeps the tie rule.
     """
     p1 = np.asarray(p1, dtype=np.float64)
     p2 = np.asarray(p2, dtype=np.float64)
-    if p1.ndim != 1 or p1.shape != p2.shape:
-        raise ContractError(f"decode expects matching 1-d distributions, got {p1.shape} vs {p2.shape}")
-    n = p1.shape[0]
+    if p1.ndim not in (1, 2) or p1.shape != p2.shape:
+        raise ContractError(f"decode expects matching 1-d or 2-d distributions, got "
+                            f"{p1.shape} vs {p2.shape}")
+    one = p1.ndim == 1
+    p1, p2 = np.atleast_2d(p1, p2)
+    rows, n = p1.shape
     if n == 0:
         raise ContractError("decode on empty distributions")
     if max_span_len is not None and max_span_len < 1:
         raise ContractError(f"max_span_len must be >= 1, got {max_span_len}")
+    lens = np.full(rows, n) if lengths is None else np.asarray(lengths)
+    if lens.shape != (rows,):
+        raise ContractError(f"decode needs one length per row: {rows} rows, lengths of "
+                            f"shape {lens.shape}")
+    if ((lens < 1) | (lens > n)).any():
+        raise ContractError(f"decode lengths must lie in 1..{n}, got {lens.tolist()}")
 
-    best_k = best_l = -1
-    best_score = -1.0
-    k = 0
-    for l in range(n):
-        if max_span_len is None:
-            if p1[l] > p1[k]:
-                k = l
-        else:
-            lo = max(0, l - max_span_len + 1)
-            k = lo + int(np.argmax(p1[lo:l + 1]))
-        score = p1[k] * p2[l]
-        if score > best_score or (score == best_score and (k, l) < (best_k, best_l)):
-            best_k, best_l, best_score = k, l, score
-    return best_k, best_l
+    row, pos = np.arange(rows)[:, None], np.arange(n)
+    if max_span_len is None or max_span_len >= n:
+        # running first argmax: the last position that set a strict new maximum
+        new = np.ones((rows, n), dtype=bool)
+        new[:, 1:] = p1[:, 1:] > np.maximum.accumulate(p1, axis=1)[:, :-1]
+        start = np.maximum.accumulate(np.where(new, pos, 0), axis=1)
+    else:
+        # first argmax over each window; the -inf padding before position 0
+        # never beats a probability
+        w = max_span_len
+        padded = np.concatenate([np.full((rows, w - 1), -np.inf), p1], axis=1)
+        start = pos - (w - 1) + sliding_window_view(padded, w, axis=1).argmax(axis=-1)
+    score = p1[row, start] * p2
+    score[pos >= lens[:, None]] = -np.inf
+    end = score.argmax(axis=1)
+    spans = [(int(k), int(l)) for k, l in zip(start[row[:, 0], end], end)]
+    return spans[0] if one else spans

@@ -208,15 +208,10 @@ class DecaProp:
 
     def decode(self, out: ForwardResult, lengths) -> list[tuple[int, int]]:
         """Decoded (start, end) per example, restricted to its ``lengths``
-        real positions."""
-        rows = out.start_logits.shape[0]
-        if np.shape(lengths) != (rows,):
-            raise ContractError(f"decode needs one length per row: {rows} rows, lengths of "
-                                f"shape {np.shape(lengths)}")
+        real positions, in one pass over the batch."""
         p1 = softmax(out.start_logits, -1).data
         p2 = softmax(out.end_logits, -1).data
-        return [decode_span(p1[i, :n], p2[i, :n], self.config.max_span_len)
-                for i, n in enumerate(lengths)]
+        return decode_span(p1, p2, self.config.max_span_len, lengths)
 
     def predict(self, batch: dict) -> list[tuple[int, int]]:
         """One forward without the span targets, so no loss, then decode."""

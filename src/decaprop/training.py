@@ -19,8 +19,8 @@ import numpy as np
 from .checkpoint import save_checkpoint
 from .data import TokenizedExample, _typed
 from .errors import ConfigError, ContractError, DataError, IntegrityError, NumericError
-from .model import (POSITIVE, VARIANTS, Config, DecaProp, ForwardResult, ModelConfig,
-                    apply_variant, at_least, build_model, one_of)
+from .model import (POSITIVE, VARIANTS, Config, DecaProp, ModelConfig, apply_variant,
+                    at_least, build_model, one_of)
 from .numerics import ParamStore, Tape, backward
 from .encoder import Featurizer
 
@@ -361,16 +361,42 @@ def span_text(ex: TokenizedExample, span: tuple[int, int]) -> str:
 
 def predict_batches(model: DecaProp, featurizer: Featurizer,
                     examples: list[TokenizedExample], batch_size: int = 32
-                    ) -> Iterator[tuple[list[TokenizedExample], ForwardResult,
+                    ) -> Iterator[tuple[list[TokenizedExample], float | None,
                                         list[tuple[int, int]]]]:
-    """Forward each batch of ``examples`` once; yields the batch's examples,
-    the forward result (its loss is None for unlabeled data) and the decoded
-    spans."""
+    """Forward ``examples`` in input-order chunks of ``batch_size``; yields
+    each chunk, its summed loss (None for unlabeled data) and its decoded
+    spans in input order.
+
+    A chunk runs in length groups: sorted by passage length, ties by input
+    index, a group ends before the first passage more than twice as long as
+    the group's first.  Each group is collated, forwarded and decoded on its
+    own, so no row is padded past twice its length.  The chunk's loss is the
+    sum over groups of mean loss times rows.
+    """
+    if batch_size < 1:
+        raise ContractError(f"predict_batches: batch_size must be >= 1, got {batch_size}")
     feats = [featurizer.example(ex) for ex in examples]
     for lo in range(0, len(examples), batch_size):
-        batch = collate(feats[lo:lo + batch_size])
-        out = model.forward(batch)
-        yield examples[lo:lo + batch_size], out, model.decode(out, batch["p_len"])
+        chunk = examples[lo:lo + batch_size]
+        lengths = [len(ex.passage_tokens) for ex in chunk]
+        order = sorted(range(len(chunk)), key=lengths.__getitem__)
+        groups, first = [], 0
+        for k, i in enumerate(order):
+            if lengths[i] > 2 * lengths[order[first]]:
+                groups.append(order[first:k])
+                first = k
+        groups.append(order[first:])
+        spans: list = [None] * len(chunk)
+        # collate carries the targets only when every example has them
+        loss = 0.0 if all(ex.labeled for ex in chunk) else None
+        for group in groups:
+            batch = collate([feats[lo + i] for i in group])
+            out = model.forward(batch)
+            for i, span in zip(group, model.decode(out, batch["p_len"])):
+                spans[i] = span
+            if loss is not None:
+                loss += out.loss.item() * len(group)
+        yield chunk, loss, spans
 
 
 def evaluate(model: DecaProp, featurizer: Featurizer, examples: list[TokenizedExample],
@@ -381,8 +407,8 @@ def evaluate(model: DecaProp, featurizer: Featurizer, examples: list[TokenizedEx
     _require_labels(examples, "evaluation")
     total_loss = 0.0
     ems, f1s, spans = [], [], []
-    for chunk, out, chunk_spans in predict_batches(model, featurizer, examples, batch_size):
-        total_loss += out.loss.item() * len(chunk)
+    for chunk, loss, chunk_spans in predict_batches(model, featurizer, examples, batch_size):
+        total_loss += loss
         for ex, span in zip(chunk, chunk_spans):
             em, f1 = em_f1(span_text(ex, span), ex.answer_texts)
             ems.append(em)

@@ -209,11 +209,44 @@ def test_decode_with_span_cap(rng):
         assert got[1] - got[0] < cap
 
 
+@pytest.mark.parametrize("cap", [None, 1, 3, 50], ids=["no-cap", "cap1", "cap3", "cap-wide"])
+@pytest.mark.parametrize("masses", ["dirichlet", "ties"])
+def test_decode_block_matches_each_row(rng, cap, masses):
+    """A block of rows of different lengths decodes each row as the
+    exhaustive scan of its real prefix does; the large masses past a row's
+    length are never picked."""
+    for _ in range(100):
+        rows, n = int(rng.integers(1, 8)), int(rng.integers(1, 25))
+        lengths = rng.integers(1, n + 1, size=rows)
+        if masses == "ties":
+            p1 = rng.choice([0.0, 0.25, 0.5], size=(rows, n))
+            p2 = rng.choice([0.0, 0.25, 0.5], size=(rows, n))
+        else:
+            p1 = rng.dirichlet(np.ones(n), size=rows)
+            p2 = rng.dirichlet(np.ones(n), size=rows)
+        past = np.arange(n) >= lengths[:, None]
+        p1[past] = p2[past] = 1.0
+        got = decode_span(p1, p2, cap, lengths)
+        assert got == [exhaustive_decode(p1[r, :m], p2[r, :m], cap)
+                       for r, m in enumerate(lengths)]
+        assert decode_span(p1[0, :lengths[0]], p2[0, :lengths[0]], cap) == got[0]
+
+
 def test_decode_rejects_bad_inputs():
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="empty"):
         decode_span(np.zeros(0), np.zeros(0))
+    with pytest.raises(ContractError, match="max_span_len must be >= 1, got 0"):
+        decode_span(np.full(3, 0.25), np.full(3, 0.25), max_span_len=0)
     with pytest.raises(ContractError):
         decode_span(np.zeros(3), np.zeros(4))
+    with pytest.raises(ContractError, match="1-d or 2-d"):
+        decode_span(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)))
+    block = np.full((2, 3), 0.25)
+    with pytest.raises(ContractError, match="one length per row"):
+        decode_span(block, block, lengths=[3])
+    for bad in ([3, 0], [4, 3]):
+        with pytest.raises(ContractError, match=r"lengths must lie in 1\.\.3"):
+            decode_span(block, block, lengths=bad)
 
 
 # ---------------------------------------------------------------------------

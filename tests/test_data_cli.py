@@ -21,8 +21,8 @@ from decaprop.encoder import Featurizer
 from decaprop.errors import ConfigError, DataError, IntegrityError
 from decaprop.model import ModelConfig, build_model
 from decaprop.numerics import ParamStore
-from decaprop.training import (SyntheticTaskSpec, TrainConfig, gen_synthetic,
-                               init_optimizer_state, train_model)
+from decaprop.training import (SyntheticTaskSpec, TrainConfig, collate, gen_synthetic,
+                               init_optimizer_state, restore_model, train_model)
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +648,32 @@ def test_cli_predict_unlabeled_data(tmp_path, tiny_config, capsys):
         assert cli.main(argv + ["--config", tiny_config, "--data", str(data)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:data: example dev-0: no answer_start/answer_end")
+
+
+def test_cli_predict_mixed_lengths_in_input_order(tmp_path, tiny_config):
+    """predict forwards each batch in length groups, yet writes its records
+    in input order with the spans batch-1 predict decodes."""
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--config", tiny_config, "--checkpoint", str(ckpt)]) == 0
+    rows = []
+    for k, n in enumerate((4, 17, 5, 9, 40, 6, 12, 8, 25)):
+        spec = SyntheticTaskSpec(vocab_size=20, passage_len=n, query_len=2, span_min=1,
+                                 span_max=1, distractors=0, n_train=1, seed=k)
+        ex, = gen_synthetic(spec, "train")
+        rows.append({"id": f"mixed-{k}", "passage": ex.passage_tokens,
+                     "question": ex.question_tokens})
+    data = tmp_path / "mixed.jsonl"
+    write_lines(data, [json.dumps(r) for r in rows])
+    out = tmp_path / "spans.jsonl"
+    assert cli.main(["predict", "--config", tiny_config, "--checkpoint", str(ckpt),
+                     "--data", str(data), "--out", str(out)]) == 0
+    records = [json.loads(l) for l in out.read_text().splitlines()]
+    assert [r["id"] for r in records] == [r["id"] for r in rows]
+    model, fz = restore_model(load_checkpoint(str(ckpt)), str(ckpt))
+    for ex, record in zip(load_jsonl(str(data)), records):
+        start, end = model.predict(collate([fz.example(ex)]))[0]
+        assert (record["start"], record["end"]) == (start, end), ex.id
+        assert record["text"] == " ".join(ex.passage_tokens[start:end + 1])
 
 
 def test_cli_predict_computes_no_loss(tmp_path, tiny_config, capsys, monkeypatch):

@@ -20,7 +20,7 @@ from decaprop.training import (SyntheticTaskSpec, TrainConfig, adadelta_step,
                                adam_step, clip_gradients, collate, em_f1, evaluate,
                                gen_synthetic, init_optimizer_state, lr_schedule,
                                normalize_answer, predict_batches, restore_model,
-                               run_ablation, train_model)
+                               run_ablation, span_text, train_model)
 
 
 def scalar_store(value=0.0, grad=1.0):
@@ -645,8 +645,96 @@ def test_evaluate_matches_forward_and_predict():
     unlabeled = [replace(ex, answer_start=None, answer_end=None) for ex in dev]
     parts = list(predict_batches(model, fz, unlabeled, batch_size=4))
     assert [chunk for chunk, _, _ in parts] == [unlabeled[:4], unlabeled[4:]]
-    assert all(out.loss is None for _, out, _ in parts)
+    assert all(loss is None for _, loss, _ in parts)
     assert [s for _, _, chunk_spans in parts for s in chunk_spans] == spans
+
+
+def mixed_length_setup(lengths):
+    """One synthetic example per passage length, and a small model over them."""
+    examples = []
+    for k, n in enumerate(lengths):
+        spec = SyntheticTaskSpec(vocab_size=100, passage_len=n, query_len=3, span_min=2,
+                                 span_max=2, distractors=1, n_train=1, seed=k)
+        examples += gen_synthetic(spec, "train")
+    cfg = ModelConfig(word_dim=8, char_dim=4, char_hidden=4, max_word_len=6, hidden=8,
+                      layers=2, fm_factors=4)
+    fz = Featurizer.build(examples, cfg.max_word_len)
+    return build_model(cfg, fz, seed=0), fz, examples
+
+
+def test_length_groups_match_one_padded_forward(monkeypatch):
+    """A chunk with passages of 20-160 tokens runs in length groups whose
+    logits at real positions match one padded forward of the whole chunk;
+    spans, EM and F1 are equal and the loss is within rounding."""
+    lengths = (20, 160, 35, 90, 41, 20, 120, 60, 80, 25, 150, 44)
+    model, fz, examples = mixed_length_setup(lengths)
+    full_batch = collate([fz.example(ex) for ex in examples])
+    full = model.forward(full_batch)
+    want_spans = model.decode(full, full_batch["p_len"])
+    scores = [em_f1(span_text(ex, span), ex.answer_texts)
+              for ex, span in zip(examples, want_spans)]
+
+    groups = []
+    original = DecaProp.forward
+
+    def recorded(self, batch, *args, **kwargs):
+        out = original(self, batch, *args, **kwargs)
+        groups.append((batch["p_len"], out))
+        return out
+
+    monkeypatch.setattr(DecaProp, "forward", recorded)
+    (chunk, loss, spans), = predict_batches(model, fz, examples, batch_size=len(examples))
+    assert chunk == examples and spans == want_spans
+    assert abs(loss - full.loss.item() * len(examples)) <= 1e-12 * abs(loss)
+    # stable sort by length, a new group past twice the group's first length
+    assert [list(p_len) for p_len, _ in groups] == [
+        [20, 20, 25, 35], [41, 44, 60, 80], [90, 120, 150, 160]]
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    rows = [(out, r) for p_len, out in groups for r in range(len(p_len))]
+    for i, (out, r) in zip(order, rows):
+        n = lengths[i]
+        assert out.start_logits.shape[1] <= 2 * n
+        for got, want in ((out.start_logits, full.start_logits),
+                          (out.end_logits, full.end_logits)):
+            want = want.data[i, :n]
+            assert np.abs(got.data[r, :n] - want).max() <= 1e-12 * np.abs(want).max(), i
+
+    got_loss, em, f1, got_spans = evaluate(model, fz, examples, batch_size=len(examples))
+    assert got_spans == want_spans
+    assert abs(got_loss - full.loss.item()) <= 1e-12 * full.loss.item()
+    assert em == 100.0 * float(np.mean([s[0] for s in scores]))
+    assert f1 == 100.0 * float(np.mean([s[1] for s in scores]))
+
+
+def test_length_groups_split_past_twice_the_first(monkeypatch):
+    model, fz, examples = mixed_length_setup((41, 10, 100, 21, 20, 40))
+    calls = count_forwards(monkeypatch)
+    (_, _, spans), = predict_batches(model, fz, examples, batch_size=6)
+    # groups [10, 20], [21, 40, 41] and [100]
+    assert calls == [2, 3, 1]
+    assert spans == [model.predict(collate([fz.example(ex)]))[0] for ex in examples]
+
+
+def test_equal_lengths_forward_as_one_group(monkeypatch):
+    model, fz, _, dev = tiny_setup()
+    assert len({len(ex.passage_tokens) for ex in dev}) == 1
+    want = model.forward(collate([fz.example(ex) for ex in dev])).loss.item()
+    calls = count_forwards(monkeypatch)
+    (_, loss, _), = predict_batches(model, fz, dev, batch_size=len(dev))
+    assert calls == [len(dev)]
+    assert loss == want * len(dev)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_predict_batches_rejects_a_non_positive_batch_size(monkeypatch, batch_size):
+    model, fz, _, dev = tiny_setup()
+    calls = count_forwards(monkeypatch)
+    with pytest.raises(ContractError, match=f"batch_size must be >= 1, got {batch_size}"):
+        evaluate(model, fz, dev, batch_size=batch_size)
+    with pytest.raises(ContractError, match="batch_size"):
+        next(predict_batches(model, fz, dev, batch_size=batch_size))
+    assert calls == []
+    assert len(list(predict_batches(model, fz, dev, batch_size=1))) == len(dev)
 
 
 def test_unlabeled_examples_rejected_before_any_forward(monkeypatch):
