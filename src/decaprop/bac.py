@@ -26,7 +26,9 @@ projections in its backward (recompute for memory, as in Chen et al.
 An FM scores each column block of its input with one GEMM against [V | w]
 and its squared term with one GEMV, x² times the row sums of V²;
 ``FMKernel.scores`` and ``FMKernel.backward`` hold that math for the
-connector record, from tables built once per call.
+connector record, from tables (``FMKernel.tables``) built once per
+parameter version (``ParamStore.prepared``): once per training step, and
+once for all of inference.
 ``attention_weights`` and ``attention_weights_backward`` are the one
 masked softmax of both records.
 
@@ -80,18 +82,15 @@ class FMKernel:
             raise ConfigError(f"fm kernel needs >= 1 factor, got {factors}")
         self.input_dim = input_dim
         self.factors = factors
+        self.store = store
         self.w0 = store.register(f"{name}.w0", np.zeros(1))
         self.w = store.register(f"{name}.w", glorot(rng, input_dim, 1))
         self.v = store.register(f"{name}.v", glorot(rng, input_dim, factors))
 
     def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """[V | w], (n, k + 1), which every block meets in one GEMM, the row
-        sums of V², (n,), which the squared term meets in one GEMV, and
-        [V | w]ᵀ laid out for the backward's GEMM.  A record builds them
-        once, for its forward and its backward."""
-        v = self.v.data
-        vw = np.concatenate([v, self.w.data], axis=1)
-        return vw, (v * v).sum(axis=1), np.ascontiguousarray(vw.T)
+        """The kernel's tables (``_fm_tables``) at its store's parameter
+        version, built once per version."""
+        return self.store.prepared(self, _fm_tables)
 
     def scores(self, xs: list, tables: tuple) -> tuple[np.ndarray, np.ndarray]:
         """Scores, (rows,), of rows whose input is the 2-d column blocks
@@ -160,6 +159,15 @@ class FMKernel:
         x2v2 = matmul(mul(x, x), mul(self.v, self.v))
         pair = sub(sum_(mul(xv, xv), axis=-1, keepdims=True), sum_(x2v2, axis=-1, keepdims=True))
         return add(add(self.w0, linear), mul(pair, 0.5))
+
+
+def _fm_tables(kernel: FMKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[V | w], (n, k + 1), which every block meets in one GEMM, the row sums
+    of V², (n,), which the squared term meets in one GEMV, and [V | w]ᵀ laid
+    out for the backward's GEMM."""
+    v = kernel.v.data
+    vw = np.concatenate([v, kernel.w.data], axis=1)
+    return vw, (v * v).sum(axis=1), np.ascontiguousarray(vw.T)
 
 
 class MLPScorer:
@@ -317,7 +325,7 @@ def _connector(bac: "BAC", p: Tensor, q: Tensor, p_mask: np.ndarray | None,
     pd, qd = rows
     batch, lp, _ = pd.shape
     lq = qd.shape[1]
-    kernels = (bac.g_cat, bac.g_sub, bac.g_mul)
+    kernels = bac.kernels
     tables = [k.tables() for k in kernels]
 
     e = _scores(proj, pd, qd)
@@ -349,8 +357,7 @@ def _connector(bac: "BAC", p: Tensor, q: Tensor, p_mask: np.ndarray | None,
             del db
         _scores_backward(proj, p, q, pd, qd, de, dp, dq.reshape(-1, d))
 
-    params = (proj.w, proj.b) + tuple(t for k in kernels for t in (k.w0, k.w, k.v))
-    _record((p, q) + params, out, bw)
+    _record((p, q) + bac.params, out, bw)
     return out
 
 
@@ -471,10 +478,16 @@ class BAC:
         self.g_cat = make_scorer(store, f"{name}.g_cat", 2 * dim, scorer, factors, rng)
         self.g_sub = make_scorer(store, f"{name}.g_sub", dim, scorer, factors, rng)
         self.g_mul = make_scorer(store, f"{name}.g_mul", dim, scorer, factors, rng)
+        # the scorers, and the parameters a connector record with FM
+        # scorers has as parents
+        self.kernels = (self.g_cat, self.g_sub, self.g_mul)
+        if scorer == "fm":
+            self.params = (self.proj.w, self.proj.b) + tuple(
+                t for k in self.kernels for t in (k.w0, k.w, k.v))
 
     def _compress(self, aligned: Tensor, original: Tensor) -> Tensor:
         """``compress`` with this connector's scorers, composed from taped ops."""
-        return compress(aligned, original, (self.g_cat, self.g_sub, self.g_mul))
+        return compress(aligned, original, self.kernels)
 
     def __call__(self, p: Tensor, q: Tensor,
                  p_mask: np.ndarray, q_mask: np.ndarray) -> tuple[Tensor, Tensor]:

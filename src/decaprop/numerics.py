@@ -15,9 +15,18 @@ then the sum of what the records put there, the first bound uncopied; a
 parameter no record reached keeps ``None``, which clipping skips and the
 optimizers and ``grad_check`` read as zeros.  Gradient arrays are only ever
 rebound, never mutated in place, so the views a backward hands out stay safe.
+
+Parameter arrays are read-only: ``ParamStore.writable()`` is the one way to
+write them in place, and each time it closes it bumps the store's
+``version``.  A layout a forward builds from parameters alone (a BiRNN's
+stacked weights, an FM kernel's tables) is therefore built once per version
+(``ParamStore.prepared``), and a stray in-place write raises instead of
+leaving such a layout stale.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -415,19 +424,63 @@ class ParamStore:
     what reaches a trainable one.  A frozen one (``trainable=False``, such
     as fixed word vectors), or one no record reached, keeps ``None``.
 
+    Every parameter array is read-only (``flags.writeable`` is False)
+    outside ``writable()``, the one writer: the optimizers, ``load_values``
+    and ``grad_check`` write through it, and so must any caller.  A view
+    taken while the store is open stays writable, so take none there.
+
     Registration order is stable and drives checkpoint layout, so model
     construction must touch parameters in a deterministic order.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        # bumped each time the outermost ``writable()`` block closes
+        self.version = 0
+        self._open = 0
+        # owner -> the layout ``prepared`` built for it at this version
+        self._prepared: dict = {}
 
     def register(self, name: str, data: np.ndarray, trainable: bool = True) -> Tensor:
         if name in self._params:
             raise ContractError(f"parameter {name!r} registered twice")
         t = Tensor(np.array(data, dtype=np.float64), requires_grad=trainable)
+        t.data.setflags(write=self._open > 0)
         self._params[name] = t
         return t
+
+    @contextmanager
+    def writable(self):
+        """Open every parameter array for in-place writes for the block.  When
+        the outermost block closes, by an exception too, the arrays are
+        read-only again, ``version`` is bumped and every prepared layout is
+        dropped.  Blocks nest."""
+        if not self._open:
+            for p in self._params.values():
+                p.data.setflags(write=True)
+        self._open += 1
+        try:
+            yield self
+        finally:
+            self._open -= 1
+            if not self._open:
+                for p in self._params.values():
+                    p.data.setflags(write=False)
+                self.version += 1
+                self._prepared.clear()
+
+    def prepared(self, owner, build):
+        """``build(owner)``, a tuple of arrays made from parameters alone, built
+        once per ``version`` for each ``owner`` and read-only.  While the
+        store is open it is built on every call, since a write may follow."""
+        value = None if self._open else self._prepared.get(owner)
+        if value is None:
+            value = build(owner)
+            for a in value:
+                a.setflags(write=False)
+            if not self._open:
+                self._prepared[owner] = value
+        return value
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -452,16 +505,24 @@ class ParamStore:
             p.grad = None
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
-        """Overwrite parameter data in place; names and shapes must match exactly."""
+        """Overwrite parameter data in place, all or nothing: every name,
+        shape and numeric dtype is checked before one ``writable()`` block
+        writes them all.  Names and shapes must match exactly."""
         missing = set(self._params) - set(values)
         extra = set(values) - set(self._params)
         if missing or extra:
             raise ContractError(f"parameter set mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+        arrays = {}
         for name, arr in values.items():
-            p = self._params[name]
-            if p.data.shape != arr.shape:
-                raise ContractError(f"parameter {name!r}: stored shape {arr.shape} != expected {p.data.shape}")
-            p.data[...] = arr
+            arr = arrays[name] = np.asarray(arr)
+            expected = self._params[name].data.shape
+            if arr.shape != expected:
+                raise ContractError(f"parameter {name!r}: stored shape {arr.shape} != expected {expected}")
+            if arr.dtype.kind not in "iuf":
+                raise ContractError(f"parameter {name!r}: stored dtype {arr.dtype} is not a real number type")
+        with self.writable():
+            for name, arr in arrays.items():
+                self._params[name].data[...] = arr
 
 
 _ACTIVATIONS = {"none": lambda y: y, "relu": relu, "sigmoid": sigmoid}
@@ -529,15 +590,18 @@ def grad_check(forward_fn, store: ParamStore, eps: float = 1e-5) -> float:
 
     worst = 0.0
     for name, p in store.trainable_items():
-        flat = p.data.reshape(-1)
+        flat = p.data.flat
         aflat = analytic[name].reshape(-1)
-        for i in range(flat.size):
+        for i in range(p.data.size):
             keep = flat[i]
-            flat[i] = keep + eps
+            with store.writable():
+                flat[i] = keep + eps
             hi = float(forward_fn().data)
-            flat[i] = keep - eps
+            with store.writable():
+                flat[i] = keep - eps
             lo = float(forward_fn().data)
-            flat[i] = keep
+            with store.writable():
+                flat[i] = keep
             numeric = (hi - lo) / (2.0 * eps)
             err = abs(aflat[i] - numeric) / max(1e-8, abs(aflat[i]) + abs(numeric))
             if err > worst:

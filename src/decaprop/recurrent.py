@@ -21,11 +21,13 @@ the gradient of the state after every step, ``final_states``' too
 (``_take_grad``).  A narrower direction (odd widths) is padded with zero
 weight columns; its padded unit stays exactly zero.
 
-The stacked weights halve the sigmoid gates' pre-activations
-(``_stacked_weights``), so one tanh over a step's gate block and one add give
-twice each sigmoid: the GRU works with 2z and 2r, and its step makes 12
-numpy calls (an LSTM step 10, and 2 more where a row is masked).  Scaling
-by a power of two is exact, so the gate math rounds like ``step`` does.  A
+The stacked weights, and the transposed recurrent rows ``bptt`` takes, are
+built once per parameter version (``ParamStore.prepared``), not per call.
+They halve the sigmoid gates' pre-activations (``_stacked_weights``), so
+one tanh over a step's gate block and one add give twice each sigmoid: the
+GRU works with 2z and 2r, and its step makes 12 numpy calls (an LSTM step
+10, and 2 more where a row is masked).  Scaling by a power of two is exact,
+so the gate math rounds like ``step`` does.  A
 (batch, len) 0/1 padding mask is required: a masked step keeps the previous
 state, so the states at real positions are bit-identical to running each
 sequence unpadded; an all-ones mask runs every step.  The GRU folds the
@@ -43,6 +45,12 @@ from .numerics import (
     NEG_INF, ParamStore, Tensor, _acc, _record, add, concat, glorot, matmul, mul,
     sigmoid, sub, tanh,
 )
+
+# the sweeps' scalar operands as 0-d arrays: an in-place ufunc call with one
+# costs less than with a Python float, and rounds the same
+_ONE, _HALF = np.array(1.0), np.array(0.5)
+_ONE.setflags(write=False)
+_HALF.setflags(write=False)
 
 
 class GRUCell:
@@ -108,7 +116,7 @@ class GRUCell:
             np.matmul(h, u_zr, zr)
             zr += x_zr
             np.tanh(zr, zr)
-            zr += 1.0
+            zr += _ONE
             # 2 r h against half the candidate's recurrent rows
             np.multiply(r2, h, rh)
             np.matmul(rh, u_h, c)
@@ -117,17 +125,17 @@ class GRUCell:
             # h + z (c - h)
             np.subtract(c, h, h_new)
             h_new *= z2
-            h_new *= 0.5
+            h_new *= _HALF
             h_new += h
         return hs, acts
 
     @staticmethod
-    def bptt(saved: tuple, u: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def bptt(saved: tuple, u_t: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Backpropagation through ``scan``: the gradients of the projected
         input, (batch, len, 2, 3, h), and of the recurrent rows, (2, h, 3h),
-        as ``scan`` took them (scaled), given ``g``, the gradient of the
-        state after every step, time-major as ``scan``'s states (len, 2,
-        batch, h).
+        as ``scan`` took them (scaled), given the transposed recurrent rows
+        ``u_t`` (``_rows_t``) and ``g``, the gradient of the state after
+        every step, time-major as ``scan``'s states (len, 2, batch, h).
 
         It runs once per forward, as ``Tape.backward`` does: it overwrites
         the saved activations and returns its input gradients in their buffer.
@@ -155,7 +163,7 @@ class GRUCell:
         keep = np.multiply(z2, -0.5, out=z2)
         keep += 1.0
         k_z *= keep
-        u_zr_t, u_h_t = _rows_t(u[:2]), _rows_t(u[2:])
+        u_zr_t, u_h_t = u_t[:, :2 * n], u_t[:, 2 * n:]
         dh = np.zeros(g.shape[1:])
         d_rh, tmp = np.empty_like(dh), np.empty_like(dh)
         da_zr = np.empty((2, batch, 2, n))
@@ -242,8 +250,8 @@ class LSTMCell:
             # one tanh for all four gates; the sigmoid gates' pre-activations
             # are halved, so (tanh + 1) / 2 is their sigmoid
             np.tanh(a, a)
-            sig += 1.0
-            sig *= 0.5
+            sig += _ONE
+            sig *= _HALF
             np.multiply(a[1], c, c_new)
             np.multiply(a[0], a[3], ic)
             c_new += ic
@@ -255,7 +263,7 @@ class LSTMCell:
         return hs, cs, acts, tanh_c, mask
 
     @staticmethod
-    def bptt(saved: tuple, u: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def bptt(saved: tuple, u_t: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Backpropagation through ``scan``; see ``GRUCell.bptt``.  It too
         returns its input gradients in the buffer of the activations."""
         hs, cs, acts, tanh_c, mask = saved
@@ -280,7 +288,6 @@ class LSTMCell:
         np.subtract(1.0, k_c, out=k_c)
         k_c *= o
         mask = _wide(mask, n)
-        u_t = _rows_t(u)
         dh = np.zeros(g.shape[1:])
         dc, dhn, dcn, d_next = (np.zeros_like(dh) for _ in range(4))
         da_t = np.empty((2, batch, 4, n))
@@ -382,6 +389,12 @@ class BiRNN:
         bwd_dim = output_dim // 2
         self.fwd = _CELLS[cell](store, f"{name}.fwd", input_dim, fwd_dim, rng)
         self.bwd = _CELLS[cell](store, f"{name}.bwd", input_dim, bwd_dim, rng)
+        self.store = store
+        # both directions' gate weights, then their biases, each direction
+        # gate by gate: the record's parents
+        cells = (self.fwd, self.bwd)
+        self.weights = tuple(getattr(c, f"w_{g}") for c in cells for g in c.gates)
+        self.biases = tuple(getattr(c, f"b_{g}") for c in cells for g in c.gates)
 
     def _run(self, x: Tensor, mask: np.ndarray, last_only: bool) -> Tensor:
         if x.ndim != 3:
@@ -408,11 +421,12 @@ class BiRNN:
         return self._run(x, mask, True)
 
 
-def _stacked_weights(rnn: BiRNN) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stacked_weights(rnn: BiRNN) -> tuple[np.ndarray, ...]:
     """The input rows, (d_in, 2*G*h), laid out (direction, gate, unit), the
     recurrent rows, gate-major (G, 2, h, h), and the biases, (2*G*h,), of
     both directions, with the narrower direction padded by zeros to the
-    wider one's h.
+    wider one's h; then the transposed recurrent rows, (2, G*h, h), that the
+    cell's ``bptt`` takes (``_rows_t``).
 
     Each gate weight is a (d_in + h, h) matrix: its first d_in rows act on the
     input, the rest on the state.  Each part is stacked times its cell's
@@ -421,50 +435,48 @@ def _stacked_weights(rnn: BiRNN) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tanh(a / 2) from one tanh, and the GRU's candidate rows are halved to
     meet 2 r h.  A power of two scales every product and sum exactly, so the
     sweep's states round as the plain gate math does, and a parameter's
-    gradient is the stacked gradient times the same scale.  The rows are
-    copied on every call, because the optimizer and checkpoint loads write
-    parameters in place.
+    gradient is the stacked gradient times the same scale.  ``_birnn`` takes
+    them from ``ParamStore.prepared``, so they are built once per parameter
+    version: once per training step, and once for all of inference.
     """
     d_in, n, cell = rnn.input_dim, rnn.fwd.hidden_dim, rnn.fwd
     gates = len(cell.gates)
     w_x = np.zeros((d_in, 2, gates, n))
     u = np.zeros((gates, 2, n, n))
     b = np.zeros((2, gates, n))
-    for d, c in enumerate((rnn.fwd, rnn.bwd)):
-        h = c.hidden_dim
-        for k, gate in enumerate(c.gates):
-            w = getattr(c, f"w_{gate}").data
-            w_x[:, d, k, :h], u[k, d, :h, :h] = w[:d_in], w[d_in:]
-            b[d, k, :h] = getattr(c, f"b_{gate}").data
+    for j, (w, bias) in enumerate(zip(rnn.weights, rnn.biases)):
+        d, k = divmod(j, gates)
+        h = w.shape[1]
+        w_x[:, d, k, :h], u[k, d, :h, :h] = w.data[:d_in], w.data[d_in:]
+        b[d, k, :h] = bias.data
     w_x *= cell.x_scale
     u *= cell.u_scale[:, None, None]
     b *= cell.x_scale
-    return w_x.reshape(d_in, -1), u, b.reshape(-1)
+    return w_x.reshape(d_in, -1), u, b.reshape(-1), _rows_t(u)
 
 
 def _birnn(rnn: BiRNN, x: Tensor, mask: np.ndarray, last_only: bool) -> Tensor:
     """Both directions of a BiRNN as one tape record: the concatenated states
     after every step, (batch, len, d_out) in time order, or with
     ``last_only`` after each direction's last step, (batch, d_out)."""
-    cells = (rnn.fwd, rnn.bwd)
-    n, h_b = rnn.fwd.hidden_dim, rnn.bwd.hidden_dim
-    weights = [getattr(c, f"w_{g}") for c in cells for g in c.gates]
-    biases = [getattr(c, f"b_{g}") for c in cells for g in c.gates]
-    w_x, u, b = _stacked_weights(rnn)
+    cell = rnn.fwd
+    n, h_b = cell.hidden_dim, rnn.bwd.hidden_dim
+    gates = len(cell.gates)
+    w_x, u, b, u_t = rnn.store.prepared(rnn, _stacked_weights)
     batch, length, d_in = x.shape
     flat_x = x.data.reshape(batch * length, d_in)
     proj = flat_x @ w_x
     proj += b
     m = _time_major(np.repeat(mask[:, :, None, None], 2, axis=2))
-    xp = _time_major(proj.reshape(batch, length, 2, len(rnn.fwd.gates), n))
+    xp = _time_major(proj.reshape(batch, length, 2, gates, n))
     del proj
-    saved = rnn.fwd.scan(xp, m, u)
+    saved = cell.scan(xp, m, u)
     del xp
     hs = saved[0]
     out = Tensor(_join(hs[-1].transpose(1, 0, 2) if last_only else _batch_major(hs[1:]), h_b))
 
     def bw():
-        dproj, du = rnn.fwd.bptt(saved, u, _take_grad(out, n, length, last_only))
+        dproj, du = cell.bptt(saved, u_t, _take_grad(out, n, length, last_only))
         flat = dproj.reshape(batch * length, -1)
         if x.requires_grad:
             _acc(x, (flat @ w_x.T).reshape(x.shape))
@@ -472,16 +484,16 @@ def _birnn(rnn: BiRNN, x: Tensor, mask: np.ndarray, last_only: bool) -> Tensor:
         db = flat.sum(axis=0).reshape(2, -1, n)
         du = du.reshape(2, n, -1, n)
         # a stacked weight is its parameter times a scale, and so is its gradient
-        dw_x *= rnn.fwd.x_scale
-        du *= rnn.fwd.u_scale
-        db *= rnn.fwd.x_scale
-        for d, c in enumerate(cells):
-            h = c.hidden_dim
-            for k, gate in enumerate(c.gates):
-                _acc(getattr(c, f"w_{gate}"), np.concatenate([dw_x[:, d, k, :h], du[d, :h, k, :h]]))
-                _acc(getattr(c, f"b_{gate}"), db[d, k, :h])
+        dw_x *= cell.x_scale
+        du *= cell.u_scale
+        db *= cell.x_scale
+        for j, (w, bias) in enumerate(zip(rnn.weights, rnn.biases)):
+            d, k = divmod(j, gates)
+            h = w.shape[1]
+            _acc(w, np.concatenate([dw_x[:, d, k, :h], du[d, :h, k, :h]]))
+            _acc(bias, db[d, k, :h])
 
-    _record((x, *weights, *biases), out, bw)
+    _record((x,) + rnn.weights + rnn.biases, out, bw)
     return out
 
 

@@ -50,15 +50,16 @@ def adam_step(store: ParamStore, state: dict, lr: float = 1e-3,
     t = state["t"]
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    for name, p in store.trainable_items():
-        g = 0.0 if p.grad is None else p.grad
-        m = state["m"][name]
-        v = state["v"][name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    with store.writable():
+        for name, p in store.trainable_items():
+            g = 0.0 if p.grad is None else p.grad
+            m = state["m"][name]
+            v = state["v"][name]
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def adadelta_step(store: ParamStore, state: dict, lr: float = 0.5,
@@ -66,16 +67,17 @@ def adadelta_step(store: ParamStore, state: dict, lr: float = 0.5,
     """Adadelta with a learning-rate multiplier on the (unscaled) update."""
     if state.get("kind") != "adadelta":
         raise ContractError("adadelta_step on a non-adadelta optimizer state")
-    for name, p in store.trainable_items():
-        g = 0.0 if p.grad is None else p.grad
-        g2 = state["g2"][name]
-        dx2 = state["dx2"][name]
-        g2 *= rho
-        g2 += (1.0 - rho) * g * g
-        dx = -np.sqrt(dx2 + eps) / np.sqrt(g2 + eps) * g
-        dx2 *= rho
-        dx2 += (1.0 - rho) * dx * dx
-        p.data += lr * dx
+    with store.writable():
+        for name, p in store.trainable_items():
+            g = 0.0 if p.grad is None else p.grad
+            g2 = state["g2"][name]
+            dx2 = state["dx2"][name]
+            g2 *= rho
+            g2 += (1.0 - rho) * g * g
+            dx = -np.sqrt(dx2 + eps) / np.sqrt(g2 + eps) * g
+            dx2 *= rho
+            dx2 += (1.0 - rho) * dx * dx
+            p.data += lr * dx
 
 
 # optimizer name -> its step on the state ``init_optimizer_state`` builds
@@ -121,20 +123,18 @@ def lr_schedule(history: list[float], current_lr: float,
 
 
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
-_PUNCT = set(string.punctuation)
+_DROP_PUNCT = str.maketrans("", "", string.punctuation)
 
 
 def normalize_answer(text: str) -> str:
     """Lowercase, drop punctuation, drop articles, collapse whitespace."""
-    text = text.lower()
-    text = "".join(ch for ch in text if ch not in _PUNCT)
+    text = text.lower().translate(_DROP_PUNCT)
     text = _ARTICLE_RE.sub(" ", text)
     return " ".join(text.split())
 
 
-def _token_f1(prediction: str, gold: str) -> float:
-    pred_tokens = normalize_answer(prediction).split()
-    gold_tokens = normalize_answer(gold).split()
+def _token_f1(pred_tokens: list[str], gold_tokens: list[str]) -> float:
+    """Token-overlap F1 of two normalized answers' tokens."""
     if not pred_tokens or not gold_tokens:
         return float(pred_tokens == gold_tokens)
     common = Counter(pred_tokens) & Counter(gold_tokens)
@@ -151,8 +151,10 @@ def em_f1(prediction: str, golds: list[str]) -> tuple[int, float]:
     if not golds:
         raise DataError("em_f1 needs at least one gold answer")
     norm_pred = normalize_answer(prediction)
-    em = int(any(norm_pred == normalize_answer(g) for g in golds))
-    f1 = max(_token_f1(prediction, g) for g in golds)
+    norm_golds = [normalize_answer(g) for g in golds]
+    em = int(norm_pred in norm_golds)
+    pred_tokens = norm_pred.split()
+    f1 = max(_token_f1(pred_tokens, g.split()) for g in norm_golds)
     return em, f1
 
 

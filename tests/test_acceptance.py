@@ -55,9 +55,10 @@ def test_criterion_2_fm_oracle():
         n = int(rng.integers(1, 33))
         k = int(rng.integers(1, 65))
         kernel = FMKernel(store, f"k{case}", n, k, rng)
-        kernel.w0.data[:] = rng.normal()
-        kernel.w.data[:] = rng.normal(size=(n, 1))
-        kernel.v.data[:] = rng.normal(size=(n, k))
+        with store.writable():
+            kernel.w0.data[:] = rng.normal()
+            kernel.w.data[:] = rng.normal(size=(n, 1))
+            kernel.v.data[:] = rng.normal(size=(n, k))
         x = rng.normal(size=n)
         naive = float(kernel.w0.data[0]) + float(kernel.w.data[:, 0] @ x)
         for i in range(n):

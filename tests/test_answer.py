@@ -51,9 +51,10 @@ def test_pointer_distributions_normalized(rng):
 
 
 def test_pointer_zero_weights_uniform(rng):
-    layer, _ = build_layer()
-    layer.w_start.data[:] = 0.0
-    layer.w_end.data[:] = 0.0
+    layer, store = build_layer()
+    with store.writable():
+        layer.w_start.data[:] = 0.0
+        layer.w_end.data[:] = 0.0
     m = Tensor(rng.normal(size=(1, 4, 6)))
     p1, p2 = distributions(layer, m, np.ones((1, 4)))
     np.testing.assert_allclose(p1.data, np.full((1, 4), 0.25), atol=1e-12)

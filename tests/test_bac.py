@@ -41,8 +41,9 @@ def real(*xs):
 def test_fm_zero_kernel_scores_zero(rng):
     store = ParamStore()
     kernel = FMKernel(store, "k", 4, 2, rng)
-    for _, p in store.items():
-        p.data[:] = 0.0
+    with store.writable():
+        for _, p in store.items():
+            p.data[:] = 0.0
     out = kernel(Tensor(rng.normal(size=4)[None]))
     assert out.shape == (1, 1)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-15)
@@ -52,9 +53,10 @@ def test_fm_hand_value(rng):
     # x=[1,2], w0=1, w=[1,1], v=[[1],[1]] -> 1 + (1+2) + 1*1*2 = 6
     store = ParamStore()
     kernel = FMKernel(store, "k", 2, 1, rng)
-    kernel.w0.data[:] = 1.0
-    kernel.w.data[:] = 1.0
-    kernel.v.data[:] = 1.0
+    with store.writable():
+        kernel.w0.data[:] = 1.0
+        kernel.w.data[:] = 1.0
+        kernel.v.data[:] = 1.0
     out = kernel(Tensor(np.array([[1.0, 2.0]])))
     np.testing.assert_allclose(out.data, 6.0, atol=1e-12)
 
@@ -62,7 +64,8 @@ def test_fm_hand_value(rng):
 def test_fm_fast_path_matches_naive(rng):
     store = ParamStore()
     kernel = FMKernel(store, "k", 10, 4, rng)
-    kernel.w0.data[:] = rng.normal()
+    with store.writable():
+        kernel.w0.data[:] = rng.normal()
     for _ in range(50):
         x = rng.normal(size=10)
         expect = naive_fm(x, float(kernel.w0.data[0]),
@@ -335,7 +338,8 @@ def _fm_case(edge, rng):
     shape, factors = edge
     store = ParamStore()
     kernel = FMKernel(store, "fm", shape[-1], factors, rng)
-    kernel.w0.data[:] = rng.normal()
+    with store.writable():
+        kernel.w0.data[:] = rng.normal()
     return store, [rng.normal(size=shape)], lambda x: fm_closed_form(kernel, x), kernel
 
 
@@ -361,7 +365,8 @@ def _live_projection(store: ParamStore, width: int, rng) -> Dense:
     at width 1 a ReLU dead on every row of one side would zero the
     projection's gradient."""
     proj = Dense(store, "proj", width, width, "relu", rng)
-    proj.b.data[:] = 0.5 + np.abs(rng.normal(size=width))
+    with store.writable():
+        proj.b.data[:] = 0.5 + np.abs(rng.normal(size=width))
     return proj
 
 
@@ -386,9 +391,10 @@ def _constant(op, arrays: list, frozen: int):
 def _randomize_zeros(store: ParamStore, rng) -> None:
     """Random values for the parameters that start at zero (biases, FM w0),
     so that no comparison rests on a zero term."""
-    for _, p in store.items():
-        if not p.data.any():
-            p.data[...] = rng.normal(size=p.shape)
+    with store.writable():
+        for _, p in store.items():
+            if not p.data.any():
+                p.data[...] = rng.normal(size=p.shape)
 
 
 def _dense_case(edge, rng):
@@ -396,7 +402,8 @@ def _dense_case(edge, rng):
     shape, activation, frozen = edge
     store = ParamStore()
     layer = Dense(store, "dense", shape[-1], 4, activation, rng)
-    layer.b.data[:] = rng.normal(size=4)
+    with store.writable():
+        layer.b.data[:] = rng.normal(size=4)
 
     def closed(x):
         return dense_closed_form(layer, x)
@@ -446,7 +453,8 @@ def _connector_case(edge, rng):
     _randomize_zeros(store, rng)
     # a positive projection bias keeps rows of both sides live: at width 1 a
     # ReLU dead on every row of one side would zero the projection's gradient
-    bac.proj.b.data[:] = 0.5 + np.abs(bac.proj.b.data)
+    with store.writable():
+        bac.proj.b.data[:] = 0.5 + np.abs(bac.proj.b.data)
     scorers = (bac.g_cat, bac.g_sub, bac.g_mul)
 
     def fused(p, q):
@@ -486,7 +494,8 @@ def _gate_case(edge, rng):
     store = ParamStore()
     proj = _live_projection(store, width, rng)
     gate = Dense(store, "gate", 2 * width, width, "sigmoid", rng)
-    gate.b.data[:] = rng.normal(size=width)
+    with store.writable():
+        gate.b.data[:] = rng.normal(size=width)
 
     def fused(p, q):
         return gated_attend(p, q, mask, proj, gate)
@@ -744,9 +753,10 @@ def test_bac_mask_blocks_padding_influence(rng):
 def test_bac_zero_kernels_give_zero_outputs(rng):
     store = ParamStore()
     bac = BAC(store, "c", 5, 2, rng)
-    for name, p in store.items():
-        if ".g_" in name:
-            p.data[:] = 0.0
+    with store.writable():
+        for name, p in store.items():
+            if ".g_" in name:
+                p.data[:] = 0.0
     p, q = Tensor(rng.normal(size=(4, 5))), Tensor(rng.normal(size=(6, 5)))
     g_p, g_q = bac(p, q, *real(p, q))
     np.testing.assert_allclose(g_p.data, np.zeros((4, 3)), atol=1e-15)
@@ -813,6 +823,24 @@ def test_bac_gradients(rng):
         g_p, g_q = bac(p, q, *real(p, q))
         return add(sum_(g_p), sum_(g_q))
 
+    assert grad_check(forward, store) < 1e-4
+
+
+def test_connector_grad_check_after_a_cached_forward(rng):
+    """A masked batch connector call first caches the FM tables; each
+    ``grad_check`` probe writes through the store's writer, so its forward
+    rebuilds them from the probed values."""
+    store = ParamStore()
+    bac = BAC(store, "c", 4, 2, rng)
+    p = Tensor(rng.normal(0.0, 0.6, size=(2, 3, 4)))
+    q = Tensor(rng.normal(0.0, 0.6, size=(2, 2, 4)))
+    p_mask, q_mask = _key_mask([3, 2], 3), _key_mask([2, 1], 2)
+
+    def forward():
+        g_p, g_q = bac(p, q, p_mask, q_mask)
+        return add(sum_(g_p), sum_(g_q))
+
+    forward()
     assert grad_check(forward, store) < 1e-4
 
 

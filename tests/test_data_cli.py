@@ -353,8 +353,9 @@ def test_checkpoint_load_values_round_trip(tmp_path, rng):
     path = str(tmp_path / "m.ckpt")
     save_checkpoint(path, store, {}, opt, rng_state, train_state)
     before = {n: p.data.copy() for n, p in store.items()}
-    for _, p in store.items():
-        p.data += 1.0
+    with store.writable():
+        for _, p in store.items():
+            p.data += 1.0
     store.load_values(load_checkpoint(path)["params"])
     for name, p in store.items():
         np.testing.assert_array_equal(p.data, before[name])

@@ -73,9 +73,10 @@ def test_gate_values_strictly_inside_unit_interval(rng):
 
 
 def test_open_gate_reduces_to_plain_rnn(rng):
-    block, _ = build_block()
-    block.gate.w.data[:] = 0.0
-    block.gate.b.data[:] = 50.0  # sigmoid -> 1
+    block, store = build_block()
+    with store.writable():
+        block.gate.w.data[:] = 0.0
+        block.gate.b.data[:] = 50.0  # sigmoid -> 1
     p = Tensor(rng.normal(size=(1, 4, 6)))
     q = Tensor(rng.normal(size=(1, 3, 6)))
     out = block(p, q, real(p), real(q))
@@ -83,9 +84,10 @@ def test_open_gate_reduces_to_plain_rnn(rng):
 
 
 def test_closed_gate_feeds_zeros(rng):
-    block, _ = build_block()
-    block.gate.w.data[:] = 0.0
-    block.gate.b.data[:] = -50.0  # sigmoid -> 0
+    block, store = build_block()
+    with store.writable():
+        block.gate.w.data[:] = 0.0
+        block.gate.b.data[:] = -50.0  # sigmoid -> 0
     p = Tensor(rng.normal(size=(1, 4, 6)))
     q = Tensor(rng.normal(size=(1, 3, 6)))
     out = block(p, q, real(p), real(q))
@@ -172,9 +174,10 @@ def test_core_without_bank_returns_u2(rng):
 
 def test_core_zero_kernels_leave_u2_block(rng):
     core, store = build_core(layers=2, hidden=6)
-    for name, p in store.items():
-        if ".bank" in name and ".g_" in name:
-            p.data[:] = 0.0
+    with store.writable():
+        for name, p in store.items():
+            if ".bank" in name and ".g_" in name:
+                p.data[:] = 0.0
     p = Tensor(rng.normal(size=(1, 4, 10)))
     q = Tensor(rng.normal(size=(1, 3, 10)))
     states = [Tensor(rng.normal(size=(1, 3, 6))) for _ in range(2)]

@@ -330,7 +330,8 @@ def test_padding_rows_reach_nothing(cell):
     runs = []
     for pad in (0.0, 3.0):
         model = build_model(tiny_cfg(cell=cell, layers=2, dropout=0.2), featurizer, seed=0)
-        model.input.word_emb.data[0] = model.input.char_emb.data[0] = pad
+        with model.store.writable():
+            model.input.word_emb.data[0] = model.input.char_emb.data[0] = pad
         fed = dict(batch)
         for side in "pq":
             real = batch[f"{side}_mask"] == 1.0

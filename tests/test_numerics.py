@@ -325,8 +325,9 @@ def test_store_load_values_roundtrip(rng):
     store.register("a", rng.normal(size=(2, 3)))
     store.register("b", rng.normal(size=(4,)), trainable=False)
     snapshot = {n: np.array(p.data) for n, p in store.items()}
-    for _, p in store.items():
-        p.data += 1.0
+    with store.writable():
+        for _, p in store.items():
+            p.data += 1.0
     store.load_values(snapshot)
     for n, p in store.items():
         np.testing.assert_allclose(p.data, snapshot[n])
@@ -337,6 +338,90 @@ def test_store_load_values_mismatch():
     store.register("a", np.zeros((2,)))
     with pytest.raises(ContractError):
         store.load_values({"b": np.zeros((2,))})
+
+
+def test_parameters_are_written_only_through_the_writer(rng):
+    """A parameter, or a view of one taken outside the writer, refuses an
+    in-place write; ``writable()`` opens them all, nests, and closes them
+    again (on an exception too), bumping ``version`` once per outermost
+    block."""
+    store = ParamStore()
+    a = store.register("a", rng.normal(size=(2, 3)))
+    b = store.register("b", np.zeros(4), trainable=False)
+    view = a.data[0]
+    for write in (lambda: a.data.__setitem__(0, 1.0), lambda: b.data.__iadd__(1.0),
+                  lambda: view.fill(2.0), lambda: np.multiply(a.data, 2.0, out=a.data),
+                  lambda: a.data.reshape(-1).__setitem__(0, 3.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+    assert store.version == 0
+    with store.writable():
+        a.data[0] = 1.0
+        with store.writable():
+            b.data += 1.0
+        b.data += 1.0
+    assert store.version == 1
+    np.testing.assert_array_equal(a.data[0], 1.0)
+    np.testing.assert_array_equal(b.data, 2.0)
+    with pytest.raises(RuntimeError):
+        with store.writable():
+            a.data[1] = 5.0
+            raise RuntimeError
+    assert store.version == 2 and not a.data.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a.data[1] = 6.0
+    with store.writable():
+        late = store.register("late", np.ones(2))
+        late.data[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        late.data[1] = 0.0
+
+
+def test_prepared_layouts_are_built_once_per_version(rng):
+    store = ParamStore()
+    w = store.register("w", rng.normal(size=(3, 2)))
+    built = []
+
+    def build(owner):
+        built.append(owner)
+        return (w.data.T.copy(),)
+
+    owner = object()
+    first = store.prepared(owner, build)
+    assert store.prepared(owner, build) is first and len(built) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        first[0][0, 0] = 1.0
+    with store.writable():
+        w.data[0, 0] = 7.0
+        # an open store may still be written, so nothing is kept
+        assert store.prepared(owner, build)[0][0, 0] == 7.0
+        w.data[0, 0] = 8.0
+        assert store.prepared(owner, build)[0][0, 0] == 8.0
+    again = store.prepared(owner, build)
+    assert again[0][0, 0] == 8.0 and store.prepared(owner, build) is again
+    assert len(built) == 4
+
+
+def test_store_load_values_is_all_or_nothing(rng):
+    """A refused load, for a shape or for a dtype that is not a real number
+    type, leaves every parameter as it was and the version unmoved."""
+    store = ParamStore()
+    store.register("a", rng.normal(size=(2,)))
+    store.register("b", rng.normal(size=(3,)))
+    before = {n: p.data.copy() for n, p in store.items()}
+    for bad, match in (({"a": np.ones(2), "b": np.ones(4)}, "shape"),
+                       ({"a": np.ones(2), "b": np.array(["x", "y", "z"])}, "dtype"),
+                       ({"a": np.ones(2), "b": np.ones(3, dtype=complex)}, "dtype"),
+                       ({"a": np.ones(2), "b": np.array([1.0, None, 2.0])}, "dtype")):
+        with pytest.raises(ContractError, match=match):
+            store.load_values(bad)
+        for n, p in store.items():
+            np.testing.assert_array_equal(p.data, before[n])
+            assert not p.data.flags.writeable
+        assert store.version == 0
+    store.load_values({"a": np.arange(2), "b": np.ones(3)})
+    np.testing.assert_array_equal(store["a"].data, [0.0, 1.0])
+    assert store.version == 1
 
 
 def test_dense_shape_contract_names_layer(rng):

@@ -12,8 +12,9 @@ from decaprop.recurrent import BiRNN, GRUCell, LSTMCell, variational_dropout
 
 
 def _zeroed(store: ParamStore) -> None:
-    for _, p in store.items():
-        p.data[:] = 0.0
+    with store.writable():
+        for _, p in store.items():
+            p.data[:] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +32,8 @@ def test_gru_zero_params_halves_state(rng):
 def test_gru_closed_update_gate_keeps_state(rng):
     store = ParamStore()
     cell = GRUCell(store, "g", 3, 2, rng)
-    cell.b_z.data[:] = -50.0  # z ~ 0 everywhere
+    with store.writable():
+        cell.b_z.data[:] = -50.0  # z ~ 0 everywhere
     h_prev = Tensor(rng.normal(size=(1, 2)))
     h, = cell.step(Tensor(rng.normal(size=(1, 3))), (h_prev,))
     np.testing.assert_allclose(h.data, h_prev.data, atol=1e-6)
@@ -73,8 +75,9 @@ def test_lstm_zero_params_hand_value(rng):
 def test_lstm_memory_passthrough(rng):
     store = ParamStore()
     cell = LSTMCell(store, "l", 3, 2, rng)
-    cell.b_f.data[:] = 50.0   # forget gate ~ 1
-    cell.b_i.data[:] = -50.0  # input gate ~ 0
+    with store.writable():
+        cell.b_f.data[:] = 50.0   # forget gate ~ 1
+        cell.b_i.data[:] = -50.0  # input gate ~ 0
     c_prev = Tensor(rng.normal(size=(1, 2)))
     _, c = cell.step(Tensor(rng.normal(size=(1, 3))), (Tensor(np.zeros((1, 2))), c_prev))
     np.testing.assert_allclose(c.data, c_prev.data, atol=1e-6)
@@ -179,8 +182,9 @@ def test_birnn_direction_symmetry(rng):
     and time-flips the two output halves."""
     store = ParamStore()
     rnn = BiRNN(store, "r", 3, 8, "gru", rng)
-    for attr in ("w_z", "w_r", "w_h", "b_z", "b_r", "b_h"):
-        getattr(rnn.bwd, attr).data[:] = getattr(rnn.fwd, attr).data
+    with store.writable():
+        for attr in ("w_z", "w_r", "w_h", "b_z", "b_r", "b_h"):
+            getattr(rnn.bwd, attr).data[:] = getattr(rnn.fwd, attr).data
     x = rng.normal(size=(1, 5, 3))
     mask = np.ones((1, 5))
     out = rnn(Tensor(x), mask).data
@@ -218,6 +222,21 @@ def test_birnn_grad_with_mask(rng):
     x = Tensor(rng.normal(size=(2, 3, 3)))
     mask = np.array([[1, 1, 1], [1, 0, 0]], dtype=np.float64)
     assert grad_check(lambda: sum_(rnn(x, mask)), store) < 1e-4
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_birnn_grad_check_after_a_cached_forward(cell, rng):
+    """A forward first caches the stacked weights; ``grad_check`` writes each
+    probe through the store's writer, so every probe's forward rebuilds
+    them from the probed values."""
+    store = ParamStore()
+    rnn = BiRNN(store, "r", 3, 5, cell, rng)
+    x = Tensor(rng.normal(size=(2, 4, 3)))
+    mask = _lengths_mask([4, 2], 4)
+    rnn(x, mask)
+    version = store.version
+    assert grad_check(lambda: sum_(rnn(x, mask)), store) < 1e-4
+    assert store.version > version
 
 
 @pytest.mark.parametrize("cell", ["gru", "lstm"])

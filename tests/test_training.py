@@ -4,17 +4,21 @@ metrics, synthetic task construction, batching, and the training loop."""
 import csv
 import hashlib
 import io
+import re
+import string
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from decaprop import model as model_module, training as training_module
+from decaprop import (bac as bac_module, model as model_module, recurrent as recurrent_module,
+                      training as training_module)
 from decaprop.checkpoint import load_checkpoint
 from decaprop.data import TokenizedExample
 from decaprop.errors import ConfigError, ContractError, DataError, NumericError
 from decaprop.model import DecaProp, ModelConfig, build_model
-from decaprop.numerics import ParamStore
+from decaprop.numerics import ParamStore, Tape, backward
 from decaprop.encoder import Featurizer
 from decaprop.training import (SyntheticTaskSpec, TrainConfig, adadelta_step,
                                adam_step, clip_gradients, collate, em_f1, evaluate,
@@ -239,6 +243,56 @@ def test_em_f1_empty_golds_rejected():
 def test_em_f1_empty_prediction():
     em, f1 = em_f1("", ["word"])
     assert em == 0 and f1 == 0.0
+
+
+def _normalize_reference(text: str) -> str:
+    """``normalize_answer`` dropping punctuation one character at a time."""
+    punct = set(string.punctuation)
+    text = text.lower()
+    text = "".join(ch for ch in text if ch not in punct)
+    text = re.sub(r"\b(a|an|the)\b", " ", text)
+    return " ".join(text.split())
+
+
+def _em_f1_reference(prediction: str, golds: list[str]) -> tuple[int, float]:
+    """``em_f1`` normalizing the prediction and each gold once for EM and
+    again for each token F1."""
+    def token_f1(pred: str, gold: str) -> float:
+        p, g = _normalize_reference(pred).split(), _normalize_reference(gold).split()
+        if not p or not g:
+            return float(p == g)
+        overlap = sum((Counter(p) & Counter(g)).values())
+        if overlap == 0:
+            return 0.0
+        precision, recall = overlap / len(p), overlap / len(g)
+        return 2 * precision * recall / (precision + recall)
+
+    norm = _normalize_reference(prediction)
+    return (int(any(norm == _normalize_reference(g) for g in golds)),
+            max(token_f1(prediction, g) for g in golds))
+
+
+def _fuzzed_answer(rng) -> str:
+    pieces = (list(string.ascii_letters + string.digits + string.punctuation + " \t\n")
+              + ["é", "ß", "—", "“", "”", "İ", " a ", "An", " the ", "THE.", "a,b"])
+    return "".join(pieces[i] for i in rng.integers(0, len(pieces), size=rng.integers(0, 25)))
+
+
+def test_normalize_answer_matches_the_per_character_reference():
+    rng = np.random.default_rng(20000)
+    for _ in range(20000):
+        text = _fuzzed_answer(rng)
+        assert normalize_answer(text) == _normalize_reference(text), repr(text)
+
+
+def test_em_f1_matches_the_reference_that_normalizes_twice():
+    rng = np.random.default_rng(2)
+    for _ in range(2000):
+        prediction = _fuzzed_answer(rng)
+        golds = [_fuzzed_answer(rng) for _ in range(rng.integers(1, 4))]
+        if rng.random() < 0.3:
+            golds.append(prediction.upper())
+        assert em_f1(prediction, golds) == _em_f1_reference(prediction, golds)
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +630,84 @@ def test_restore_model_reproduces_trained_logits(tmp_path):
     want, got = model.forward(batch), restored.forward(batch)
     assert got.start_logits.data.tobytes() == want.start_logits.data.tobytes()
     assert got.end_logits.data.tobytes() == want.end_logits.data.tobytes()
+
+
+def _prepared_setup(cell: str):
+    spec = SyntheticTaskSpec(vocab_size=20, passage_len=9, query_len=2, span_min=1,
+                             span_max=2, distractors=0, n_train=6, n_dev=1, seed=4)
+    examples = gen_synthetic(spec, "train")
+    cfg = ModelConfig(word_dim=4, char_dim=3, char_hidden=3, max_word_len=4,
+                      hidden=5, layers=2, fm_factors=2, cell=cell)
+    fz = Featurizer.build(examples, cfg.max_word_len)
+    return cfg, fz, [fz.example(ex) for ex in examples]
+
+
+def _optimizer_step(model, batch: dict, kind: str) -> None:
+    """One step of optimizer ``kind``, from a fresh state, on ``batch``."""
+    state = init_optimizer_state(kind, model.store)
+    with Tape() as tape:
+        out = model.forward(batch)
+    model.store.zero_grads()
+    backward(tape, out.loss)
+    training_module.OPTIMIZERS[kind](model.store, state, lr=0.05)
+
+
+def _logit_bytes(model, batch: dict) -> bytes:
+    out = model.forward(batch)
+    return out.start_logits.data.tobytes() + out.end_logits.data.tobytes()
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_predict_after_a_write_uses_the_new_weights(cell):
+    """After ``load_values``, an Adam step and an Adadelta step, a model whose
+    prepared layouts were cached before the write gives the logits of a
+    freshly built model holding the same values, bit for bit."""
+    cfg, fz, feats = _prepared_setup(cell)
+    batch = collate(feats)
+    model = build_model(cfg, fz, seed=0)
+    rng = np.random.default_rng(9)
+    writes = [lambda: model.store.load_values(
+                  {n: p.data + rng.normal(0.0, 0.1, size=p.shape) for n, p in model.store.items()}),
+              lambda: _optimizer_step(model, batch, "adam"),
+              lambda: _optimizer_step(model, batch, "adadelta")]
+    for write in writes:
+        before = _logit_bytes(model, batch)
+        write()
+        fresh = build_model(cfg, fz, seed=1)
+        fresh.store.load_values({n: p.data for n, p in model.store.items()})
+        got = _logit_bytes(model, batch)
+        assert got != before
+        assert got == _logit_bytes(fresh, batch)
+
+
+def test_a_second_batch_1_predict_builds_no_layouts(monkeypatch):
+    """The BiRNNs' stacked weights and the FM kernels' tables are built once
+    per parameter version: a second request builds none, and a request
+    after an optimizer step builds each once again."""
+    cfg, fz, feats = _prepared_setup("gru")
+    model = build_model(cfg, fz, seed=0)
+    built = Counter()
+    for module, name in ((recurrent_module, "_stacked_weights"), (bac_module, "_fm_tables")):
+        def counted(owner, build=getattr(module, name), name=name):
+            built[name] += 1
+            return build(owner)
+        monkeypatch.setattr(module, name, counted)
+    single = collate(feats[:1])
+    counts = []
+    for _ in range(2):
+        model.predict(single)
+        counts.append(dict(built))
+        built.clear()
+    # BiRNNs: the char encoder's, one per DecaEnc layer (it runs on p and on
+    # q), the two gated blocks' and the pointer's two; FM kernels: three per
+    # connector
+    rnns = 1 + cfg.layers + 2 + 2
+    assert counts[0] == {"_stacked_weights": rnns, "_fm_tables": 3 * (cfg.layers ** 2 + 2 * cfg.layers)}
+    assert counts[1] == {}
+    _optimizer_step(model, collate(feats), "adam")
+    built.clear()
+    model.predict(single)
+    assert dict(built) == counts[0]
 
 
 def test_train_model_empty_dataset_rejected():
